@@ -320,7 +320,7 @@ def run(config: RunConfig) -> tuple[int, str]:
 
     errors: dict[str, str] = {}
     space = _stage(timings, "edge-space", lambda: EdgeSpace(g))
-    index = DirectedEdgeIndex(g)
+    index = space.index
     report: dict = {
         "meta": {"n": g.n, "m": g.m, "l": 2 * g.m},
         "counters": {},

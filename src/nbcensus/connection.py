@@ -46,7 +46,8 @@ from math import gcd
 
 import numpy as np
 
-from .edge_matrix import INT64_GUARD, IntegrityError
+from .edge_matrix import (IntegrityError, checked_hadamard, checked_kron,
+                          checked_matmul, checked_scale, exact_div)
 from .graphs import Graph
 from .oracle import automorphism_count_fixing
 
@@ -313,24 +314,16 @@ def eval_formula(expr: tuple, G: Graph, *,
         elif head == "vec":
             out = rec(e[1]).reshape(-1, 1)
         elif head == "mm":
-            a, b = rec(e[1]), rec(e[2])
-            amax = float(np.abs(a).max(initial=0))
-            bmax = float(np.abs(b).max(initial=0))
-            if amax * bmax * a.shape[1] * 1.000001 >= float(INT64_GUARD):
-                raise IntegrityError("matrix product may overflow int64")
-            out = a @ b
+            out = checked_matmul(rec(e[1]), rec(e[2]), "matrix product")
         elif head == "had":
-            out = rec(e[1]) * rec(e[2])
+            out = checked_hadamard(rec(e[1]), rec(e[2]), "entrywise product")
         elif head == "kron":
-            out = np.kron(rec(e[1]), rec(e[2]))
+            out = checked_kron(rec(e[1]), rec(e[2]), "kronecker product")
         elif head == "scale":
             _, inner, num, den = e
-            out = rec(inner) * num
+            out = checked_scale(rec(inner), num, f"rescale by {num}")
             if den != 1:
-                if (out % den).any():
-                    raise IntegrityError(
-                        f"rescale by 1/{den} is not exact")
-                out //= den
+                out = exact_div(out, den, f"rescale by 1/{den} is not exact")
         else:  # pragma: no cover - formula_arity rejects unknown heads
             raise ValueError(f"unknown formula node kind {head!r}")
         memo[e] = out

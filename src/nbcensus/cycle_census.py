@@ -1,4 +1,4 @@
-"""Cycle totals C3..C9 peeled out of non-backtracking walk traces.
+"""Cycle totals C3..C9 recovered from non-backtracking walk traces.
 
 The trace of the k-th power of the non-backtracking operator counts all
 closed k-walks without immediate reversals. Each such walk traces out a
@@ -9,13 +9,18 @@ that pollute the traces; the triangle and square classes double as C3
 and C4. Subtracting walks-per-copy times copies from each trace and
 dividing by 2k leaves the cycle totals.
 
-Correction entries are evaluated strictly in index order because later
+The corrections are data: the CORRECTIONS table holds, per entry, a main
+term in the catalog's expression language (see motifs.py), the integer
+multiples of earlier entries to subtract, and an exact divisor. One loop
+evaluates the table with the catalog evaluator, so every product, sum
+and binomial goes through the shared int64 guards of edge_matrix.
+Entries are still evaluated strictly in index order because later
 entries subtract earlier ones. Every division must be exact and every
-count non-negative; a violation raises IntegrityError naming the entry,
-which is the cheapest tripwire for transcription slips and kernel bugs
-alike. Frozen shape data lives in data/walk_classes.json so the walk
-enumeration oracle and the closed formulas can be compared class by
-class.
+count non-negative; a violation raises IntegrityError whose message
+starts with the entry name, which is the cheapest tripwire for
+transcription slips and kernel bugs alike. Frozen shape data lives in
+data/walk_classes.json so the walk enumeration oracle and the closed
+formulas can be compared class by class.
 """
 
 from __future__ import annotations
@@ -26,21 +31,11 @@ from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 
-import numpy as np
-import scipy.sparse as sp
-
 from . import oracle
-from .edge_matrix import (
-    INT64_GUARD,
-    EdgeSpace,
-    IntegrityError,
-    binom2,
-    binom3,
-    checked_hadamard,
-    checked_total,
-    exact_div,
-)
+from .catalog import _SQL, _SQR
+from .edge_matrix import EdgeSpace, IntegrityError, exact_div
 from .graphs import Graph
+from .motifs import Evaluator
 
 F_NAMES = tuple(f"F{i}" for i in range(1, 36))
 C_NAMES = tuple(f"C{k}" for k in range(3, 10))
@@ -74,175 +69,138 @@ class CensusReport:
 
 
 # ---------------------------------------------------------------------------
-# guarded scalar reductions
-# ---------------------------------------------------------------------------
-
-def _checked_dot(u: np.ndarray, v: np.ndarray, label: str) -> int:
-    """Exact dot product of non-negative integer vectors."""
-    est = float(u.astype(np.float64) @ v.astype(np.float64))
-    if est * 1.000001 >= float(INT64_GUARD):
-        raise IntegrityError(f"{label}: dot product near the int64 guard")
-    return int(u @ v)
-
-
-def _quad(v: np.ndarray, M, w: np.ndarray, label: str) -> int:
-    """v^T M w over non-negative integer data, overflow-refused."""
-    probe = M @ w.astype(np.float64)
-    if probe.size and float(probe.max()) * 1.000001 >= float(INT64_GUARD):
-        raise IntegrityError(f"{label}: matrix-vector step near the int64 guard")
-    return _checked_dot(v, np.asarray(M @ w).ravel(), label)
-
-
-def _binom2_vec(v: np.ndarray, label: str) -> np.ndarray:
-    top = float(v.max()) if v.size else 0.0
-    if top * top >= float(INT64_GUARD):
-        raise IntegrityError(f"{label}: binomial overflows int64")
-    return binom2(v)
-
-
-def _binom3_vec(v: np.ndarray, label: str) -> np.ndarray:
-    top = float(v.max()) if v.size else 0.0
-    if top ** 3 >= float(INT64_GUARD):
-        raise IntegrityError(f"{label}: binomial overflows int64")
-    return binom3(v)
-
-
-def _binom_sparse(M: sp.csr_matrix, r: int, label: str) -> sp.csr_matrix:
-    """Entrywise binomial coefficient on a sparse matrix; zeros stay zero."""
-    out = M.copy()
-    if r == 2:
-        out.data = _binom2_vec(out.data, label)
-    else:
-        out.data = _binom3_vec(out.data, label)
-    out.eliminate_zeros()
-    return out.tocsr()
-
-
-# ---------------------------------------------------------------------------
 # correction counts
 # ---------------------------------------------------------------------------
+
+def _inner(u, v):
+    """u . v of two edge vectors."""
+    return ("total", ("had", u, v))
+
+
+def _form(v, M, w):
+    """v^T M w: the bilinear form of M between two edge vectors."""
+    return _inner(v, ("mm", M, w))
+
+
+_SQTT = ("had", ("colrev", "square"), "B3")
+_PNT = ("had", ("had", ("had", "B2", ("T", "B3")), ("rowrev", "B2")),
+        ("colrev", "B2"))
+# closed 4-walks from e landing on its own reversal, B^4[e, rev e]: the
+# "square over an edge" indicator that rank-one terms multiply against.
+# B[f, rev e] = B[e, rev f], so it is a row sum against colrev(B).
+_QLOOP = ("rowsum", ("had", "B3", ("colrev", "B")))
+
+# (name, main term, (coefficient, earlier entry) pairs, divisor): the entry
+# is (main - sum of coefficient * entry) / divisor.
+CORRECTIONS: tuple[tuple[str, tuple, tuple[tuple[int, str], ...], int], ...] = (
+    ("F1", ("total", "d3"), (), 6),
+    ("F2", ("total", ("binom", "d3", 2)), (), 2),
+    ("F3", _form("d3", "B", "d3"), ((12, "F2"), (6, "F1")), 8),
+    ("F4", _inner("d3", "d4"), ((8, "F2"),), 2),
+    ("F5", ("total", ("binom", "d3", 3)), (), 2),
+    ("F6", _form("d3", "B", "d4"), ((6, "F4"), (24, "F5"), (16, "F2")), 4),
+    # divisor repaired from the printed 6: the crossed-square total counts
+    # each K4 once per directed edge and orientation pair, 24 in all
+    ("F7", ("total", "crossed"), (), 24),
+    ("F8", ("total", "square"), (), 8),
+    ("F9", ("total", ("had", _SQR, "B3")), (), 2),
+    ("F10", ("total", _SQTT), (), 12),
+    ("F11", ("total", ("binom", "d4", 2)),
+     ((2, "F9"), (12, "F10"), (12, "F7")), 2),
+    ("F12", ("total", ("had", "square", ("binom", ("colrev", "B3"), 2))),
+     (), 24),
+    ("F13", ("total", ("had", "square", ("binom", "B3", 2))), (), 2),
+    ("F14", _inner("d3", "d5"), ((4, "F4"), (2, "F9")), 2),
+    # the main term differs from its misprinted source: the printed table
+    # repeats F3's main here, which the walk enumeration rejects; the
+    # degree-four analogue is the term that balances (see CORRECTIONS.md)
+    ("F15", _form("d4", "B", "d4"),
+     ((8, "F8"), (48, "F10"), (48, "F12"), (12, "F11"), (16, "F13"),
+      (20, "F9"), (72, "F7")), 8),
+    ("F16", _form("d3", "wedge", "d3"),
+     ((12, "F2"), (24, "F7"), (16, "F3"), (6, "F9")), 8),
+    ("F17", _form("d3", "B", "d5"),
+     ((6, "F14"), (8, "F4"), (10, "F9"), (16, "F13")), 4),
+    ("F18", ("total", _PNT), (), 4),
+    ("F19", ("total", ("had", _PNT, ("T", "B2"))), (), 4),
+    ("F20", ("total", ("had", "B2", ("binom", ("T", "B3"), 2))), (), 2),
+    ("F21", _inner(_QLOOP, ("rowsum", _SQR)),
+     ((8, "F2"), (4, "F9"), (24, "F5")), 4),
+    ("F22", _inner(_QLOOP, ("rowsum", _SQL)),
+     ((48, "F7"), (4, "F9"), (8, "F19")), 4),
+    ("F23", ("total", ("had", _SQR, "B4")),
+     ((24, "F7"), (2, "F9"), (4, "F19")), 1),
+    # the trailing three-step here carries a column reversal the printed
+    # form drops; without it the entry matches no shape
+    ("F24", ("total", ("had", _SQTT, ("colrev", "B3"))), ((4, "F18"),), 2),
+    ("F25", _inner("d3", ("rowsum", ("had", _SQL, "B3"))),
+     ((2, "F9"), (8, "F19")), 6),
+    ("F26", _inner("d3", "d6"),
+     ((6, "F1"), (20, "F2"), (24, "F3"), (12, "F5"), (48, "F7"),
+      (12, "F9"), (4, "F14"), (8, "F19"), (8, "F21"), (4, "F22"),
+      (2, "F23")), 2),
+    ("F27", _inner("d4", "d5"),
+     ((6, "F4"), (8, "F20"), (8, "F18"), (4, "F19"), (2, "F23"),
+      (4, "F24")), 2),
+    ("F28", _form("d3", "wedge", "d4"),
+     ((12, "F2"), (8, "F4"), (36, "F5"), (8, "F6"), (24, "F7"),
+      (6, "F9"), (12, "F18"), (4, "F19"), (4, "F21"), (3, "F23"),
+      (4, "F24")), 4),
+    ("F29", ("total", ("had", ("had", ("had", "B", "B4"), ("rowrev", "B3")),
+                       ("colrev", "B3"))),
+     ((8, "F2"), (16, "F3"), (24, "F5"), (24, "F7"), (14, "F9"),
+      (28, "F21")), 48),
+    ("F30", _inner(("binom", "d3", 2), "d5"),
+     ((4, "F18"), (8, "F19"), (2, "F23"), (6, "F25")), 2),
+    ("F31", _inner(("binom", "d4", 2), "d3"),
+     ((12, "F5"), (24, "F7"), (2, "F9"), (8, "F18"), (10, "F19"),
+      (2, "F23"), (2, "F24"), (6, "F25")), 2),
+    ("F32", _form("d3", ("had", "B2", "B3"), "d3"),
+     ((4, "F2"), (12, "F5"), (72, "F7"), (14, "F9"), (24, "F19"),
+      (8, "F21"), (8, "F22"), (24, "F25")), 8),
+    ("F33", ("total", ("had", ("T", "B2"), ("binom", "B3", 3))), (), 2),
+    ("F34", _form("d3", "B", "d6"),
+     ((6, "F1"), (36, "F2"), (48, "F3"), (36, "F5"), (144, "F7"),
+      (44, "F9"), (8, "F14"), (48, "F19"), (48, "F21"), (16, "F22"),
+      (10, "F23"), (6, "F26"), (48, "F29"), (16, "F30"), (8, "F31"),
+      (16, "F32"), (60, "F25")), 4),
+    ("F35", _form("d4", "B", "d5"),
+     ((10, "F4"), (16, "F20"), (24, "F18"), (28, "F19"), (10, "F23"),
+      (20, "F24"), (6, "F27"), (8, "F30"), (16, "F31"), (24, "F33"),
+      (36, "F25")), 4),
+)
+
+
+def _subtrees(expr):
+    if isinstance(expr, tuple):
+        yield expr
+        for child in expr[1:]:
+            yield from _subtrees(child)
+
 
 def eval_walk_corrections(space: EdgeSpace) -> dict[str, int]:
     """Evaluate the thirty-five correction counts, keyed "F1".."F35".
 
-    Each entry is a closed sparse expression over the cached powers of B
-    minus integer multiples of earlier entries, then an exact division.
-    The F15 main term differs from its misprinted source: the printed
-    table repeats F3's main there, which the walk enumeration rejects;
-    the degree-four analogue is the term that balances (CORRECTIONS.md
-    has the audit trail).
+    The table is walked in index order with one catalog evaluator, whose
+    memo shares subexpressions between entries. A subexpression is
+    forgotten after the last entry that uses it, so the memo never holds
+    more than the entries still to come need.
     """
-    B = space.B
-    B2, B3, B4 = space.power(2), space.power(3), space.power(4)
-    d3, d4 = space.diag(3), space.diag(4)
-    d5, d6 = space.diag(5), space.diag(6)
-    square = space.square_step
-    wedge = space.wedge_step
-    rr2 = space.rowrev(B2).tocsr()
-    cr2 = space.colrev(B2).tocsr()
-    sql = checked_hadamard(square, rr2, "sql")
-    sqr = checked_hadamard(square, cr2, "sqr")
-    sqtt = checked_hadamard(space.colrev(square).tocsr(), B3, "sqtt")
-    pnt = checked_hadamard(
-        checked_hadamard(checked_hadamard(B2, B3.T.tocsr(), "pn"), rr2, "pnt"),
-        cr2, "pnt")
-    ids = np.arange(space.size)
-    # closed 4-walks from e landing on its own reversal: the "square over
-    # an edge" indicator that rank-one terms multiply against
-    qloop = np.asarray(B4[ids, space.rev]).ravel()
-
+    last_use = {sub: i for i, (_, main, _, _) in enumerate(CORRECTIONS)
+                for sub in _subtrees(main)}
+    ev = Evaluator(space)
     f: dict[str, int] = {}
-
-    def peel(label: str, main: int, coefs: tuple, divisor: int) -> None:
-        val = main
-        for c, dep in coefs:
-            val -= c * f[dep]
-        out = exact_div(val, divisor, label)
+    for i, (name, main, coefs, divisor) in enumerate(CORRECTIONS):
+        try:
+            val = ev.eval(main)
+        except IntegrityError as exc:
+            raise IntegrityError(f"{name}: {exc}") from exc
+        val -= sum(c * f[dep] for c, dep in coefs)
+        out = exact_div(val, divisor, name)
         if out < 0:
-            raise IntegrityError(f"{label}: negative count {out}")
-        f[label] = out
-
-    peel("F1", checked_total(d3, "F1"), (), 6)
-    peel("F2", checked_total(_binom2_vec(d3, "F2"), "F2"), (), 2)
-    peel("F3", _quad(d3, B, d3, "F3"), ((12, "F2"), (6, "F1")), 8)
-    peel("F4", _checked_dot(d3, d4, "F4"), ((8, "F2"),), 2)
-    peel("F5", checked_total(_binom3_vec(d3, "F5"), "F5"), (), 2)
-    peel("F6", _quad(d3, B, d4, "F6"),
-         ((6, "F4"), (24, "F5"), (16, "F2")), 4)
-    # divisor repaired from the printed 6: the crossed-square total counts
-    # each K4 once per directed edge and orientation pair, 24 in all
-    peel("F7", checked_total(space.crossed_square_step, "F7"), (), 24)
-    peel("F8", checked_total(square, "F8"), (), 8)
-    peel("F9", checked_total(checked_hadamard(sqr, B3, "F9"), "F9"), (), 2)
-    peel("F10", checked_total(sqtt, "F10"), (), 12)
-    peel("F11", checked_total(_binom2_vec(d4, "F11"), "F11"),
-         ((2, "F9"), (12, "F10"), (12, "F7")), 2)
-    peel("F12", checked_total(checked_hadamard(
-        square, _binom_sparse(space.colrev(B3).tocsr(), 2, "F12"), "F12"),
-        "F12"), (), 24)
-    peel("F13", checked_total(checked_hadamard(
-        square, _binom_sparse(B3, 2, "F13"), "F13"), "F13"), (), 2)
-    peel("F14", _checked_dot(d3, d5, "F14"), ((4, "F4"), (2, "F9")), 2)
-    peel("F15", _quad(d4, B, d4, "F15"),
-         ((8, "F8"), (48, "F10"), (48, "F12"), (12, "F11"), (16, "F13"),
-          (20, "F9"), (72, "F7")), 8)
-    peel("F16", _quad(d3, wedge, d3, "F16"),
-         ((12, "F2"), (24, "F7"), (16, "F3"), (6, "F9")), 8)
-    peel("F17", _quad(d3, B, d5, "F17"),
-         ((6, "F14"), (8, "F4"), (10, "F9"), (16, "F13")), 4)
-    peel("F18", checked_total(pnt, "F18"), (), 4)
-    peel("F19", checked_total(checked_hadamard(
-        pnt, B2.T.tocsr(), "F19"), "F19"), (), 4)
-    peel("F20", checked_total(checked_hadamard(
-        B2, _binom_sparse(B3.T.tocsr(), 2, "F20"), "F20"), "F20"), (), 2)
-    peel("F21", _checked_dot(qloop, space.rowsum(sqr), "F21"),
-         ((8, "F2"), (4, "F9"), (24, "F5")), 4)
-    peel("F22", _checked_dot(qloop, space.rowsum(sql), "F22"),
-         ((48, "F7"), (4, "F9"), (8, "F19")), 4)
-    peel("F23", checked_total(checked_hadamard(sqr, B4, "F23"), "F23"),
-         ((24, "F7"), (2, "F9"), (4, "F19")), 1)
-    # the trailing three-step here carries a column reversal the printed
-    # form drops; without it the entry matches no shape
-    peel("F24", checked_total(checked_hadamard(
-        sqtt, space.colrev(B3).tocsr(), "F24"), "F24"), ((4, "F18"),), 2)
-    peel("F25", _checked_dot(
-        d3, space.rowsum(checked_hadamard(sql, B3, "F25")), "F25"),
-        ((2, "F9"), (8, "F19")), 6)
-    peel("F26", _checked_dot(d3, d6, "F26"),
-         ((6, "F1"), (20, "F2"), (24, "F3"), (12, "F5"), (48, "F7"),
-          (12, "F9"), (4, "F14"), (8, "F19"), (8, "F21"), (4, "F22"),
-          (2, "F23")), 2)
-    peel("F27", _checked_dot(d4, d5, "F27"),
-         ((6, "F4"), (8, "F20"), (8, "F18"), (4, "F19"), (2, "F23"),
-          (4, "F24")), 2)
-    peel("F28", _quad(d3, wedge, d4, "F28"),
-         ((12, "F2"), (8, "F4"), (36, "F5"), (8, "F6"), (24, "F7"),
-          (6, "F9"), (12, "F18"), (4, "F19"), (4, "F21"), (3, "F23"),
-          (4, "F24")), 4)
-    peel("F29", checked_total(checked_hadamard(checked_hadamard(
-        checked_hadamard(B, B4, "F29"), space.rowrev(B3).tocsr(), "F29"),
-        space.colrev(B3).tocsr(), "F29"), "F29"),
-        ((8, "F2"), (16, "F3"), (24, "F5"), (24, "F7"), (14, "F9"),
-         (28, "F21")), 48)
-    peel("F30", _checked_dot(_binom2_vec(d3, "F30"), d5, "F30"),
-         ((4, "F18"), (8, "F19"), (2, "F23"), (6, "F25")), 2)
-    peel("F31", _checked_dot(_binom2_vec(d4, "F31"), d3, "F31"),
-         ((12, "F5"), (24, "F7"), (2, "F9"), (8, "F18"), (10, "F19"),
-          (2, "F23"), (2, "F24"), (6, "F25")), 2)
-    peel("F32", _quad(d3, checked_hadamard(B2, B3, "F32"), d3, "F32"),
-         ((4, "F2"), (12, "F5"), (72, "F7"), (14, "F9"), (24, "F19"),
-          (8, "F21"), (8, "F22"), (24, "F25")), 8)
-    peel("F33", checked_total(checked_hadamard(
-        B2.T.tocsr(), _binom_sparse(B3, 3, "F33"), "F33"), "F33"), (), 2)
-    peel("F34", _quad(d3, B, d6, "F34"),
-         ((6, "F1"), (36, "F2"), (48, "F3"), (36, "F5"), (144, "F7"),
-          (44, "F9"), (8, "F14"), (48, "F19"), (48, "F21"), (16, "F22"),
-          (10, "F23"), (6, "F26"), (48, "F29"), (16, "F30"), (8, "F31"),
-          (16, "F32"), (60, "F25")), 4)
-    peel("F35", _quad(d4, B, d5, "F35"),
-         ((10, "F4"), (16, "F20"), (24, "F18"), (28, "F19"), (10, "F23"),
-          (20, "F24"), (6, "F27"), (8, "F30"), (16, "F31"), (24, "F33"),
-          (36, "F25")), 4)
+            raise IntegrityError(f"{name}: negative count {out}")
+        f[name] = out
+        ev.forget(sub for sub, last in last_use.items() if last == i)
     return f
 
 
@@ -255,8 +213,7 @@ def printed_f15_value(space: EdgeSpace, corrections: dict[str, int]) -> Fraction
     fraction so callers can exhibit the failure.
     """
     f = corrections
-    d3 = space.diag(3)
-    main = _quad(d3, space.B, d3, "F15(printed)")
+    main = Evaluator(space).eval(_form("d3", "B", "d3"))
     val = (main - 8 * f["F8"] - 48 * f["F10"] - 48 * f["F12"]
            - 12 * f["F11"] - 16 * f["F13"] - 20 * f["F9"] - 72 * f["F7"])
     return Fraction(val, 8)
@@ -266,16 +223,17 @@ def printed_f15_value(space: EdgeSpace, corrections: dict[str, int]) -> Fraction
 # cycle totals
 # ---------------------------------------------------------------------------
 
-def eval_cycles(space: EdgeSpace,
+def eval_cycles(traces: dict[int, int],
                 corrections: dict[str, int]) -> dict[str, int]:
-    """Cycle totals keyed "C3".."C9" from traces and correction counts."""
+    """Cycle totals keyed "C3".."C9" from the traces tr(B^k), k = 4..9,
+    and the correction counts."""
     f = corrections
     out: dict[str, int] = {}
     out["C3"] = f["F1"]
-    out["C4"] = exact_div(space.trace(4), 8, "C4")
-    out["C5"] = exact_div(space.trace(5), 10, "C5")
+    out["C4"] = exact_div(traces[4], 8, "C4")
+    out["C5"] = exact_div(traces[5], 10, "C5")
     for k in (6, 7, 8, 9):
-        val = space.trace(k)
+        val = traces[k]
         for name, coef in CYCLE_CORRECTION_COEFFICIENTS[k]:
             val -= coef * f[name]
         ck = exact_div(val, 2 * k, f"C{k}")
@@ -286,9 +244,14 @@ def eval_cycles(space: EdgeSpace,
 
 
 def full_census(space: EdgeSpace) -> CensusReport:
-    """Corrections and cycle totals for one graph, sharing the power cache."""
+    """Corrections and cycle totals for one graph, sharing the power cache.
+
+    The traces come first, so the row-blocked products behind tr(B^7..9)
+    run before B^4 and the correction evaluator's memo are resident.
+    """
+    traces = {k: space.trace(k) for k in range(4, 10)}
     f = eval_walk_corrections(space)
-    return CensusReport(f_counts=f, cycle_counts=eval_cycles(space, f))
+    return CensusReport(f_counts=f, cycle_counts=eval_cycles(traces, f))
 
 
 # ---------------------------------------------------------------------------

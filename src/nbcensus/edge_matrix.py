@@ -3,9 +3,14 @@ its powers, and the derived step matrices the counting formulas consume.
 
 All matrices are scipy CSR with int64 entries and are indexed by directed
 edge ids (edge k yields ids 2k and 2k+1; reversal flips the low bit).
-Counting formulas must stay exact, so products and reductions go through
-checked wrappers that bound the result magnitude before computing and
-raise IntegrityError instead of silently wrapping around.
+
+This is also the package's one exact-arithmetic layer: every product,
+sum, binomial, rescaling and division of a counting formula goes through
+a ``checked_*`` wrapper or ``exact_div``, on sparse, dense or vector
+operands. Each bounds its result from its operands before computing and
+raises IntegrityError instead of wrapping around. Bounds are compared to
+INT64_GUARD = 2**62, half the int64 limit, so a bound estimated in
+float64 still proves the int64 result exact.
 """
 
 from __future__ import annotations
@@ -22,29 +27,57 @@ class IntegrityError(RuntimeError):
     """An exact-arithmetic guarantee would break (overflow or bad division)."""
 
 
+def _refuse_beyond(bound, label: str, what: str) -> None:
+    if bound >= INT64_GUARD:
+        raise IntegrityError(
+            f"{label}: {what} bound {bound:.6g} exceeds the int64 guard")
+
+
 def _max_abs(M) -> int:
-    if sp.issparse(M):
-        return int(np.abs(M.data).max()) if M.nnz else 0
-    arr = np.asarray(M)
-    return int(np.abs(arr).max()) if arr.size else 0
+    data = M.data if sp.issparse(M) else np.asarray(M)
+    return max(int(data.max()), -int(data.min())) if data.size else 0
+
+
+def _abs_sums(M, axis) -> float:
+    """Largest sum of |entries| along ``axis`` (None: over everything)."""
+    if not sp.issparse(M):
+        sums = np.abs(np.asarray(M)).sum(axis=axis, dtype=np.float64)
+        return float(np.max(sums, initial=0.0))
+    # from the stored entries directly: abs(M) would first sort the indices
+    M = M.tocoo(copy=False)
+    weights = np.abs(M.data).astype(np.float64)
+    if axis is None:
+        return float(weights.sum())
+    sums = np.bincount(M.col if axis == 0 else M.row, weights=weights)
+    return float(sums.max(initial=0.0))
+
+
+def _check_sums(M, axis, label: str) -> None:
+    """Refuse a sum along ``axis`` (None: over everything) that could wrap.
+
+    The cheap bound max|entry| * (entries summed) settles nearly every
+    call; only when it reaches the guard are the sums themselves taken.
+    """
+    count = ((M.nnz if sp.issparse(M) else np.size(M)) if axis is None
+             else M.shape[axis])
+    if _max_abs(M) * count >= INT64_GUARD:
+        _refuse_beyond(_abs_sums(M, axis), label, "entry total")
 
 
 def checked_matmul(A, B, label: str, stats: dict | None = None):
-    """Sparse product A @ B with an a-priori magnitude bound.
+    """Product A @ B of sparse or dense matrices, or of a matrix and a
+    vector, with an a-priori magnitude bound.
 
     |(AB)_ij| <= min(max|A| * max column sum of |B|,
                      max|B| * max row sum of |A|);
-    if that bound reaches the int64 guard the formula is refused rather
-    than evaluated wrongly.
+    if that bound reaches the int64 guard the product is refused rather
+    than evaluated wrongly. The sums are only taken when the cheaper
+    max|A| * max|B| * (inner dimension) reaches the guard.
     """
     a_max, b_max = _max_abs(A), _max_abs(B)
-    if a_max and b_max:
-        row_sum = int(np.abs(A).sum(axis=1).max())
-        col_sum = int(np.abs(B).sum(axis=0).max())
-        bound = min(a_max * col_sum, b_max * row_sum)
-        if bound >= INT64_GUARD:
-            raise IntegrityError(
-                f"{label}: product magnitude bound {bound} exceeds int64 guard")
+    if a_max * b_max * A.shape[-1] >= INT64_GUARD:
+        _refuse_beyond(min(a_max * _abs_sums(B, 0), b_max * _abs_sums(A, 1)),
+                       label, "product")
     out = A @ B
     if stats is not None and sp.issparse(out):
         stats["peak_product_nnz"] = max(stats.get("peak_product_nnz", 0), out.nnz)
@@ -53,25 +86,65 @@ def checked_matmul(A, B, label: str, stats: dict | None = None):
 
 def checked_hadamard(A, B, label: str):
     """Entrywise product with the same overflow discipline."""
-    if _max_abs(A) * _max_abs(B) >= INT64_GUARD:
-        raise IntegrityError(f"{label}: entrywise product exceeds int64 guard")
+    _refuse_beyond(_max_abs(A) * _max_abs(B), label, "entrywise product")
     return A.multiply(B).tocsr() if sp.issparse(A) else A * B
 
 
-def checked_total(M, label: str) -> int:
-    """Sum of all entries, refused if the int64 accumulator could wrap.
+def checked_kron(A, B, label: str) -> np.ndarray:
+    """Kronecker product of dense arrays; its entries are entrywise products."""
+    _refuse_beyond(_max_abs(A) * _max_abs(B), label, "entrywise product")
+    return np.kron(A, B)
 
-    Works on sparse matrices and plain arrays. The bound is a float
-    estimate of the absolute entry total with a small safety margin,
-    which still leaves a factor of two below the signed 64-bit limit.
+
+def checked_add(A, B, label: str, sign: int):
+    """A + sign * B for sign in {1, -1}; B may be a scalar shift."""
+    _refuse_beyond(_max_abs(A) + _max_abs(B), label, "sum")
+    out = A + B if sign > 0 else A - B
+    return out.tocsr() if sp.issparse(out) else out
+
+
+def checked_scale(M, c: int, label: str):
+    """Multiply every entry by the integer c."""
+    _refuse_beyond(abs(c) * max(_max_abs(M), 1), label, "rescaled entry")
+    return c * M
+
+
+def checked_total(M, label: str, axis: int | None = None):
+    """Sum of all entries as an int, or the row (axis=1) or column
+    (axis=0) sums as a vector, refused if the int64 accumulator could wrap.
     """
-    data = M.data if sp.issparse(M) else np.asarray(M).ravel()
-    if data.size == 0:
-        return 0
-    est = float(np.abs(data).astype(np.float64).sum())
-    if est * 1.000001 >= float(INT64_GUARD):
-        raise IntegrityError(f"{label}: entry total near the int64 guard")
-    return int(data.sum())
+    _check_sums(M, axis, label)
+    if axis is None:
+        data = M.data if sp.issparse(M) else np.asarray(M)
+        return int(data.sum())
+    return np.asarray(M.sum(axis=axis)).ravel()
+
+
+def _falling(x: int, r: int) -> int:
+    return x * (x - 1) * (x - 2 if r == 3 else 1)
+
+
+def checked_binom(M, r: int, label: str):
+    """Entrywise binomial coefficient x choose r, r in {2, 3}, taken as the
+    falling factorial x(x-1)...(x-r+1) / r!; on sparse operands zeros stay
+    zero.
+    """
+    if r not in (2, 3):
+        raise ValueError("binomials are available for r in {2, 3}")
+    data = M.data if sp.issparse(M) else np.asarray(M)
+    if data.size:
+        # |falling factorial| grows away from 0..r-1, so the extremes bound it
+        _refuse_beyond(max(abs(_falling(int(data.max()), r)),
+                           abs(_falling(int(data.min()), r))),
+                       label, "binomial numerator")
+    out = data * (data - 1)
+    out = out // 2 if r == 2 else out * (data - 2) // 6
+    if not sp.issparse(M):
+        return out
+    M = M.copy()
+    M.data = out
+    M.eliminate_zeros()
+    return M.tocsr()
 
 
 def exact_div(x, d: int, label: str):
@@ -88,14 +161,6 @@ def exact_div(x, d: int, label: str):
     if x % d:
         raise IntegrityError(f"{label}: value {x} not divisible by {d}")
     return x // d
-
-
-def binom2(v):
-    return v * (v - 1) // 2
-
-
-def binom3(v):
-    return v * (v - 1) * (v - 2) // 6
 
 
 def nonbacktracking_matrix(index: DirectedEdgeIndex) -> sp.csr_matrix:
@@ -257,19 +322,17 @@ class EdgeSpace:
     # row blocks so the peak footprint stays near nnz(B^4-block).
 
     def diag(self, k: int) -> np.ndarray:
-        if k == 3:
-            return self._get("diag3", lambda: np.asarray(
-                self.power(2).multiply(self.B.T).sum(axis=1)).ravel())
+        label = f"diag:B^{k}"
         if k == 4:
-            return self._get("diag4", lambda: np.asarray(
-                self.square_step.sum(axis=1)).ravel())
-        if k == 5:
-            return self._get("diag5", lambda: np.asarray(
-                self.power(2).multiply(self.power(3).T).sum(axis=1)).ravel())
-        if k == 6:
-            return self._get("diag6", lambda: np.asarray(
-                self.power(3).multiply(self.power(3).T).sum(axis=1)).ravel())
-        raise ValueError("diagonals available for k in 3..6")
+            return self._get("diag4", lambda: checked_total(
+                self.square_step, label, axis=1))
+        # diag(B^(i+j)) pairs B^i with the transpose of B^j
+        pairs = {3: (2, 1), 5: (2, 3), 6: (3, 3)}
+        if k not in pairs:
+            raise ValueError("diagonals available for k in 3..6")
+        i, j = pairs[k]
+        return self._get(f"diag{k}", lambda: checked_total(checked_hadamard(
+            self.power(i), self.power(j).T, label), label, axis=1))
 
     def trace(self, k: int, block: int = 2048) -> int:
         """tr(B^k) for 3 <= k <= 9 without materializing B^5 and above."""
@@ -301,12 +364,7 @@ class EdgeSpace:
         v = np.asarray(edge_vec).ravel()
         if v.shape[0] != self.size:
             raise ValueError("gamma expects a directed-edge-indexed vector")
+        _check_sums(v, None, "gamma")
         out = np.zeros(self.graph.n, dtype=v.dtype)
-        np.add.at(out, np.asarray(self.index.tail), v)
+        np.add.at(out, np.asarray(self.index.tail, dtype=np.int64), v)
         return out
-
-    def rowsum(self, M) -> np.ndarray:
-        return np.asarray(M.sum(axis=1)).ravel()
-
-    def colsum(self, M) -> np.ndarray:
-        return np.asarray(M.sum(axis=0)).ravel()

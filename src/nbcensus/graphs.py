@@ -126,10 +126,6 @@ class DirectedEdgeIndex:
         return f"{g.labels[self.tail[e]]}->{g.labels[self.head[e]]}"
 
 
-def build_directed_index(graph: Graph) -> DirectedEdgeIndex:
-    return DirectedEdgeIndex(graph)
-
-
 def path2_count(graph: Graph) -> int:
     """Number of directed 2-paths: sum over v of deg(v)(deg(v)-1).
 

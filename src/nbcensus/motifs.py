@@ -8,8 +8,9 @@ exposes the per-order evaluation entry points plus the general order-6
 edge-rooted construction.
 
 Expression language (nested tuples, first element is the op name):
-  atoms (strings): "B", "B2", "B3", "tri", "wedge", "square", "crossed",
-      "twin", "texit", "chordless3", "join"
+  atoms (strings): "B", "B2", "B3", "B4", "tri", "wedge", "square",
+      "crossed", "twin", "texit", "chordless3", "join" (matrices), and
+      "d3".."d6" (the diagonals of B^3..B^6, shared with the trace cache)
   ("T", X)            matrix transpose
   ("rowrev", X)       index reversal on rows (vectors: the whole index)
   ("colrev", X)       index reversal on columns
@@ -21,7 +22,13 @@ Expression language (nested tuples, first element is the op name):
   ("scale", c, X)     multiply by the integer c
   ("binom", X, k)     entrywise binomial coefficient, k in {2, 3}
   ("rowsum", X), ("colsum", X)
+  ("total", X)        sum of all entries, as a Python int
   ("div", X, c)       exact division; nonzero remainder raises IntegrityError
+
+Every node that computes new values goes through a guard of
+edge_matrix's exact-arithmetic layer, so a result that would wrap int64
+raises IntegrityError (labelled with the node) instead; the transpose,
+reversal and hadnot nodes only move or drop entries.
 """
 
 from __future__ import annotations
@@ -30,11 +37,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-import scipy.sparse as sp
 
 from . import catalog
-from .edge_matrix import (EdgeSpace, IntegrityError, checked_hadamard,
-                          checked_matmul, exact_div)
+from .edge_matrix import (EdgeSpace, IntegrityError, checked_add,
+                          checked_binom, checked_hadamard, checked_matmul,
+                          checked_scale, checked_total, exact_div)
 from .graphs import Graph
 from .oracle import automorphism_count_fixing
 
@@ -64,6 +71,7 @@ _ATOMS = {
     "B": lambda s: s.B,
     "B2": lambda s: s.power(2),
     "B3": lambda s: s.power(3),
+    "B4": lambda s: s.power(4),
     "tri": lambda s: s.triangle_step,
     "wedge": lambda s: s.wedge_step,
     "square": lambda s: s.square_step,
@@ -72,11 +80,7 @@ _ATOMS = {
     "texit": lambda s: s.triangle_exit_step,
     "chordless3": lambda s: s.chordless_three_step,
     "join": lambda s: s.triangle_join_step,
-}
-
-_BINOM = {
-    2: lambda x: x * (x - 1) // 2,
-    3: lambda x: x * (x - 1) * (x - 2) // 6,
+    **{f"d{k}": (lambda s, k=k: s.diag(k)) for k in range(3, 7)},
 }
 
 
@@ -97,9 +101,15 @@ class Evaluator:
         self._memo[key] = val
         return val
 
+    def forget(self, exprs) -> None:
+        """Drop memoized values, e.g. once no later expression needs them."""
+        for expr in exprs:
+            self._memo.pop(expr, None)
+
     def _apply(self, expr):
         op = expr[0]
         s = self.space
+        label = repr(expr)[:80]
         if op == "T":
             return self.eval(expr[1]).T.tocsr()
         if op == "rowrev":
@@ -108,60 +118,35 @@ class Evaluator:
         if op == "colrev":
             return s.colrev(self.eval(expr[1])).tocsr()
         if op == "mm":
-            a, b = self.eval(expr[1]), self.eval(expr[2])
-            if isinstance(b, np.ndarray):
-                return _checked_matvec(a, b, _label(expr))
-            return checked_matmul(a, b, _label(expr), s.stats)
+            return checked_matmul(self.eval(expr[1]), self.eval(expr[2]),
+                                  label, s.stats)
         if op == "had":
-            a, b = self.eval(expr[1]), self.eval(expr[2])
-            return checked_hadamard(a, b, _label(expr))
+            return checked_hadamard(self.eval(expr[1]), self.eval(expr[2]),
+                                    label)
         if op == "hadnot":
             a, m = self.eval(expr[1]), self.eval(expr[2])
             drop = a.multiply(m != 0)
             out = (a - drop).tocsr()
             out.eliminate_zeros()
             return out
-        if op == "add":
-            return _tocsr(self.eval(expr[1]) + self.eval(expr[2]))
-        if op == "sub":
-            return _tocsr(self.eval(expr[1]) - self.eval(expr[2]))
+        if op in ("add", "sub"):
+            return checked_add(self.eval(expr[1]), self.eval(expr[2]), label,
+                               1 if op == "add" else -1)
         if op == "sshift":
-            return self.eval(expr[1]) - int(expr[2])
+            return checked_add(self.eval(expr[1]), int(expr[2]), label, -1)
         if op == "scale":
-            return int(expr[1]) * self.eval(expr[2])
+            return checked_scale(self.eval(expr[2]), expr[1], label)
         if op == "binom":
-            x = self.eval(expr[1])
-            f = _BINOM[int(expr[2])]
-            if sp.issparse(x):
-                out = x.tocsr(copy=True)
-                out.data = f(out.data)
-                out.eliminate_zeros()
-                return out
-            return f(x)
+            return checked_binom(self.eval(expr[1]), int(expr[2]), label)
         if op == "rowsum":
-            return s.rowsum(self.eval(expr[1]))
+            return checked_total(self.eval(expr[1]), label, axis=1)
         if op == "colsum":
-            return s.colsum(self.eval(expr[1]))
+            return checked_total(self.eval(expr[1]), label, axis=0)
+        if op == "total":
+            return checked_total(self.eval(expr[1]), label)
         if op == "div":
-            return exact_div(self.eval(expr[1]), int(expr[2]), _label(expr))
+            return exact_div(self.eval(expr[1]), int(expr[2]), label)
         raise ValueError(f"unknown op {op!r}")
-
-
-def _tocsr(x):
-    return x.tocsr() if sp.issparse(x) else x
-
-
-def _label(expr) -> str:
-    return repr(expr)[:80]
-
-
-def _checked_matvec(A, v: np.ndarray, label: str) -> np.ndarray:
-    if A.nnz and v.size:
-        row_nnz = int(np.diff(A.indptr).max()) if hasattr(A, "indptr") else v.size
-        bound = int(np.abs(A.data).max()) * int(np.abs(v).max()) * max(row_nnz, 1)
-        if bound >= 2 ** 62:
-            raise IntegrityError(f"{label}: matrix-vector bound exceeds guard")
-    return A @ v
 
 
 def evaluate_catalog(space: EdgeSpace, entries: dict,
@@ -187,7 +172,7 @@ def evaluate_catalog(space: EdgeSpace, entries: dict,
         elif kind == "gamma_of":
             agg = space.gamma(value_of(entry["of"]))
             frac = Fraction(entry["num"], entry["den"])
-            scaled = agg * frac.numerator
+            scaled = checked_scale(agg, frac.numerator, f"gamma:{mid}")
             out = exact_div(scaled, frac.denominator, f"gamma:{mid}")
         else:
             raise ValueError(f"bad catalog entry kind {kind!r}")
@@ -317,7 +302,9 @@ def eval_order6_edge(space: EdgeSpace, F) -> MotifResult:
     ka = pair_connection_matrix(G, Fa, (0, 1), (2, 3))
     kb = pair_connection_matrix(G, Fb, (0, 1), (2, 3))
     kc = pair_connection_matrix(G, Fc, (0, 1), (2, 3))
-    per_pair = ((ka @ kb) * kc).sum(axis=1)
+    label = "order6 composition"
+    per_pair = checked_total(checked_hadamard(
+        checked_matmul(ka, kb, label), kc, label), label, axis=1)
     divisor = automorphism_count_fixing(pattern, (a1, a2))
     per_pair = exact_div(per_pair, divisor, "order6 root-fixing symmetry")
 
@@ -340,5 +327,6 @@ def eval_k6_edge(space: EdgeSpace) -> MotifResult:
     K = space.crossed_square_step
     M = checked_matmul(K, K, "6-clique composition", space.stats)
     M = checked_hadamard(M, K, "6-clique composition")
-    vec = exact_div(space.rowsum(M), 24, "6-clique symmetry")
+    vec = exact_div(checked_total(M, "6-clique composition", axis=1), 24,
+                    "6-clique symmetry")
     return MotifResult(MotifId(6, "K6", "edge"), vec)

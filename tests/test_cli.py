@@ -42,6 +42,16 @@ def test_cycles_on_k4(runner, k4_file):
     assert "errors" not in report
 
 
+def test_cycles_on_empty_edge_list(runner, tmp_path):
+    path = tmp_path / "empty.txt"
+    path.write_text("")
+    result = runner.invoke(main, ["--input", str(path), "--counts", "cycles"])
+    assert result.exit_code == 0, result.stdout
+    report = json.loads(result.stdout)
+    assert report["meta"] == {"n": 0, "m": 0, "l": 0}
+    assert report["counters"]["cycles"] == {f"C{k}": 0 for k in range(3, 10)}
+
+
 def test_order3_oracle_check_verifies(runner, triangle_file):
     result = runner.invoke(main, [
         "--input", triangle_file, "--counts", "order3", "--oracle-check"])

@@ -57,6 +57,9 @@ def test_bipartite_has_even_cycles_only():
     er_graph(9, 0.4, 58),
     er_graph(10, 0.35, 59),
     wheel_graph(7),
+    Graph(0, []),
+    Graph(3, []),
+    Graph(7, [(0, 1), (1, 2), (1, 3), (4, 5)]),
 ])
 def test_census_matches_brute_force(g):
     rep = full_census(EdgeSpace(g))

@@ -6,15 +6,19 @@ are certified elsewhere against the embedding oracle.
 """
 
 import itertools
+from math import comb
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 
 from conftest import complete_graph, cycle_graph, er_graph, petersen_graph
-from nbcensus.edge_matrix import (EdgeSpace, IntegrityError, checked_total,
-                                  exact_div)
+from nbcensus.edge_matrix import (EdgeSpace, IntegrityError, checked_binom,
+                                  checked_hadamard, checked_matmul,
+                                  checked_scale, checked_total, exact_div)
 from nbcensus.graphs import DirectedEdgeIndex, Graph, path2_count
+from nbcensus.motifs import Evaluator
 
 
 def brute_B(g: Graph) -> np.ndarray:
@@ -133,7 +137,6 @@ def test_exact_div_raises_on_remainder():
 
 
 def test_checked_total_guards_magnitude():
-    import scipy.sparse as sp
     M = sp.csr_matrix(np.array([[2 ** 61, 2 ** 61]], dtype=np.int64))
     with pytest.raises(IntegrityError):
         checked_total(M, "huge")
@@ -152,3 +155,81 @@ def test_involution_property(n, data):
     B = space.B.toarray()
     rev = np.asarray(space.rev)
     assert np.array_equal(B, B[rev][:, rev].T)
+
+
+# -- the shared int64 guards ---------------------------------------------
+#
+# Each guard must return the exact value when the result sits just below
+# the 2**62 guard, and refuse operands whose result would wrap int64.
+
+BELOW = 2 ** 62 - 2 ** 31          # = 2**31 * (2**31 - 1)
+
+
+def _csr(rows):
+    return sp.csr_matrix(np.array(rows, dtype=np.int64))
+
+
+def _dense(rows):
+    return np.array(rows, dtype=np.int64)
+
+
+@pytest.mark.parametrize("wrap", [_csr, _dense])
+def test_checked_matmul_matrix_guard(wrap):
+    out = checked_matmul(wrap([[2 ** 31]]), wrap([[2 ** 31 - 1]]), "mm")
+    assert int(out[0, 0]) == BELOW
+    with pytest.raises(IntegrityError, match="mm"):
+        checked_matmul(wrap([[2 ** 32]]), wrap([[2 ** 32]]), "mm")
+
+
+def test_checked_matmul_vector_guard():
+    out = checked_matmul(_csr([[2 ** 31, 0]]), _dense([2 ** 31 - 1, 5]), "mv")
+    assert out.tolist() == [BELOW]
+    with pytest.raises(IntegrityError, match="mv"):
+        checked_matmul(_csr([[1, 1]]), _dense([2 ** 62, 2 ** 62]), "mv")
+
+
+def test_checked_hadamard_guard():
+    out = checked_hadamard(_csr([[2 ** 31, 3]]), _csr([[2 ** 31 - 1, 0]]), "h")
+    assert out.toarray().tolist() == [[BELOW, 0]]
+    with pytest.raises(IntegrityError, match="h"):
+        checked_hadamard(_csr([[2 ** 32]]), _csr([[2 ** 32]]), "h")
+
+
+def test_checked_total_guard():
+    assert checked_total(_dense([2 ** 61, 2 ** 61 - 2 ** 31]), "t") == BELOW
+    assert checked_total(_csr([[2 ** 61], [2 ** 61 - 2 ** 31]]), "t",
+                         axis=0).tolist() == [BELOW]
+    with pytest.raises(IntegrityError, match="t"):
+        checked_total(_dense([2 ** 62, 2 ** 62]), "t")
+
+
+@pytest.mark.parametrize("wrap", [_csr, _dense])
+def test_checked_scale_guard(wrap):
+    out = checked_scale(wrap([[2 ** 31, 0]]), 2 ** 31 - 1, "s")
+    assert (out.toarray() if sp.issparse(out) else out).tolist() == [[BELOW, 0]]
+    with pytest.raises(IntegrityError, match="s"):
+        checked_scale(wrap([[2 ** 32]]), 2 ** 32, "s")
+
+
+@pytest.mark.parametrize("wrap", [_csr, _dense])
+@pytest.mark.parametrize("r,top,wraps", [
+    # top is the largest x whose falling factorial x...(x-r+1) is under 2**62
+    (2, 2 ** 31, 2 ** 32),
+    (3, 1_664_511, 3_000_000),
+])
+def test_checked_binom_guard(wrap, r, top, wraps):
+    out = checked_binom(wrap([[top, 1, 0]]), r, "b")
+    got = out.toarray() if sp.issparse(out) else out
+    assert got.tolist() == [[comb(top, r), comb(1, r), 0]]
+    with pytest.raises(IntegrityError, match="b"):
+        checked_binom(wrap([[top + 1]]), r, "b")
+    with pytest.raises(IntegrityError, match="b"):
+        checked_binom(wrap([[wraps]]), r, "b")
+
+
+def test_evaluator_binom_node_refuses_instead_of_wrapping():
+    ev = Evaluator(EdgeSpace(complete_graph(3)))
+    assert set(ev.eval(("binom", ("scale", 1_664_511, "B"), 3)).data) == {
+        comb(1_664_511, 3)}
+    with pytest.raises(IntegrityError, match="binom"):
+        ev.eval(("binom", ("scale", 3_000_000, "B"), 3))

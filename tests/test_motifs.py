@@ -90,6 +90,9 @@ def test_every_id_has_a_coherent_frozen_pattern():
     cycle_graph(6),
     er_graph(7, 0.5, 91),
     er_graph(8, 0.4, 92),
+    Graph(0, []),
+    Graph(3, []),
+    Graph(7, [(0, 1), (1, 2), (1, 3), (4, 5)]),
 ])
 def test_order3_and_4_match_oracle(g):
     space = EdgeSpace(g)
