@@ -180,72 +180,75 @@ def _decode(idx: int, n: int, arity: int) -> tuple[int, ...]:
 # oracle cross-checks
 # ---------------------------------------------------------------------------
 
-def _check_order(space, index, order, max_n) -> dict:
+def _oracle_check(space, counter, section, errors, max_n) -> dict:
+    """The oracle's verdict on the counts the report holds (a generic
+    counter is recomputed); a refused count raises its refusal again."""
     g = space.graph
     if g.n > max_n:
         return {"status": f"skipped: n={g.n} exceeds max-oracle-n={max_n}"}
+    if counter.startswith("generic:"):
+        return _check_generic(space, counter)
+    for key, msg in errors.items():
+        if key == counter or key.startswith(counter + "/"):
+            raise IntegrityError(msg)
+    if counter == "cycles":
+        return _check_cycles(section, g)
+    if counter == "k6":
+        return _check_k6(section, space.index)
+    return _check_order(section, space.index, int(counter[-1]))
+
+
+def _verdict(mismatches: list, checked: int) -> dict:
+    out = {"verified": not mismatches, "checked": checked}
+    if mismatches:
+        out["mismatches"] = mismatches
+    return out
+
+
+def _values(block: dict) -> list[int]:
+    return list(block["per_location"].values())
+
+
+def _check_order(section, index, order) -> dict:
+    g = index.graph
     edge_entries, vertex_entries = catalog.entries_for_order(order)
-    values = evaluate_catalog(space, {**edge_entries, **vertex_entries})
     mismatches = []
     for mid in edge_entries:
         shape, root = catalog.pattern_for(mid)
-        want = edge_rooted_vector(shape, root, g, index)
-        if list(map(int, values[mid])) != want:
+        if _values(section["edge"][mid]) != edge_rooted_vector(
+                shape, root, g, index):
             mismatches.append(mid)
     for mid in vertex_entries:
         shape, root = catalog.pattern_for(mid)
-        want = vertex_rooted_vector(shape, root[0], g)
-        if list(map(int, values[mid])) != want:
+        if _values(section["vertex"][mid]) != vertex_rooted_vector(
+                shape, root[0], g):
             mismatches.append(mid)
-    out = {"verified": not mismatches,
-           "checked": len(edge_entries) + len(vertex_entries)}
-    if mismatches:
-        out["mismatches"] = sorted(mismatches)
-    return out
+    return _verdict(sorted(mismatches),
+                    len(edge_entries) + len(vertex_entries))
 
 
-def _check_cycles(space, max_n) -> dict:
-    g = space.graph
-    if g.n > max_n:
-        return {"status": f"skipped: n={g.n} exceeds max-oracle-n={max_n}"}
-    got = full_census(space).cycle_counts
+def _check_cycles(section, g) -> dict:
     want = simple_cycle_census(g)
-    bad = [f"C{k}" for k in range(3, 10) if got[f"C{k}"] != want[k]]
-    out = {"verified": not bad, "checked": 7}
-    if bad:
-        out["mismatches"] = bad
-    return out
+    return _verdict([f"C{k}" for k in range(3, 10)
+                     if section[f"C{k}"] != want[k]], 7)
 
 
-def _check_k6(space, index, max_n) -> dict:
-    g = space.graph
-    if g.n > max_n:
-        return {"status": f"skipped: n={g.n} exceeds max-oracle-n={max_n}"}
+def _check_k6(section, index) -> dict:
     from itertools import combinations
     k6 = Graph(6, list(combinations(range(6), 2)))
-    want = edge_rooted_vector(k6, (0, 1), g, index)
-    got = list(map(int, eval_k6_edge(space).values))
-    out = {"verified": got == want, "checked": 1}
-    if got != want:
-        out["mismatches"] = ["K6"]
-    return out
+    want = edge_rooted_vector(k6, (0, 1), index.graph, index)
+    return _verdict([] if _values(section) == want else ["K6"], 1)
 
 
-def _check_generic(space, counter, max_n) -> dict:
+def _check_generic(space, counter) -> dict:
     g = space.graph
-    if g.n > max_n:
-        return {"status": f"skipped: n={g.n} exceeds max-oracle-n={max_n}"}
     pattern = load_pattern(counter.split(":", 1)[1])
     try:
         got = eval_formula(build_formula(pattern), g)
         want = kappa_direct(pattern, g)
     except ScaleGuardError as exc:
         return {"status": f"skipped: {exc}"}
-    ok = got.equal(want)
-    out = {"verified": ok, "checked": 1}
-    if not ok:
-        out["mismatches"] = [counter]
-    return out
+    return _verdict([] if got.equal(want) else [counter], 1)
 
 
 # ---------------------------------------------------------------------------
@@ -332,14 +335,10 @@ def run(config: RunConfig) -> tuple[int, str]:
                 section = _stage(timings, counter, lambda c=counter: (
                     _order_section(space, index, int(c[-1]), errors)))
             elif counter == "k6":
-                result = _stage(timings, counter,
-                                lambda: eval_k6_edge(space))
-                section = {
-                    "per_location": {
-                        index.label(e): int(result.values[e])
-                        for e in range(index.size)},
-                    "total": result.total,
-                }
+                result = _stage(timings, counter, lambda: eval_k6_edge(space))
+                section = _vector_block(
+                    ["k6"], {"k6": result.values},
+                    [index.label(e) for e in range(index.size)])["k6"]
             elif counter == "cycles":
                 section = _stage(timings, counter, lambda: dict(
                     full_census(space).cycle_counts))
@@ -358,24 +357,11 @@ def run(config: RunConfig) -> tuple[int, str]:
         checks: dict = {}
         for counter in config.counters:
             try:
-                if counter in ("order3", "order4", "order5"):
-                    checks[counter] = _stage(
-                        timings, f"check:{counter}",
-                        lambda c=counter: _check_order(
-                            space, index, int(c[-1]), config.max_oracle_n))
-                elif counter == "cycles":
-                    checks[counter] = _stage(
-                        timings, "check:cycles",
-                        lambda: _check_cycles(space, config.max_oracle_n))
-                elif counter == "k6":
-                    checks[counter] = _stage(
-                        timings, "check:k6",
-                        lambda: _check_k6(space, index, config.max_oracle_n))
-                else:
-                    checks[counter] = _stage(
-                        timings, f"check:{counter}",
-                        lambda c=counter: _check_generic(
-                            space, c, config.max_oracle_n))
+                checks[counter] = _stage(
+                    timings, f"check:{counter}",
+                    lambda c=counter: _oracle_check(
+                        space, c, report["counters"][c], errors,
+                        config.max_oracle_n))
             except OracleGuardError as exc:
                 checks[counter] = {"status": f"skipped: {exc}"}
             except IntegrityError as exc:
@@ -398,6 +384,8 @@ def run(config: RunConfig) -> tuple[int, str]:
         text = _to_csv(report, config, index)
 
     report_nnz = space.stats.get("peak_product_nnz", 0)
+    if "traces_ms" in space.stats:
+        timings.append(("traces", space.stats["traces_ms"]))
     for name, ms in timings:
         print(f"[timing] {name}: {ms} ms", file=sys.stderr)
     print(f"[stats] peak product nnz: {report_nnz}", file=sys.stderr)

@@ -246,8 +246,8 @@ def eval_cycles(traces: dict[int, int],
 def full_census(space: EdgeSpace) -> CensusReport:
     """Corrections and cycle totals for one graph, sharing the power cache.
 
-    The traces come first, so the row-blocked products behind tr(B^7..9)
-    run before B^4 and the correction evaluator's memo are resident.
+    The traces come first, so the vertex-space powers behind them are
+    freed before B^4 and the correction evaluator's memo are resident.
     """
     traces = {k: space.trace(k) for k in range(4, 10)}
     f = eval_walk_corrections(space)

@@ -15,6 +15,8 @@ float64 still proves the int64 result exact.
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -165,16 +167,18 @@ def exact_div(x, d: int, label: str):
 
 def nonbacktracking_matrix(index: DirectedEdgeIndex) -> sp.csr_matrix:
     """B[e, f] = 1 iff f starts where e ends and f is not e reversed."""
-    rows, cols = [], []
-    for e in range(index.size):
-        rev_e = e ^ 1
-        for f in index.out_ids[index.head[e]]:
-            if f != rev_e:
-                rows.append(e)
-                cols.append(f)
-    data = np.ones(len(rows), dtype=np.int64)
-    return sp.csr_matrix((data, (rows, cols)),
-                         shape=(index.size, index.size), dtype=np.int64)
+    tail = np.asarray(index.tail, dtype=np.int64)
+    head = np.asarray(index.head, dtype=np.int64)
+    # row e lists the edges leaving head[e], ids ascending, less rev e
+    by_tail = np.argsort(tail, kind="stable")
+    out_deg = np.bincount(tail, minlength=index.graph.n)
+    width = out_deg[head]
+    cols = by_tail[np.arange(width.sum()) + np.repeat(
+        np.cumsum(out_deg)[head] - np.cumsum(width), width)]
+    cols = cols[cols != np.repeat(np.arange(index.size) ^ 1, width)]
+    indptr = np.concatenate(([0], np.cumsum(width - 1)))
+    return sp.csr_matrix((np.ones(cols.size, dtype=np.int64), cols, indptr),
+                         shape=(index.size, index.size))
 
 
 class EdgeSpace:
@@ -222,7 +226,7 @@ class EdgeSpace:
         return self._get("B", lambda: nonbacktracking_matrix(self.index))
 
     def power(self, k: int) -> sp.csr_matrix:
-        """B^k for 1 <= k <= 4; higher powers only via the trace helpers."""
+        """B^k for 1 <= k <= 4; higher powers are never materialized."""
         if not 1 <= k <= 4:
             raise ValueError("only powers 1..4 are materialized")
         if k == 1:
@@ -318,8 +322,10 @@ class EdgeSpace:
     # -- diagonals and traces of high powers ----------------------------
     #
     # Powers above B^4 are never held in memory. Diagonals come from
-    # Hadamard pairings of small powers; the long traces are assembled in
-    # row blocks so the peak footprint stays near nnz(B^4-block).
+    # Hadamard pairings of small powers. The traces come from vertex space:
+    # by the Ihara-Bass identity det(I - uB) = (1 - u^2)^(m-n) det(I - uB~)
+    # with the 2n x 2n operator B~ = [[A, I - D], [I, 0]], tr(B^k) equals
+    # tr(B~^k) for odd k and tr(B~^k) + 2(m - n) for even k.
 
     def diag(self, k: int) -> np.ndarray:
         label = f"diag:B^{k}"
@@ -334,28 +340,46 @@ class EdgeSpace:
         return self._get(f"diag{k}", lambda: checked_total(checked_hadamard(
             self.power(i), self.power(j).T, label), label, axis=1))
 
-    def trace(self, k: int, block: int = 2048) -> int:
-        """tr(B^k) for 3 <= k <= 9 without materializing B^5 and above."""
-        if 3 <= k <= 6:
-            return checked_total(self.diag(k), f"trace:B^{k}")
-        if k not in (7, 8, 9):
+    def trace(self, k: int) -> int:
+        """tr(B^k) for 3 <= k <= 9, read from a table built once in vertex
+        space: tr(B~^k), plus 2(m - n) for even k (see above)."""
+        if not 3 <= k <= 9:
             raise ValueError("traces available for k in 3..9")
-        B, B2 = self.B, self.power(2)
-        total = 0
-        for lo in range(0, self.size, block):
-            hi = min(lo + block, self.size)
-            left = checked_matmul(B2[lo:hi], B2, "trace:B^4 block", self.stats)
-            if k == 7:
-                right = self.power(3)[:, lo:hi]
-            elif k == 8:
-                right = checked_matmul(B2, B2[:, lo:hi], "trace:B^4 cols",
-                                       self.stats)
-            else:
-                right = checked_matmul(
-                    self.power(3), B2[:, lo:hi], "trace:B^5 cols", self.stats)
-            pair = checked_hadamard(left, right.T.tocsr(), f"trace:B^{k} pairing")
-            total += checked_total(pair, f"trace:B^{k}")
-        return total
+        value = self._get("traces", self._trace_table)[k]
+        if isinstance(value, IntegrityError):
+            raise value.with_traceback(None)
+        return value
+
+    def _trace_table(self) -> dict:
+        """tr(B^k), k = 3..9, or the IntegrityError that refused it. Each
+        tr(B~^k) totals B~^i times (B~^j)^T entrywise, i + j = k; the powers
+        of B~ are dropped on return."""
+        start = time.perf_counter()
+        n, m = self.graph.n, self.graph.m
+        tail = np.asarray(self.index.tail, dtype=np.int64)
+        head = np.asarray(self.index.head, dtype=np.int64)
+        A = sp.csr_matrix((np.ones(self.size, dtype=np.int64), (tail, head)),
+                          shape=(n, n), dtype=np.int64)
+        step = sp.bmat([[A, sp.diags(1 - np.bincount(tail, minlength=n),
+                                     dtype=np.int64)],
+                        [sp.identity(n, dtype=np.int64), None]],
+                       format="csr", dtype=np.int64)
+        powers, table = [None, step], {}
+        for k in range(3, 10):
+            i, j = k - k // 2, k // 2
+            try:
+                while len(powers) <= i:
+                    powers.append(checked_matmul(
+                        powers[-1], step, f"trace:B~^{len(powers)}",
+                        self.stats))
+                pair = checked_hadamard(powers[i], powers[j].T,
+                                        f"trace:B~^{k} pairing")
+                table[k] = (checked_total(pair, f"trace:B^{k}")
+                            + (1 + (-1) ** k) * (m - n))
+            except IntegrityError as exc:
+                table[k] = exc
+        self.stats["traces_ms"] = int((time.perf_counter() - start) * 1000)
+        return table
 
     # -- aggregation -----------------------------------------------------
 

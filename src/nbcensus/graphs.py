@@ -86,27 +86,14 @@ class DirectedEdgeIndex:
     endpoint arrays, ``id_of`` maps an ordered vertex pair back to its id.
     """
 
-    __slots__ = ("graph", "tail", "head", "id_of", "out_ids")
+    __slots__ = ("graph", "tail", "head", "id_of")
 
     def __init__(self, graph: Graph):
         self.graph = graph
-        tail: list[int] = []
-        head: list[int] = []
-        id_of: dict[tuple[int, int], int] = {}
-        for k, (u, v) in enumerate(graph.edges):
-            tail.append(u)
-            head.append(v)
-            id_of[(u, v)] = 2 * k
-            tail.append(v)
-            head.append(u)
-            id_of[(v, u)] = 2 * k + 1
-        self.tail = tuple(tail)
-        self.head = tuple(head)
-        self.id_of = id_of
-        out_ids: list[list[int]] = [[] for _ in range(graph.n)]
-        for e in range(2 * graph.m):
-            out_ids[self.tail[e]].append(e)
-        self.out_ids = tuple(tuple(s) for s in out_ids)
+        self.tail = tuple(x for u, v in graph.edges for x in (u, v))
+        self.head = tuple(x for u, v in graph.edges for x in (v, u))
+        self.id_of = {pair: e for e, pair in
+                      enumerate(zip(self.tail, self.head))}
 
     @property
     def size(self) -> int:

@@ -5,7 +5,9 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from nbcensus import cli
 from nbcensus.cli import RunConfig, load_pattern, main, run
+from nbcensus.edge_matrix import IntegrityError
 from nbcensus.graphs import GraphError
 
 K4_TEXT = "a b\na c\na d\nb c\nb d\nc d\n"
@@ -93,6 +95,58 @@ def test_timings_stay_off_the_report(runner, k4_file):
     assert "[timing]" not in result.stdout
     assert "[timing] parse:" in result.stderr
     assert "[stats] peak product nnz:" in result.stderr
+
+
+def test_trace_table_timing_goes_to_stderr(runner, k4_file):
+    result = runner.invoke(main, ["--input", k4_file, "--counts", "cycles"])
+    assert "[timing] traces:" in result.stderr
+    assert "[timing]" not in result.stdout
+
+
+def test_oracle_check_reuses_the_computed_counts(runner, k4_file,
+                                                 monkeypatch):
+    calls = []
+
+    def counted(name):
+        real = getattr(cli, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return wrapper
+    for name in ("full_census", "evaluate_catalog"):
+        monkeypatch.setattr(cli, name, counted(name))
+    result = runner.invoke(main, [
+        "--input", k4_file, "--counts", "order3,cycles", "--oracle-check"])
+    assert result.exit_code == 0, result.stdout
+    assert sorted(calls) == ["evaluate_catalog", "full_census"]
+    checks = json.loads(result.stdout)["oracle_check"]
+    assert checks["cycles"] == {"verified": True, "checked": 7}
+    assert checks["order3"] == {"verified": True, "checked": 6}
+
+
+def test_oracle_check_marks_refused_counters_unverified(runner, k4_file,
+                                                        monkeypatch):
+    def refused_census(space):
+        raise IntegrityError("C7: refused")
+    real = cli.evaluate_catalog
+
+    def one_entry_refused(space, entries, collect_errors=None):
+        values = real(space, entries, collect_errors=collect_errors)
+        mid = next(iter(entries))
+        del values[mid]
+        collect_errors[mid] = f"{mid}: refused"
+        return values
+    monkeypatch.setattr(cli, "full_census", refused_census)
+    monkeypatch.setattr(cli, "evaluate_catalog", one_entry_refused)
+    result = runner.invoke(main, [
+        "--input", k4_file, "--counts", "order3,cycles", "--oracle-check"])
+    assert result.exit_code == 2
+    report = json.loads(result.stdout)
+    assert report["oracle_check"] == {"cycles": {"verified": False},
+                                      "order3": {"verified": False}}
+    assert report["errors"]["check:cycles"] == "C7: refused"
+    assert report["errors"]["check:order3"].endswith(": refused")
 
 
 def test_repeated_runs_are_byte_identical(runner, k4_file, tmp_path):

@@ -11,7 +11,7 @@ from math import comb
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import complete_graph, cycle_graph, er_graph, petersen_graph
 from nbcensus.edge_matrix import (EdgeSpace, IntegrityError, checked_binom,
@@ -103,10 +103,9 @@ def test_diag_matches_dense_power(g):
         assert np.array_equal(space.diag(k), np.diag(acc)), k
 
 
-@pytest.mark.parametrize("g", list(small_graphs()))
-def test_trace_matches_dense_power(g):
+def assert_traces_match_dense_power(g: Graph) -> None:
     space = EdgeSpace(g)
-    B = space.B.toarray()
+    B = brute_B(g)
     acc = np.eye(B.shape[0], dtype=np.int64)
     for k in range(1, 10):
         acc = acc @ B
@@ -114,10 +113,110 @@ def test_trace_matches_dense_power(g):
             assert space.trace(k) == int(np.trace(acc)), k
 
 
-def test_trace_blocking_is_invisible(petersen):
+@pytest.mark.parametrize("g", list(small_graphs()))
+def test_trace_matches_dense_power(g):
+    assert_traces_match_dense_power(g)
+
+
+def row_blocked_trace(space: EdgeSpace, k: int, block: int) -> int:
+    """tr(B^k), k = 7..9, from row blocks of 2m x 2m edge-space products:
+    the trace path that preceded the vertex-space table, kept as a
+    reference."""
+    B2, B3 = space.power(2), space.power(3)
+    total = 0
+    for lo in range(0, space.size, block):
+        hi = min(lo + block, space.size)
+        if k == 7:
+            right = B3[:, lo:hi]
+        else:
+            right = (B2 if k == 8 else B3) @ B2[:, lo:hi]
+        total += int((B2[lo:hi] @ B2).multiply(right.T).sum())
+    return total
+
+
+def test_trace_matches_row_blocked_reference(petersen):
     space = EdgeSpace(petersen)
     for k in (7, 8, 9):
-        assert space.trace(k, block=4) == space.trace(k, block=2048)
+        for block in (4, 2048):
+            assert space.trace(k) == row_blocked_trace(space, k, block), k
+
+
+@st.composite
+def forests(draw):
+    n = draw(st.integers(1, 9))
+    return Graph(n, [(v, draw(st.integers(0, v - 1))) for v in range(1, n)
+                     if draw(st.booleans())])
+
+
+@st.composite
+def clique_unions(draw):
+    """Disjoint small cliques; size-1 cliques are isolated vertices."""
+    edges, n = [], 0
+    for size in draw(st.lists(st.integers(1, 5), min_size=1, max_size=3)):
+        edges += itertools.combinations(range(n, n + size), 2)
+        n += size
+    return Graph(n, edges)
+
+
+@st.composite
+def pendant_heavy(draw):
+    core = draw(st.integers(1, 4))
+    leaves = draw(st.lists(st.integers(0, core - 1), max_size=8))
+    return Graph(core + len(leaves),
+                 list(itertools.combinations(range(core), 2))
+                 + [(v, core + i) for i, v in enumerate(leaves)])
+
+
+@st.composite
+def sparse_graphs(draw):
+    """Few edges over up to 9 vertices: isolated vertices, several
+    components."""
+    n = draw(st.integers(2, 9))
+    pairs = list(itertools.combinations(range(n), 2))
+    return Graph(n, draw(st.lists(st.sampled_from(pairs), max_size=n,
+                                  unique=True)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(st.integers(0, 5).map(lambda n: Graph(n, [])), forests(),
+                 clique_unions(), pendant_heavy(), sparse_graphs()))
+@example(Graph(0, []))
+def test_trace_matches_dense_power_on_degenerate_graphs(g):
+    """Graph(0, []), edgeless graphs and forests make m - n, and with it
+    the even-k term of the vertex-space identity, zero or negative."""
+    assert_traces_match_dense_power(g)
+
+
+def complete_graph_trace(n: int, k: int) -> int:
+    """tr(B^k) on K_n in closed form (exact Python int).
+
+    The adjacency eigenvalue n-1 contributes (n-2)^k + 1, each of the n-1
+    eigenvalues -1 contributes s_k, the k-th power sum of the roots of
+    x^2 + x + (n-2), and the m - n extra eigenvalue pairs +-1 contribute
+    1 + (-1)^k each.
+    """
+    m = n * (n - 1) // 2
+    s = [2, -1]
+    while len(s) <= k:
+        s.append(-s[-1] - (n - 2) * s[-2])
+    return (n - 2) ** k + 1 + (n - 1) * s[k] + (m - n) * (1 + (-1) ** k)
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_trace_matches_closed_form_on_cliques(n):
+    space = EdgeSpace(complete_graph(n))
+    for k in range(3, 10):
+        assert space.trace(k) == complete_graph_trace(n, k), k
+
+
+def test_trace_on_k200_is_exact_or_refused():
+    """tr(B^7) on K_200 is 1.19e16 and exact; tr(B^9) is 4.77e20, beyond
+    int64, so the guard must refuse it rather than wrap."""
+    space = EdgeSpace(complete_graph(200))
+    assert space.trace(7) == complete_graph_trace(200, 7)
+    assert complete_graph_trace(200, 9) > 2 ** 63
+    with pytest.raises(IntegrityError, match="B\\^9"):
+        space.trace(9)
 
 
 def test_gamma_moves_edge_mass_to_tails():
