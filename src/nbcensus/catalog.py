@@ -130,7 +130,7 @@ EDGE_ORDER5 = {
     "X053": _expr(("had", _TRI1, ("binom", ("sshift", _B1, 1), 2))),
     "X054": _rev("X053"),
     "X055": _expr(("div", ("rowsum", ("sub", ("mm", "texit", ("rowrev", "B")),
-                                      ("scale", 2, "texit"))), 2)),
+                                      ("scale", "texit", 2, 1))), 2)),
     # 06
     "X061": _expr(("rowsum", ("had", "B3", ("T", "B2")))),
     # 07
@@ -141,13 +141,13 @@ EDGE_ORDER5 = {
     "X083": _rev("X082"),
     # 09
     "X091": _expr(("div", ("rowsum", ("sub", ("mm", "crossed", "tri"),
-                                      ("scale", 2, "crossed"))), 2)),
+                                      ("scale", "crossed", 2, 1))), 2)),
     "X092": _expr(("rowsum", ("had", ("mm", "crossed", "square"), "B"))),
     "X093": _rev("X092"),
     "X094": _expr(("div", ("had", ("rowsum", "crossed"),
                            ("sshift", _TRI1, 2)), 2)),
     "X095": _expr(("div", ("sub", ("colsum", ("mm", "crossed", "tri")),
-                           ("scale", 2, ("rowsum", "crossed"))), 2)),
+                           ("scale", ("rowsum", "crossed"), 2, 1)), 2)),
     "X096": _rev("X095"),
     # 10
     "X101": _expr(("rowsum", ("had", "square", "join"))),
@@ -159,10 +159,10 @@ EDGE_ORDER5 = {
                            ("sshift", ("rowrev", _B1), 2)), 2)),
     "X112": _rev("X111"),
     "X113": _expr(("div", ("colsum", ("sub", ("mm", "crossed", "B"),
-                                      ("scale", 2, "crossed"))), 6)),
+                                      ("scale", "crossed", 2, 1))), 6)),
     "X114": _rev("X113"),
     "X115": _expr(("sub", ("rowsum", ("mm", "crossed", "B")),
-                   ("scale", 2, ("colsum", "crossed")))),
+                   ("scale", ("colsum", "crossed"), 2, 1))),
     # 12
     "X121": _expr(("colsum", ("sub",
                    ("had", "B3", ("had", ("mm", "tri", ("rowrev", "tri")),
@@ -238,7 +238,7 @@ EDGE_ORDER5 = {
                     "B"), ("rowrev", "B")), ("colrev", "B")), ("T", "B"))), 2)),
     "X202": _rev("X201"),
     "X203": _expr(("div", ("sub", ("had", ("colsum", "texit"), _B1),
-                           ("scale", 2, ("rowsum", _SQL))), 2)),
+                           ("scale", ("rowsum", _SQL), 2, 1)), 2)),
     "X204": _rev("X203"),
     # Both collapse corrections subtract; the printed difference form
     # undercorrects the chorded-square collapse.

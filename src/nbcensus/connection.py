@@ -7,17 +7,20 @@ subgraph copies of the pattern whose roots land exactly on (i, j).
 
 Two independent routes to that matrix live here.
 
-``kappa_direct`` enumerates injective edge-preserving maps of the pattern
-into the host and tallies them by root location; one exact division by the
+``kappa_direct`` tallies the embeddings of the pattern in the host (from
+``oracle.embeddings``) by root location; one exact division by the
 root-fixing automorphism count turns embeddings into copies.
 
 ``build_formula`` emits a closed-form expression for the same matrix using
-nothing but the host adjacency matrix and eight algebraic node kinds, then
-``eval_formula`` evaluates it with exact integer arithmetic. The builder
-works by recursion on pattern order: a minimum-degree vertex is set aside,
-the edges avoiding it and the star at it are each produced by one-order-
-smaller builds chained with a two-vertex pattern, the halves are overlaid
-on a shared full rooting, and the requested roots are restored at the end.
+nothing but the host adjacency matrix and eight algebraic node kinds of the
+package's one expression language. ``eval_formula`` checks every node's size
+against the cell budget, then evaluates the formula exactly on
+``motifs.Evaluator``, the catalog's interpreter, over a dense tuple space.
+The builder works by recursion on pattern order: a minimum-degree vertex is
+set aside, the edges avoiding it and the star at it are each produced by
+one-order-smaller builds chained with a two-vertex pattern, the halves are
+overlaid on a shared full rooting, and the requested roots are restored at
+the end.
 
 The calculus rules that the builder composes are exported on their own
 (``lemma1_*`` for single-pattern rewrites, ``prop1_*`` for compositions).
@@ -41,15 +44,16 @@ module exists for certification and generality, not throughput.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product as tuple_product
 from math import gcd
 
 import numpy as np
 
-from .edge_matrix import (IntegrityError, checked_hadamard, checked_kron,
-                          checked_matmul, checked_scale, exact_div)
+from .edge_matrix import IntegrityError
 from .graphs import Graph
-from .oracle import automorphism_count_fixing
+from .motifs import Evaluator
+from .oracle import _pin_map, automorphism_count_fixing, embeddings
 
 MAX_CELLS = 1_000_000
 MAX_PATTERN_ORDER = 8
@@ -133,45 +137,6 @@ class TupleMatrix:
 # direct enumeration
 # ---------------------------------------------------------------------------
 
-def _embeddings(pattern: Graph, host: Graph):
-    """Yield every injective edge-preserving map as a vertex image list."""
-    order: list[int] = []
-    remaining = list(range(pattern.n))
-    while remaining:
-        placed = set(order)
-        remaining.sort(key=lambda v: (-len(pattern.neighbors(v) & placed),
-                                      -pattern.degree(v), v))
-        order.append(remaining.pop(0))
-
-    image = [-1] * pattern.n
-    used = [False] * host.n
-
-    def place(idx: int):
-        if idx == len(order):
-            yield image
-            return
-        pv = order[idx]
-        anchors = [image[pw] for pw in pattern.neighbors(pv)
-                   if image[pw] != -1]
-        if anchors:
-            pool = set(host.neighbors(anchors[0]))
-            for hv in anchors[1:]:
-                pool &= host.neighbors(hv)
-            choices: list[int] = sorted(pool)
-        else:
-            choices = list(range(host.n))
-        for hv in choices:
-            if used[hv]:
-                continue
-            image[pv] = hv
-            used[hv] = True
-            yield from place(idx + 1)
-            used[hv] = False
-            image[pv] = -1
-
-    yield from place(0)
-
-
 def kappa_direct(F: RootedGraph, G: Graph, *,
                  max_cells: int = MAX_CELLS) -> TupleMatrix:
     """Connection matrix of ``F`` against ``G`` by embedding enumeration.
@@ -187,7 +152,7 @@ def kappa_direct(F: RootedGraph, G: Graph, *,
         raise ScaleGuardError(
             f"pattern order {F.graph.n} exceeds limit {MAX_PATTERN_ORDER}")
     tally = np.zeros((G.n ** p, G.n ** q), dtype=np.int64)
-    for image in _embeddings(F.graph, G):
+    for image in embeddings(F.graph, G):
         ri = _lin(tuple(image[v] for v in F.r), G.n)
         ci = _lin(tuple(image[v] for v in F.s), G.n)
         tally[ri, ci] += 1
@@ -205,13 +170,14 @@ def kappa_direct(F: RootedGraph, G: Graph, *,
 # formula expressions
 # ---------------------------------------------------------------------------
 #
-# A formula is a nested tuple whose head names the node kind:
+# A formula is a nested tuple in the expression language of
+# motifs.Evaluator, restricted to eight node kinds:
 #
 #   ("adj",)                 host adjacency matrix, arity (1, 1)
 #   ("sel", p, q, eq, ne)    0/1 constraint matrix, arity (p, q); eq and ne
 #                            are sorted tuples of (a, b) position pairs
 #                            demanding i_a == j_b resp. i_a != j_b
-#   ("t", e)                 transpose
+#   ("T", e)                 transpose
 #   ("vec", e)               row-major column stacking, arity (p+q, 0)
 #   ("mm", e1, e2)           matrix product over the shared inner arity
 #   ("had", e1, e2)          entrywise product of equal-arity operands
@@ -220,42 +186,59 @@ def kappa_direct(F: RootedGraph, G: Graph, *,
 #
 # Tuples are hashable, so shared subterms deduplicate in the evaluator.
 
+def _arities(expr: tuple) -> dict[tuple, tuple[int, int]]:
+    """Row and column arity of every distinct node of a formula, validating
+    shapes as it goes. Keys are in the order a depth-first walk first meets
+    the nodes, each parent before its children."""
+    out: dict[tuple, tuple[int, int]] = {}
+
+    def arity(e: tuple) -> tuple[int, int]:
+        got = out.get(e)
+        if got is not None:
+            return got
+        out[e] = None  # holds the node's place ahead of its children
+        head = e[0]
+        if head == "adj":
+            got = (1, 1)
+        elif head == "sel":
+            _, p, q, eq, ne = e
+            for a, b in eq + ne:
+                if not (0 <= a < p and 0 <= b < q):
+                    raise ValueError(f"selection pair ({a},{b}) out of range")
+            got = (p, q)
+        elif head in ("T", "vec"):
+            p, q = arity(e[1])
+            got = (q, p) if head == "T" else (p + q, 0)
+        elif head == "scale":
+            got = arity(e[1])
+        elif head == "mm":
+            p, k1 = arity(e[1])
+            k2, q = arity(e[2])
+            if k1 != k2:
+                raise CompositionError(f"inner arities differ: {k1} vs {k2}")
+            got = (p, q)
+        elif head == "had":
+            got = arity(e[1])
+            a2 = arity(e[2])
+            if got != a2:
+                raise CompositionError(
+                    f"entrywise arities differ: {got} vs {a2}")
+        elif head == "kron":
+            p1, q1 = arity(e[1])
+            p2, q2 = arity(e[2])
+            got = (p1 + p2, q1 + q2)
+        else:
+            raise ValueError(f"unknown formula node kind {head!r}")
+        out[e] = got
+        return got
+
+    arity(expr)
+    return out
+
+
 def formula_arity(expr: tuple) -> tuple[int, int]:
     """Row and column arity of a formula node; validates shapes as it goes."""
-    head = expr[0]
-    if head == "adj":
-        return (1, 1)
-    if head == "sel":
-        _, p, q, eq, ne = expr
-        for a, b in eq + ne:
-            if not (0 <= a < p and 0 <= b < q):
-                raise ValueError(f"selection pair ({a},{b}) out of range")
-        return (p, q)
-    if head == "t":
-        p, q = formula_arity(expr[1])
-        return (q, p)
-    if head == "vec":
-        p, q = formula_arity(expr[1])
-        return (p + q, 0)
-    if head == "scale":
-        return formula_arity(expr[1])
-    if head == "mm":
-        p, k1 = formula_arity(expr[1])
-        k2, q = formula_arity(expr[2])
-        if k1 != k2:
-            raise CompositionError(f"inner arities differ: {k1} vs {k2}")
-        return (p, q)
-    if head == "had":
-        a1 = formula_arity(expr[1])
-        a2 = formula_arity(expr[2])
-        if a1 != a2:
-            raise CompositionError(f"entrywise arities differ: {a1} vs {a2}")
-        return a1
-    if head == "kron":
-        p1, q1 = formula_arity(expr[1])
-        p2, q2 = formula_arity(expr[2])
-        return (p1 + p2, q1 + q2)
-    raise ValueError(f"unknown formula node kind {head!r}")
+    return _arities(expr)[expr]
 
 
 def _sel(p: int, q: int, eq=(), ne=()) -> tuple:
@@ -277,61 +260,49 @@ def _scale(expr: tuple, num: int, den: int) -> tuple:
     return ("scale", expr, num, den)
 
 
-def _sel_matrix(n: int, p: int, q: int, eq, ne) -> np.ndarray:
-    rows, cols = n ** p, n ** q
-    rowd = [(np.arange(rows) // n ** (p - 1 - a)) % n for a in range(p)]
-    cold = [(np.arange(cols) // n ** (q - 1 - b)) % n for b in range(q)]
-    out = np.ones((rows, cols), dtype=bool)
-    for a, b in eq:
-        out &= rowd[a][:, None] == cold[b][None, :]
-    for a, b in ne:
-        out &= rowd[a][:, None] != cold[b][None, :]
-    return out.astype(np.int64)
+class _TupleSpace:
+    """The host side of a formula: its two leaves as dense int64 matrices
+    over the vertex tuples of one host graph, for ``motifs.Evaluator``."""
+
+    stats = None
+
+    def __init__(self, G: Graph):
+        self.graph = G
+
+    @cached_property
+    def adj(self) -> np.ndarray:
+        n = self.graph.n
+        out = np.zeros((n, n), dtype=np.int64)
+        for u, v in self.graph.edges:
+            out[u, v] = out[v, u] = 1
+        return out
+
+    def sel(self, p: int, q: int, eq, ne) -> np.ndarray:
+        n = self.graph.n
+        rows, cols = n ** p, n ** q
+        rowd = [(np.arange(rows) // n ** (p - 1 - a)) % n for a in range(p)]
+        cold = [(np.arange(cols) // n ** (q - 1 - b)) % n for b in range(q)]
+        out = np.ones((rows, cols), dtype=bool)
+        for a, b in eq:
+            out &= rowd[a][:, None] == cold[b][None, :]
+        for a, b in ne:
+            out &= rowd[a][:, None] != cold[b][None, :]
+        return out.astype(np.int64)
 
 
 def eval_formula(expr: tuple, G: Graph, *,
                  max_cells: int = MAX_CELLS) -> TupleMatrix:
-    """Evaluate a formula on a host graph with exact integer arithmetic."""
-    n = G.n
-    memo: dict[tuple, np.ndarray] = {}
+    """Evaluate a formula on a host graph with exact integer arithmetic.
 
-    def rec(e: tuple) -> np.ndarray:
-        got = memo.get(e)
-        if got is not None:
-            return got
-        p, q = formula_arity(e)
-        _guard_cells(n, p, q, max_cells)
-        head = e[0]
-        if head == "adj":
-            out = np.zeros((n, n), dtype=np.int64)
-            for u, v in G.edges:
-                out[u, v] = 1
-                out[v, u] = 1
-        elif head == "sel":
-            out = _sel_matrix(n, e[1], e[2], e[3], e[4])
-        elif head == "t":
-            out = rec(e[1]).T
-        elif head == "vec":
-            out = rec(e[1]).reshape(-1, 1)
-        elif head == "mm":
-            out = checked_matmul(rec(e[1]), rec(e[2]), "matrix product")
-        elif head == "had":
-            out = checked_hadamard(rec(e[1]), rec(e[2]), "entrywise product")
-        elif head == "kron":
-            out = checked_kron(rec(e[1]), rec(e[2]), "kronecker product")
-        elif head == "scale":
-            _, inner, num, den = e
-            out = checked_scale(rec(inner), num, f"rescale by {num}")
-            if den != 1:
-                out = exact_div(out, den, f"rescale by 1/{den} is not exact")
-        else:  # pragma: no cover - formula_arity rejects unknown heads
-            raise ValueError(f"unknown formula node kind {head!r}")
-        memo[e] = out
-        return out
-
-    p, q = formula_arity(expr)
-    _guard_cells(n, p, q, max_cells)
-    return TupleMatrix(n, p, q, rec(expr))
+    Every node's size is checked against ``max_cells`` before anything is
+    evaluated; ``motifs.Evaluator`` then evaluates the formula over the
+    host's tuple space.
+    """
+    arities = _arities(expr)
+    for p, q in arities.values():
+        _guard_cells(G.n, p, q, max_cells)
+    p, q = arities[expr]
+    return TupleMatrix(G.n, p, q, Evaluator(_TupleSpace(G)).eval(expr))
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +319,7 @@ class RootedFormula:
 def lemma1_transpose(rf: RootedFormula) -> RootedFormula:
     """Swap row and column roots; the matrix transposes."""
     pat = rf.pattern
-    return RootedFormula(RootedGraph(pat.graph, pat.s, pat.r), ("t", rf.expr))
+    return RootedFormula(RootedGraph(pat.graph, pat.s, pat.r), ("T", rf.expr))
 
 
 def lemma1_vectorize(rf: RootedFormula) -> RootedFormula:
@@ -460,11 +431,8 @@ def _pinned_copy_edges(pattern: Graph, r, s, host: Graph, i, j):
     The root tuples cover every pattern vertex, so the candidate map is
     forced; it must be consistent, injective, and edge-preserving.
     """
-    phi: dict[int, int] = {}
-    for pv, hv in zip(tuple(r) + tuple(s), tuple(i) + tuple(j)):
-        if phi.setdefault(pv, hv) != hv:
-            return None
-    if len(set(phi.values())) != len(phi):
+    phi = _pin_map(r, s, i, j)
+    if phi is None:
         return None
     edges = set()
     for u, v in pattern.edges:

@@ -3,11 +3,12 @@
 The catalog (see catalog.py) is declarative: each motif id maps either to
 an expression tree over directed-edge matrix primitives, to the row
 reversal of a sibling id, or to a stated fraction of the gamma aggregation
-of its edge-rooted counterpart. This module interprets those trees and
-exposes the per-order evaluation entry points plus the general order-6
-edge-rooted construction.
+of its edge-rooted counterpart. This module interprets those trees
+(``evaluate_catalog`` evaluates a block of entries) and holds the general
+order-6 edge-rooted construction and the 6-clique shortcut.
 
-Expression language (nested tuples, first element is the op name):
+Expression language of ``Evaluator``, also the constructive engine's
+(nested tuples, first element is the op name):
   atoms (strings): "B", "B2", "B3", "B4", "tri", "wedge", "square",
       "crossed", "twin", "texit", "chordless3", "join" (matrices), and
       "d3".."d6" (the diagonals of B^3..B^6, shared with the trace cache)
@@ -19,16 +20,21 @@ Expression language (nested tuples, first element is the op name):
   ("hadnot", X, M)    zero out entries of X wherever M is nonzero
   ("add", X, Y), ("sub", X, Y)
   ("sshift", X, c)    subtract the integer c from every vector entry
-  ("scale", c, X)     multiply by the integer c
+  ("scale", X, num, den)
+                      multiply by num, then divide exactly by den
   ("binom", X, k)     entrywise binomial coefficient, k in {2, 3}
   ("rowsum", X), ("colsum", X)
   ("total", X)        sum of all entries, as a Python int
   ("div", X, c)       exact division; nonzero remainder raises IntegrityError
+  tuple-space nodes, on dense matrices over host vertex tuples (the two
+  leaves come from connection.py's host): ("adj",) adjacency, ("sel", p,
+  q, eq, ne) 0/1 root constraints, ("vec", X) row-major column stacking,
+  ("kron", X, Y) Kronecker product
 
 Every node that computes new values goes through a guard of
 edge_matrix's exact-arithmetic layer, so a result that would wrap int64
 raises IntegrityError (labelled with the node) instead; the transpose,
-reversal and hadnot nodes only move or drop entries.
+reversal, stacking and hadnot nodes only move or drop entries.
 """
 
 from __future__ import annotations
@@ -38,10 +44,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import catalog
 from .edge_matrix import (EdgeSpace, IntegrityError, checked_add,
-                          checked_binom, checked_hadamard, checked_matmul,
-                          checked_scale, checked_total, exact_div)
+                          checked_binom, checked_hadamard, checked_kron,
+                          checked_matmul, checked_scale, checked_total,
+                          exact_div)
 from .graphs import Graph
 from .oracle import automorphism_count_fixing
 
@@ -84,21 +90,36 @@ _ATOMS = {
 }
 
 
-class Evaluator:
-    """Evaluates expression trees against one EdgeSpace, memoizing subtrees."""
+class _Label:
+    """A node's guard label, ``repr(node)[:80]`` plus a note, formatted only
+    if a guard refuses: up front it would cost more than small dense nodes."""
+    __slots__ = ("node", "note")
 
-    def __init__(self, space: EdgeSpace):
+    def __init__(self, node, note: str = ""):
+        self.node, self.note = node, note
+
+    def __str__(self) -> str:
+        return repr(self.node)[:80] + self.note
+
+
+class Evaluator:
+    """Evaluates expression trees against one host, memoizing subtrees.
+
+    The host is an EdgeSpace, which supplies the string atoms, or any
+    object with ``adj``, ``sel(p, q, eq, ne)`` and ``stats`` for the
+    tuple-space leaves (connection.py's dense host).
+    """
+
+    def __init__(self, space):
         self.space = space
         self._memo: dict = {}
 
     def eval(self, expr):
         if isinstance(expr, str):
             return _ATOMS[expr](self.space)
-        key = expr
-        if key in self._memo:
-            return self._memo[key]
-        val = self._apply(expr)
-        self._memo[key] = val
+        val = self._memo.get(expr)
+        if val is None:
+            val = self._memo[expr] = self._apply(expr)
         return val
 
     def forget(self, exprs) -> None:
@@ -109,9 +130,16 @@ class Evaluator:
     def _apply(self, expr):
         op = expr[0]
         s = self.space
-        label = repr(expr)[:80]
+        label = _Label(expr)
+        if op == "adj":
+            return s.adj
+        if op == "sel":
+            return s.sel(*expr[1:])
         if op == "T":
-            return self.eval(expr[1]).T.tocsr()
+            x = self.eval(expr[1]).T
+            return x if isinstance(x, np.ndarray) else x.tocsr()
+        if op == "vec":
+            return self.eval(expr[1]).reshape(-1, 1)
         if op == "rowrev":
             x = self.eval(expr[1])
             return s.revvec(x) if isinstance(x, np.ndarray) else s.rowrev(x).tocsr()
@@ -123,6 +151,8 @@ class Evaluator:
         if op == "had":
             return checked_hadamard(self.eval(expr[1]), self.eval(expr[2]),
                                     label)
+        if op == "kron":
+            return checked_kron(self.eval(expr[1]), self.eval(expr[2]), label)
         if op == "hadnot":
             a, m = self.eval(expr[1]), self.eval(expr[2])
             drop = a.multiply(m != 0)
@@ -135,7 +165,12 @@ class Evaluator:
         if op == "sshift":
             return checked_add(self.eval(expr[1]), int(expr[2]), label, -1)
         if op == "scale":
-            return checked_scale(self.eval(expr[2]), expr[1], label)
+            _, x, num, den = expr
+            out = checked_scale(self.eval(x), num, label)
+            if den == 1:
+                return out
+            return exact_div(out, den, _Label(
+                expr, f": rescale by 1/{den} is not exact"))
         if op == "binom":
             return checked_binom(self.eval(expr[1]), int(expr[2]), label)
         if op == "rowsum":
@@ -188,34 +223,6 @@ def evaluate_catalog(space: EdgeSpace, entries: dict,
                 raise
             collect_errors[mid] = str(exc)
     return values
-
-
-def _results(space: EdgeSpace, order: int) -> list[MotifResult]:
-    edge_entries, vertex_entries = catalog.entries_for_order(order)
-    merged = {**edge_entries, **vertex_entries}
-    values = evaluate_catalog(space, merged)
-    out = []
-    for mid in edge_entries:
-        out.append(MotifResult(MotifId(order, mid, "edge"), values[mid]))
-    for mid in vertex_entries:
-        tag = mid[:-1] if mid.endswith("v") else mid
-        out.append(MotifResult(MotifId(order, tag, "vertex"), values[mid]))
-    return out
-
-
-def eval_order3(space: EdgeSpace) -> list[MotifResult]:
-    """All order-3 rooted counts: 3 edge-rooted, 3 vertex-rooted."""
-    return _results(space, 3)
-
-
-def eval_order4(space: EdgeSpace) -> list[MotifResult]:
-    """All order-4 rooted counts: 15 edge-rooted, 11 vertex-rooted."""
-    return _results(space, 4)
-
-
-def eval_order5(space: EdgeSpace) -> list[MotifResult]:
-    """All order-5 rooted counts: 90 edge-rooted, 55 vertex-rooted."""
-    return _results(space, 5)
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,10 @@ vertices can be matched to F by a bijection sending r onto i and s onto j
 componentwise. Equivalently: injective edge-preserving maps pinned at the
 roots, divided by the automorphisms of F that fix every root vertex. Both
 routes are implemented and cross-checked.
+
+The backtracking enumerator ``embeddings`` is the package's only one:
+``connection.kappa_direct``, the direct route the formula engine is
+certified against, tallies its maps by root location.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .graphs import DirectedEdgeIndex, Graph
 
@@ -131,9 +135,14 @@ def _pin_map(r: Sequence[int], s: Sequence[int],
     return pins
 
 
-def count_embeddings(pattern: Graph, host: Graph,
-                     pins: Mapping[int, int] | None = None) -> int:
-    """Injective maps V(pattern) -> V(host) preserving edges, extending pins."""
+def embeddings(pattern: Graph, host: Graph,
+               pins: Mapping[int, int] | None = None) -> Iterator[list[int]]:
+    """Yield every injective edge-preserving map V(pattern) -> V(host) that
+    extends ``pins``, as the list of host images indexed by pattern vertex.
+
+    This is the package's one backtracking enumerator. The yielded list is
+    the search's own working state: read it before asking for the next map.
+    """
     pins = dict(pins or {})
     n = pattern.n
     order: list[int] = list(pins.keys())
@@ -157,16 +166,16 @@ def count_embeddings(pattern: Graph, host: Graph,
     for pv in pins:
         for pw in pattern.neighbors(pv):
             if image[pw] != -1 and not host.has_edge(image[pv], image[pw]):
-                return 0
+                return
 
     free = order[len(pins):]
 
-    def place(idx: int) -> int:
+    def place(idx: int) -> Iterator[list[int]]:
         if idx == len(free):
-            return 1
+            yield image
+            return
         pv = free[idx]
         needed = [image[pw] for pw in pattern.neighbors(pv) if image[pw] != -1]
-        total = 0
         if needed:
             candidates = set(host.neighbors(needed[0]))
             for hv in needed[1:]:
@@ -178,12 +187,17 @@ def count_embeddings(pattern: Graph, host: Graph,
         for hv in pool:
             image[pv] = hv
             used.add(hv)
-            total += place(idx + 1)
+            yield from place(idx + 1)
             used.discard(hv)
             image[pv] = -1
-        return total
 
-    return place(0)
+    yield from place(0)
+
+
+def count_embeddings(pattern: Graph, host: Graph,
+                     pins: Mapping[int, int] | None = None) -> int:
+    """Injective maps V(pattern) -> V(host) preserving edges, extending pins."""
+    return sum(1 for _ in embeddings(pattern, host, pins))
 
 
 def count_rooted_copies(F, G: Graph, i: Sequence[int] = (), j: Sequence[int] = (),

@@ -6,6 +6,8 @@ tested by comparing its output formula against a fresh enumeration of
 the pattern it claims to represent.
 """
 
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from nbcensus.connection import (MAX_PATTERN_ORDER, CompositionError,
                                  prop1_union_same_roots)
 from nbcensus.edge_matrix import EdgeSpace, IntegrityError
 from nbcensus.graphs import Graph
+from nbcensus.oracle import count_rooted_copies_dedup
 
 P2 = Graph(2, [(0, 1)])
 P3 = Graph(3, [(0, 1), (1, 2)])
@@ -85,6 +88,22 @@ def test_kappa_guards():
                      complete_graph(5), max_cells=20)
 
 
+@pytest.mark.parametrize("F", [
+    RootedGraph(P3, (0, 0), (1,)),
+    RootedGraph(TRIANGLE, (0, 1), (1, 2)),
+    RootedGraph(cycle_graph(4), (2,), (0, 2)),
+    RootedGraph(DIAMOND, (1, 3), (3,)),
+])
+def test_kappa_matches_subgraph_set_count_everywhere(F):
+    """The enumeration route against the oracle's subgraph-set route, which
+    shares no enumerator with it, at every location."""
+    g = er_graph(5, 0.6, 302)
+    M = kappa_direct(F, g)
+    for i in product(range(g.n), repeat=len(F.r)):
+        for j in product(range(g.n), repeat=len(F.s)):
+            assert M.entry(i, j) == count_rooted_copies_dedup(F, g, i, j), (i, j)
+
+
 def test_eval_formula_atoms():
     g = cycle_graph(5)
     adj = eval_formula(("adj",), g)
@@ -100,6 +119,15 @@ def test_eval_formula_guards():
         eval_formula(expr, complete_graph(4), max_cells=10)
     with pytest.raises(IntegrityError, match="not exact"):
         eval_formula(("scale", ("adj",), 1, 2), complete_graph(3))
+
+
+def test_eval_formula_guards_inner_nodes():
+    """A 1x1 formula whose inner Kronecker node needs 4^4 cells is refused."""
+    K = ("kron", ("adj",), ("adj",))
+    expr = ("mm", ("T", ("vec", K)), ("vec", K))
+    assert formula_arity(expr) == (0, 0)
+    with pytest.raises(ScaleGuardError):
+        eval_formula(expr, complete_graph(4), max_cells=100)
 
 
 def test_formula_arity_checks_composition():

@@ -328,7 +328,7 @@ def test_checked_binom_guard(wrap, r, top, wraps):
 
 def test_evaluator_binom_node_refuses_instead_of_wrapping():
     ev = Evaluator(EdgeSpace(complete_graph(3)))
-    assert set(ev.eval(("binom", ("scale", 1_664_511, "B"), 3)).data) == {
+    assert set(ev.eval(("binom", ("scale", "B", 1_664_511, 1), 3)).data) == {
         comb(1_664_511, 3)}
     with pytest.raises(IntegrityError, match="binom"):
-        ev.eval(("binom", ("scale", 3_000_000, "B"), 3))
+        ev.eval(("binom", ("scale", "B", 3_000_000, 1), 3))
