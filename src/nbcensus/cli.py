@@ -4,7 +4,9 @@ The report is deterministic: identical input and options produce byte
 identical output, so runs can be diffed. JSON values are integers,
 strings and booleans only; stage timings go to the error stream instead
 of the report. CSV lays out one row per location (directed edge or
-vertex) with one column per counter id and a trailing ``__total__`` row.
+vertex) with one column per counter id and a trailing ``__total__`` row;
+a refused counter gets no column, and each error the JSON report would
+list goes to the error stream as ``error: <key>: <message>``.
 
 Counters: ``order3``, ``order4``, ``order5`` (catalog formulas, edge and
 vertex rootings), ``k6`` (edge-rooted 6-cliques), ``cycles`` (C3..C9),
@@ -265,7 +267,10 @@ def _to_csv(report: dict, config: RunConfig, index: DirectedEdgeIndex) -> str:
     vertex_rows = list(g.labels)
     columns: list[tuple[str, dict | None, dict | None, int]] = []
     counters = report["counters"]
+    refused = report.get("errors", {})
     for counter in config.counters:
+        if counter in refused:
+            continue
         if counter in ("order3", "order4", "order5"):
             section = counters[counter]
             order = counter[-1]
@@ -382,6 +387,8 @@ def run(config: RunConfig) -> tuple[int, str]:
         text = _to_json(report)
     else:
         text = _to_csv(report, config, index)
+        for key, msg in errors.items():
+            print(f"error: {key}: {msg}", file=sys.stderr)
 
     report_nnz = space.stats.get("peak_product_nnz", 0)
     if "traces_ms" in space.stats:

@@ -15,7 +15,8 @@ root-fixing automorphism count turns embeddings into copies.
 nothing but the host adjacency matrix and eight algebraic node kinds of the
 package's one expression language. ``eval_formula`` checks every node's size
 against the cell budget, then evaluates the formula exactly on
-``motifs.Evaluator``, the catalog's interpreter, over a dense tuple space.
+``edge_matrix.Evaluator``, the catalog's interpreter, over a dense tuple
+space.
 The builder works by recursion on pattern order: a minimum-degree vertex is
 set aside, the edges avoiding it and the star at it are each produced by
 one-order-smaller builds chained with a two-vertex pattern, the halves are
@@ -50,9 +51,8 @@ from math import gcd
 
 import numpy as np
 
-from .edge_matrix import IntegrityError
+from .edge_matrix import Evaluator, IntegrityError
 from .graphs import Graph
-from .motifs import Evaluator
 from .oracle import _pin_map, automorphism_count_fixing, embeddings
 
 MAX_CELLS = 1_000_000
@@ -171,7 +171,7 @@ def kappa_direct(F: RootedGraph, G: Graph, *,
 # ---------------------------------------------------------------------------
 #
 # A formula is a nested tuple in the expression language of
-# motifs.Evaluator, restricted to eight node kinds:
+# edge_matrix.Evaluator, restricted to eight node kinds:
 #
 #   ("adj",)                 host adjacency matrix, arity (1, 1)
 #   ("sel", p, q, eq, ne)    0/1 constraint matrix, arity (p, q); eq and ne
@@ -262,7 +262,7 @@ def _scale(expr: tuple, num: int, den: int) -> tuple:
 
 class _TupleSpace:
     """The host side of a formula: its two leaves as dense int64 matrices
-    over the vertex tuples of one host graph, for ``motifs.Evaluator``."""
+    over the vertex tuples of one host graph, for ``edge_matrix.Evaluator``."""
 
     stats = None
 
@@ -295,7 +295,7 @@ def eval_formula(expr: tuple, G: Graph, *,
     """Evaluate a formula on a host graph with exact integer arithmetic.
 
     Every node's size is checked against ``max_cells`` before anything is
-    evaluated; ``motifs.Evaluator`` then evaluates the formula over the
+    evaluated; ``edge_matrix.Evaluator`` then evaluates the formula over the
     host's tuple space.
     """
     arities = _arities(expr)

@@ -10,7 +10,7 @@ and C4. Subtracting walks-per-copy times copies from each trace and
 dividing by 2k leaves the cycle totals.
 
 The corrections are data: the CORRECTIONS table holds, per entry, a main
-term in the catalog's expression language (see motifs.py), the integer
+term in the expression language of edge_matrix.Evaluator, the integer
 multiples of earlier entries to subtract, and an exact divisor. One loop
 evaluates the table with the catalog evaluator, so every product, sum
 and binomial goes through the shared int64 guards of edge_matrix.
@@ -33,9 +33,9 @@ from importlib import resources
 
 from . import oracle
 from .catalog import _SQL, _SQR
-from .edge_matrix import EdgeSpace, IntegrityError, exact_div
+from .edge_matrix import (EdgeSpace, Evaluator, IntegrityError,
+                          exact_div)
 from .graphs import Graph
-from .motifs import Evaluator
 
 F_NAMES = tuple(f"F{i}" for i in range(1, 36))
 C_NAMES = tuple(f"C{k}" for k in range(3, 10))

@@ -1,16 +1,49 @@
-"""Directed-edge matrices over a graph: the non-backtracking operator,
-its powers, and the derived step matrices the counting formulas consume.
+"""Directed-edge matrices over a graph, the exact-arithmetic layer, and
+the one expression language every count is written in.
 
 All matrices are scipy CSR with int64 entries and are indexed by directed
 edge ids (edge k yields ids 2k and 2k+1; reversal flips the low bit).
 
-This is also the package's one exact-arithmetic layer: every product,
-sum, binomial, rescaling and division of a counting formula goes through
-a ``checked_*`` wrapper or ``exact_div``, on sparse, dense or vector
+This is the package's one exact-arithmetic layer: every product, sum,
+binomial, rescaling and division of a counting formula goes through a
+``checked_*`` wrapper or ``exact_div``, on sparse, dense or vector
 operands. Each bounds its result from its operands before computing and
 raises IntegrityError instead of wrapping around. Bounds are compared to
 INT64_GUARD = 2**62, half the int64 limit, so a bound estimated in
 float64 still proves the int64 result exact.
+
+Expression language of ``Evaluator`` (nested tuples, first element is the
+op name), used by the catalog, the F1..F35 census and the constructive
+engine alike:
+  atoms (strings): "B" (the non-backtracking matrix), "I" (the identity
+      over directed edges), and every name of the ATOMS table: the powers
+      "B2".."B4", the step matrices "tri", "wedge", "square", "crossed",
+      "twin", "texit", "chordless3", "join", and "d3".."d6" (the
+      diagonals of B^3..B^6). Each ATOMS entry is itself a definition in
+      this language, which ``EdgeSpace.atom`` evaluates once and caches.
+  ("T", X)            matrix transpose
+  ("rowrev", X)       index reversal on rows (vectors: the whole index)
+  ("colrev", X)       index reversal on columns
+  ("mm", X, Y)        matrix product (or matrix-vector when Y is a vector)
+  ("had", X, Y)       entrywise product of like-shaped operands
+  ("hadnot", X, M)    zero out entries of X wherever M is nonzero
+  ("add", X, Y), ("sub", X, Y)
+  ("sshift", X, c)    subtract the integer c from every vector entry
+  ("scale", X, num, den)
+                      multiply by num, then divide exactly by den
+  ("binom", X, k)     entrywise binomial coefficient, k in {2, 3}
+  ("rowsum", X), ("colsum", X)
+  ("total", X)        sum of all entries, as a Python int
+  ("div", X, c)       exact division; nonzero remainder raises IntegrityError
+  tuple-space nodes, on dense matrices over host vertex tuples (the two
+  leaves come from connection.py's host): ("adj",) adjacency, ("sel", p,
+  q, eq, ne) 0/1 root constraints, ("vec", X) row-major column stacking,
+  ("kron", X, Y) Kronecker product
+
+Every node that computes new values goes through one of the guards, so a
+result that would wrap int64 raises IntegrityError (labelled with the
+node) instead; the transpose, reversal, stacking and hadnot nodes only
+move or drop entries.
 """
 
 from __future__ import annotations
@@ -181,8 +214,49 @@ def nonbacktracking_matrix(index: DirectedEdgeIndex) -> sp.csr_matrix:
                          shape=(index.size, index.size))
 
 
+# The named atoms of the expression language beyond "B" and the identity
+# "I" over directed edges: name -> (EdgeSpace cache key, definition over
+# "B", "I" and earlier atoms). EdgeSpace.atom builds each one on first use.
+ATOMS = {
+    "B2": (("pow", 2), ("mm", "B", "B")),
+    "B3": (("pow", 3), ("mm", "B2", "B")),
+    "B4": (("pow", 4), ("mm", "B3", "B")),
+    # two-steps closed into a triangle by the reverse single step
+    "tri": ("triangle_step", ("had", "B2", ("T", "B"))),
+    # two-steps whose endpoints do not bound a triangle
+    "wedge": ("wedge_step", ("sub", "B2", "tri")),
+    # two-steps matched by a reverse two-step: opposite sides of a square
+    "square": ("square_step", ("had", "B2", ("T", "B2"))),
+    # square steps whose reversed exit also closes a square (K4 marker)
+    "crossed": ("crossed_square_step",
+                ("had", "square", ("colrev", "square"))),
+    # [e, f] set when both endpoints of f neighbor the head of e while
+    # avoiding its tail: f spans a triangle hanging off the head of e
+    "twin": ("twin_wedge_step", ("had", "B2", ("colrev", "B2"))),
+    # [e, f] set when the tail of f neighbors both endpoints of e (a
+    # triangle over e) and the head of f lies outside e
+    "texit": ("triangle_exit_step", ("had", "B2", ("rowrev", "B2"))),
+    # three-steps visiting five distinct vertices: B^3 with every entry
+    # dropped where the far edge meets the starting one (the reverse step
+    # or either reversal-conjugate of B) and on the diagonal (the closed
+    # walks around a triangle, which the index masks cannot see)
+    "chordless3": ("chordless_three_step", ("hadnot", "B3", (
+        "add", ("add", ("add", ("T", "B"), ("colrev", "B")), ("rowrev", "B")),
+        "I"))),
+    # bowties: a triangle over e joined at one apex to a second triangle
+    # whose far edge is f
+    "join": ("triangle_join_step", ("mm", "texit", ("rowrev", "tri"))),
+    # diag(B^(i+j)) pairs B^i with the transpose of B^j; powers above B^4
+    # are never held in memory
+    "d3": ("diag3", ("rowsum", "tri")),
+    "d4": ("diag4", ("rowsum", "square")),
+    "d5": ("diag5", ("rowsum", ("had", "B2", ("T", "B3")))),
+    "d6": ("diag6", ("rowsum", ("had", "B3", ("T", "B3")))),
+}
+
+
 class EdgeSpace:
-    """Shared home of B, its small powers, and the derived step matrices.
+    """Shared home of B and the ATOMS built from it, plus the traces.
 
     Everything is computed lazily and cached; the caller usually keeps one
     EdgeSpace per graph and lets the formulas pull what they need.
@@ -212,7 +286,7 @@ class EdgeSpace:
     def revvec(self, v):
         return np.asarray(v)[self.rev]
 
-    # -- powers ----------------------------------------------------------
+    # -- atoms -----------------------------------------------------------
 
     def _get(self, key, build):
         val = self._cache.get(key)
@@ -225,120 +299,47 @@ class EdgeSpace:
     def B(self) -> sp.csr_matrix:
         return self._get("B", lambda: nonbacktracking_matrix(self.index))
 
+    def atom(self, name: str):
+        """B, the uncached identity I, or an ATOMS entry evaluated from its
+        definition (each by its own Evaluator, so the intermediates die
+        with the build) and cached under the entry's key."""
+        if name == "B":
+            return self.B
+        if name == "I":
+            return sp.identity(self.size, dtype=np.int64, format="csr")
+        key, definition = ATOMS[name]
+        return self._get(key, lambda: Evaluator(self).eval(definition))
+
     def power(self, k: int) -> sp.csr_matrix:
         """B^k for 1 <= k <= 4; higher powers are never materialized."""
         if not 1 <= k <= 4:
             raise ValueError("only powers 1..4 are materialized")
-        if k == 1:
-            return self.B
-        return self._get(
-            ("pow", k),
-            lambda: checked_matmul(self.power(k - 1), self.B, f"B^{k}",
-                                   self.stats))
+        return self.atom("B" if k == 1 else f"B{k}")
 
-    # -- derived step matrices ------------------------------------------
-
-    @property
-    def triangle_step(self) -> sp.csr_matrix:
-        """Two-steps closed into a triangle by the reverse single step."""
-        return self._get("triangle_step", lambda: checked_hadamard(
-            self.power(2), self.B.T.tocsr(), "triangle_step"))
-
-    @property
-    def wedge_step(self) -> sp.csr_matrix:
-        """Two-steps whose endpoints do not bound a triangle."""
-        return self._get("wedge_step",
-                         lambda: (self.power(2) - self.triangle_step).tocsr())
+    def diag(self, k: int) -> np.ndarray:
+        """The diagonal of B^k, 3 <= k <= 6."""
+        if not 3 <= k <= 6:
+            raise ValueError("diagonals available for k in 3..6")
+        return self.atom(f"d{k}")
 
     @property
     def square_step(self) -> sp.csr_matrix:
-        """Two-steps matched by a reverse two-step: opposite sides of a square."""
-        return self._get("square_step", lambda: checked_hadamard(
-            self.power(2), self.power(2).T.tocsr(), "square_step"))
+        return self.atom("square")
 
     @property
     def crossed_square_step(self) -> sp.csr_matrix:
-        """Square steps whose reversed exit also closes a square (K4 marker)."""
-        return self._get("crossed_square_step", lambda: checked_hadamard(
-            self.square_step, self.colrev(self.square_step).tocsr(),
-            "crossed_square_step"))
-
-    @property
-    def twin_wedge_step(self) -> sp.csr_matrix:
-        """Two-step pairs reaching both orientations of the same far edge.
-
-        Entry [e, f] is set when both endpoints of f neighbor the head of
-        e while avoiding its tail, so f spans a triangle hanging off the
-        head of e.
-        """
-        return self._get("twin_wedge_step", lambda: checked_hadamard(
-            self.power(2), self.colrev(self.power(2)).tocsr(),
-            "twin_wedge_step"))
-
-    @property
-    def triangle_exit_step(self) -> sp.csr_matrix:
-        """Edges stepping out of a triangle erected on the current edge.
-
-        Entry [e, f] is set when the tail of f neighbors both endpoints
-        of e (closing a triangle over e) and the head of f lies outside
-        e. The row-reversed sibling of the twin wedge step.
-        """
-        return self._get("triangle_exit_step", lambda: checked_hadamard(
-            self.power(2), self.rowrev(self.power(2)).tocsr(),
-            "triangle_exit_step"))
+        return self.atom("crossed")
 
     @property
     def chordless_three_step(self) -> sp.csr_matrix:
-        """Three-steps visiting five distinct vertices.
+        return self.atom("chordless3")
 
-        Entries of B^3 are dropped wherever the reverse single step or
-        either reversal-conjugate of B is nonzero, which removes the
-        walks whose far endpoint collides with the starting edge. The
-        diagonal is cleared as well: those are the closed walks around a
-        triangle, which the index-collision masks cannot see.
-        """
-        def build():
-            M = self.power(3).copy()
-            for mask in (self.B.T.tocsr(), self.colrev(self.B).tocsr(),
-                         self.rowrev(self.B).tocsr()):
-                drop = M.multiply(mask != 0)
-                M = (M - drop).tocsr()
-            M.setdiag(0)
-            M.eliminate_zeros()
-            return M.tocsr()
-        return self._get("chordless_three_step", build)
-
-    @property
-    def triangle_join_step(self) -> sp.csr_matrix:
-        """Triangle exit step composed with the row-reversed triangle step.
-
-        Entry [e, f] counts bowties: a triangle over e joined at one
-        apex to a second triangle whose far edge is f.
-        """
-        return self._get("triangle_join_step", lambda: checked_matmul(
-            self.triangle_exit_step, self.rowrev(self.triangle_step).tocsr(),
-            "triangle_join_step", self.stats))
-
-    # -- diagonals and traces of high powers ----------------------------
+    # -- traces of high powers -------------------------------------------
     #
-    # Powers above B^4 are never held in memory. Diagonals come from
-    # Hadamard pairings of small powers. The traces come from vertex space:
-    # by the Ihara-Bass identity det(I - uB) = (1 - u^2)^(m-n) det(I - uB~)
-    # with the 2n x 2n operator B~ = [[A, I - D], [I, 0]], tr(B^k) equals
-    # tr(B~^k) for odd k and tr(B~^k) + 2(m - n) for even k.
-
-    def diag(self, k: int) -> np.ndarray:
-        label = f"diag:B^{k}"
-        if k == 4:
-            return self._get("diag4", lambda: checked_total(
-                self.square_step, label, axis=1))
-        # diag(B^(i+j)) pairs B^i with the transpose of B^j
-        pairs = {3: (2, 1), 5: (2, 3), 6: (3, 3)}
-        if k not in pairs:
-            raise ValueError("diagonals available for k in 3..6")
-        i, j = pairs[k]
-        return self._get(f"diag{k}", lambda: checked_total(checked_hadamard(
-            self.power(i), self.power(j).T, label), label, axis=1))
+    # The traces come from vertex space: by the Ihara-Bass identity
+    # det(I - uB) = (1 - u^2)^(m-n) det(I - uB~) with the 2n x 2n operator
+    # B~ = [[A, I - D], [I, 0]], tr(B^k) equals tr(B~^k) for odd k and
+    # tr(B~^k) + 2(m - n) for even k.
 
     def trace(self, k: int) -> int:
         """tr(B^k) for 3 <= k <= 9, read from a table built once in vertex
@@ -392,3 +393,101 @@ class EdgeSpace:
         out = np.zeros(self.graph.n, dtype=v.dtype)
         np.add.at(out, np.asarray(self.index.tail, dtype=np.int64), v)
         return out
+
+
+# ---------------------------------------------------------------------------
+# the expression interpreter
+# ---------------------------------------------------------------------------
+
+class _Label:
+    """A node's guard label, ``repr(node)[:80]`` plus a note, formatted only
+    if a guard refuses: up front it would cost more than small dense nodes."""
+    __slots__ = ("node", "note")
+
+    def __init__(self, node, note: str = ""):
+        self.node, self.note = node, note
+
+    def __str__(self) -> str:
+        return repr(self.node)[:80] + self.note
+
+
+class Evaluator:
+    """Evaluates expression trees against one host, memoizing subtrees.
+
+    The host is an EdgeSpace, which supplies the string atoms, or any
+    object with ``adj``, ``sel(p, q, eq, ne)`` and ``stats`` for the
+    tuple-space leaves (connection.py's dense host).
+    """
+
+    def __init__(self, space):
+        self.space = space
+        self._memo: dict = {}
+
+    def eval(self, expr):
+        if isinstance(expr, str):
+            return self.space.atom(expr)
+        val = self._memo.get(expr)
+        if val is None:
+            val = self._memo[expr] = self._apply(expr)
+        return val
+
+    def forget(self, exprs) -> None:
+        """Drop memoized values, e.g. once no later expression needs them."""
+        for expr in exprs:
+            self._memo.pop(expr, None)
+
+    def _apply(self, expr):
+        op = expr[0]
+        s = self.space
+        label = _Label(expr)
+        if op == "adj":
+            return s.adj
+        if op == "sel":
+            return s.sel(*expr[1:])
+        if op == "T":
+            x = self.eval(expr[1]).T
+            return x if isinstance(x, np.ndarray) else x.tocsr()
+        if op == "vec":
+            return self.eval(expr[1]).reshape(-1, 1)
+        if op == "rowrev":
+            x = self.eval(expr[1])
+            return s.revvec(x) if isinstance(x, np.ndarray) else s.rowrev(x).tocsr()
+        if op == "colrev":
+            return s.colrev(self.eval(expr[1])).tocsr()
+        if op == "mm":
+            return checked_matmul(self.eval(expr[1]), self.eval(expr[2]),
+                                  label, s.stats)
+        if op == "had":
+            return checked_hadamard(self.eval(expr[1]), self.eval(expr[2]),
+                                    label)
+        if op == "kron":
+            return checked_kron(self.eval(expr[1]), self.eval(expr[2]), label)
+        if op == "hadnot":
+            a, m = self.eval(expr[1]), self.eval(expr[2])
+            drop = a.multiply(m != 0)
+            out = (a - drop).tocsr()
+            out.eliminate_zeros()
+            return out
+        if op in ("add", "sub"):
+            return checked_add(self.eval(expr[1]), self.eval(expr[2]), label,
+                               1 if op == "add" else -1)
+        if op == "sshift":
+            return checked_add(self.eval(expr[1]), int(expr[2]), label, -1)
+        if op == "scale":
+            _, x, num, den = expr
+            out = checked_scale(self.eval(x), num, label)
+            if den == 1:
+                return out
+            return exact_div(out, den, _Label(
+                expr, f": rescale by 1/{den} is not exact"))
+        if op == "binom":
+            return checked_binom(self.eval(expr[1]), int(expr[2]), label)
+        if op == "rowsum":
+            return checked_total(self.eval(expr[1]), label, axis=1)
+        if op == "colsum":
+            return checked_total(self.eval(expr[1]), label, axis=0)
+        if op == "total":
+            return checked_total(self.eval(expr[1]), label)
+        if op == "div":
+            return exact_div(self.eval(expr[1]), int(expr[2]), label)
+        raise ValueError(f"unknown op {op!r}")

@@ -11,7 +11,6 @@ package use that numbering.
 
 from __future__ import annotations
 
-import io
 import os
 from typing import Iterable, Sequence
 
@@ -135,8 +134,6 @@ def load_graph(source) -> Graph:
     if isinstance(source, (str, os.PathLike)):
         with open(source, "r", encoding="utf-8") as fh:
             return _parse_lines(fh)
-    if isinstance(source, io.TextIOBase):
-        return _parse_lines(source)
     return _parse_lines(source)
 
 

@@ -7,34 +7,10 @@ of its edge-rooted counterpart. This module interprets those trees
 (``evaluate_catalog`` evaluates a block of entries) and holds the general
 order-6 edge-rooted construction and the 6-clique shortcut.
 
-Expression language of ``Evaluator``, also the constructive engine's
-(nested tuples, first element is the op name):
-  atoms (strings): "B", "B2", "B3", "B4", "tri", "wedge", "square",
-      "crossed", "twin", "texit", "chordless3", "join" (matrices), and
-      "d3".."d6" (the diagonals of B^3..B^6, shared with the trace cache)
-  ("T", X)            matrix transpose
-  ("rowrev", X)       index reversal on rows (vectors: the whole index)
-  ("colrev", X)       index reversal on columns
-  ("mm", X, Y)        matrix product (or matrix-vector when Y is a vector)
-  ("had", X, Y)       entrywise product of like-shaped operands
-  ("hadnot", X, M)    zero out entries of X wherever M is nonzero
-  ("add", X, Y), ("sub", X, Y)
-  ("sshift", X, c)    subtract the integer c from every vector entry
-  ("scale", X, num, den)
-                      multiply by num, then divide exactly by den
-  ("binom", X, k)     entrywise binomial coefficient, k in {2, 3}
-  ("rowsum", X), ("colsum", X)
-  ("total", X)        sum of all entries, as a Python int
-  ("div", X, c)       exact division; nonzero remainder raises IntegrityError
-  tuple-space nodes, on dense matrices over host vertex tuples (the two
-  leaves come from connection.py's host): ("adj",) adjacency, ("sel", p,
-  q, eq, ne) 0/1 root constraints, ("vec", X) row-major column stacking,
-  ("kron", X, Y) Kronecker product
-
-Every node that computes new values goes through a guard of
-edge_matrix's exact-arithmetic layer, so a result that would wrap int64
-raises IntegrityError (labelled with the node) instead; the transpose,
-reversal, stacking and hadnot nodes only move or drop entries.
+The trees are written in the expression language of
+``edge_matrix.Evaluator``, whose atoms (B, its powers, the step matrices
+and the diagonals) are edge_matrix's ATOMS table; every node that
+computes new values goes through edge_matrix's int64 guards.
 """
 
 from __future__ import annotations
@@ -44,10 +20,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .edge_matrix import (EdgeSpace, IntegrityError, checked_add,
-                          checked_binom, checked_hadamard, checked_kron,
-                          checked_matmul, checked_scale, checked_total,
-                          exact_div)
+from .edge_matrix import (EdgeSpace, Evaluator, IntegrityError,
+                          checked_hadamard, checked_matmul, checked_scale,
+                          checked_total, exact_div)
 from .graphs import Graph
 from .oracle import automorphism_count_fixing
 
@@ -71,117 +46,6 @@ class MotifResult:
 
     def __post_init__(self):
         self.total = int(self.values.sum())
-
-
-_ATOMS = {
-    "B": lambda s: s.B,
-    "B2": lambda s: s.power(2),
-    "B3": lambda s: s.power(3),
-    "B4": lambda s: s.power(4),
-    "tri": lambda s: s.triangle_step,
-    "wedge": lambda s: s.wedge_step,
-    "square": lambda s: s.square_step,
-    "crossed": lambda s: s.crossed_square_step,
-    "twin": lambda s: s.twin_wedge_step,
-    "texit": lambda s: s.triangle_exit_step,
-    "chordless3": lambda s: s.chordless_three_step,
-    "join": lambda s: s.triangle_join_step,
-    **{f"d{k}": (lambda s, k=k: s.diag(k)) for k in range(3, 7)},
-}
-
-
-class _Label:
-    """A node's guard label, ``repr(node)[:80]`` plus a note, formatted only
-    if a guard refuses: up front it would cost more than small dense nodes."""
-    __slots__ = ("node", "note")
-
-    def __init__(self, node, note: str = ""):
-        self.node, self.note = node, note
-
-    def __str__(self) -> str:
-        return repr(self.node)[:80] + self.note
-
-
-class Evaluator:
-    """Evaluates expression trees against one host, memoizing subtrees.
-
-    The host is an EdgeSpace, which supplies the string atoms, or any
-    object with ``adj``, ``sel(p, q, eq, ne)`` and ``stats`` for the
-    tuple-space leaves (connection.py's dense host).
-    """
-
-    def __init__(self, space):
-        self.space = space
-        self._memo: dict = {}
-
-    def eval(self, expr):
-        if isinstance(expr, str):
-            return _ATOMS[expr](self.space)
-        val = self._memo.get(expr)
-        if val is None:
-            val = self._memo[expr] = self._apply(expr)
-        return val
-
-    def forget(self, exprs) -> None:
-        """Drop memoized values, e.g. once no later expression needs them."""
-        for expr in exprs:
-            self._memo.pop(expr, None)
-
-    def _apply(self, expr):
-        op = expr[0]
-        s = self.space
-        label = _Label(expr)
-        if op == "adj":
-            return s.adj
-        if op == "sel":
-            return s.sel(*expr[1:])
-        if op == "T":
-            x = self.eval(expr[1]).T
-            return x if isinstance(x, np.ndarray) else x.tocsr()
-        if op == "vec":
-            return self.eval(expr[1]).reshape(-1, 1)
-        if op == "rowrev":
-            x = self.eval(expr[1])
-            return s.revvec(x) if isinstance(x, np.ndarray) else s.rowrev(x).tocsr()
-        if op == "colrev":
-            return s.colrev(self.eval(expr[1])).tocsr()
-        if op == "mm":
-            return checked_matmul(self.eval(expr[1]), self.eval(expr[2]),
-                                  label, s.stats)
-        if op == "had":
-            return checked_hadamard(self.eval(expr[1]), self.eval(expr[2]),
-                                    label)
-        if op == "kron":
-            return checked_kron(self.eval(expr[1]), self.eval(expr[2]), label)
-        if op == "hadnot":
-            a, m = self.eval(expr[1]), self.eval(expr[2])
-            drop = a.multiply(m != 0)
-            out = (a - drop).tocsr()
-            out.eliminate_zeros()
-            return out
-        if op in ("add", "sub"):
-            return checked_add(self.eval(expr[1]), self.eval(expr[2]), label,
-                               1 if op == "add" else -1)
-        if op == "sshift":
-            return checked_add(self.eval(expr[1]), int(expr[2]), label, -1)
-        if op == "scale":
-            _, x, num, den = expr
-            out = checked_scale(self.eval(x), num, label)
-            if den == 1:
-                return out
-            return exact_div(out, den, _Label(
-                expr, f": rescale by 1/{den} is not exact"))
-        if op == "binom":
-            return checked_binom(self.eval(expr[1]), int(expr[2]), label)
-        if op == "rowsum":
-            return checked_total(self.eval(expr[1]), label, axis=1)
-        if op == "colsum":
-            return checked_total(self.eval(expr[1]), label, axis=0)
-        if op == "total":
-            return checked_total(self.eval(expr[1]), label)
-        if op == "div":
-            return exact_div(self.eval(expr[1]), int(expr[2]), label)
-        raise ValueError(f"unknown op {op!r}")
 
 
 def evaluate_catalog(space: EdgeSpace, entries: dict,
@@ -331,9 +195,7 @@ def eval_k6_edge(space: EdgeSpace) -> MotifResult:
     double-edge-rooted 4-clique connection matrix, and the composition
     overcounts each 6-clique 4! times per root edge.
     """
-    K = space.crossed_square_step
-    M = checked_matmul(K, K, "6-clique composition", space.stats)
-    M = checked_hadamard(M, K, "6-clique composition")
-    vec = exact_div(checked_total(M, "6-clique composition", axis=1), 24,
-                    "6-clique symmetry")
+    vec = Evaluator(space).eval(
+        ("div", ("rowsum", ("had", ("mm", "crossed", "crossed"), "crossed")),
+         24))
     return MotifResult(MotifId(6, "K6", "edge"), vec)

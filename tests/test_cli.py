@@ -184,6 +184,23 @@ def test_csv_layout(runner, triangle_file):
     assert by_row["x->y"][cyc_col] == ""  # cycle totals only
 
 
+def test_csv_gives_refused_counters_no_column(runner, tmp_path):
+    host = tmp_path / "c9.txt"
+    host.write_text("".join(f"{i} {(i + 1) % 9}\n" for i in range(9)))
+    pattern = tmp_path / "paw.txt"
+    pattern.write_text("r: a\ns: b c\na b\na c\nb c\nc d\n")
+    counter = f"generic:{pattern}"
+    # the cell budget refuses the paw's 9^7-cell nodes on nine vertices
+    result = runner.invoke(main, ["--input", str(host), "--counts",
+                                  f"cycles,{counter}", "--format", "csv"])
+    assert result.exit_code == 2
+    assert isinstance(result.exception, SystemExit)
+    lines = result.stdout.splitlines()
+    assert lines[0].split(",") == ["location"] + [f"C{k}" for k in range(3, 10)]
+    assert lines[-1] == "__total__,0,0,0,0,0,0,1"
+    assert f"error: {counter}: " in result.stderr
+
+
 def test_generic_counter_roundtrip(runner, k4_file, tmp_path):
     pattern_path = tmp_path / "pattern.txt"
     pattern_path.write_text(PATTERN_TEXT)

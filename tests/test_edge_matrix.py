@@ -14,11 +14,11 @@ import scipy.sparse as sp
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import complete_graph, cycle_graph, er_graph, petersen_graph
-from nbcensus.edge_matrix import (EdgeSpace, IntegrityError, checked_binom,
+from nbcensus.edge_matrix import (ATOMS, EdgeSpace, Evaluator,
+                                  IntegrityError, checked_binom,
                                   checked_hadamard, checked_matmul,
                                   checked_scale, checked_total, exact_div)
 from nbcensus.graphs import DirectedEdgeIndex, Graph, path2_count
-from nbcensus.motifs import Evaluator
 
 
 def brute_B(g: Graph) -> np.ndarray:
@@ -69,11 +69,10 @@ def test_square_is_zero_one(g):
 def test_two_step_splits_into_triangle_and_wedge(g):
     space = EdgeSpace(g)
     lhs = space.power(2).toarray()
-    assert np.array_equal(
-        lhs, space.triangle_step.toarray() + space.wedge_step.toarray())
+    tri, wedge = space.atom("tri").toarray(), space.atom("wedge").toarray()
+    assert np.array_equal(lhs, tri + wedge)
     # the split is disjoint
-    assert not np.any(space.triangle_step.toarray()
-                      * space.wedge_step.toarray())
+    assert not np.any(tri * wedge)
 
 
 @pytest.mark.parametrize("g", list(small_graphs()))
@@ -101,6 +100,67 @@ def test_diag_matches_dense_power(g):
     for k in range(3, 7):
         acc = acc @ B
         assert np.array_equal(space.diag(k), np.diag(acc)), k
+
+
+def five_vertex_three_steps(g: Graph) -> np.ndarray:
+    """[e, f] counts the walks e, (v1, c), (c, v3), f through five distinct
+    vertices, where e = (v0, v1) and f = (v3, v4)."""
+    idx = DirectedEdgeIndex(g)
+    out = np.zeros((idx.size, idx.size), dtype=np.int64)
+    for e, f in itertools.product(range(idx.size), repeat=2):
+        (v0, v1), (v3, v4) = idx.endpoints(e), idx.endpoints(f)
+        for c in g.neighbors(v1) & g.neighbors(v3):
+            out[e, f] += len({v0, v1, c, v3, v4}) == 5
+    return out
+
+
+def dense_atoms(g: Graph) -> dict[str, np.ndarray]:
+    """Every ATOMS entry on dense arrays, from brute_B and, for chordless3,
+    from walk enumeration."""
+    B = brute_B(g)
+    rev = np.arange(B.shape[0]) ^ 1
+    B2 = B @ B
+    B3, B4 = B2 @ B, B2 @ B2
+    tri, square, texit = B2 * B.T, B2 * B2.T, B2 * B2[rev]
+    return {
+        "B2": B2, "B3": B3, "B4": B4,
+        "tri": tri, "wedge": B2 - tri, "square": square,
+        "crossed": square * square[:, rev], "twin": B2 * B2[:, rev],
+        "texit": texit, "chordless3": five_vertex_three_steps(g),
+        "join": texit @ tri[rev],
+        "d3": np.diag(B3), "d4": np.diag(B4), "d5": np.diag(B4 @ B),
+        "d6": np.diag(B3 @ B3),
+    }
+
+
+ATOM_GRAPHS = [*small_graphs(), Graph(0, []), Graph(3, []),
+               Graph(8, [(0, 1), (1, 2), (1, 3), (3, 4), (5, 6), (6, 7)])]
+
+
+@pytest.mark.parametrize("g", ATOM_GRAPHS)
+def test_every_atom_matches_dense_reference(g):
+    space = EdgeSpace(g)
+    want = dense_atoms(g)
+    assert set(want) == set(ATOMS)
+    for name, ref in want.items():
+        got = space.atom(name)
+        assert got.dtype == np.int64, name
+        got = got.toarray() if sp.issparse(got) else got
+        assert np.array_equal(got, ref), name
+
+
+@pytest.mark.parametrize("g", ATOM_GRAPHS)
+def test_chordless3_union_mask_matches_mask_chain(g):
+    """One hadnot against the union of the masks drops what the chain of
+    three hadnots and the cleared diagonal dropped."""
+    space = EdgeSpace(g)
+    chain = space.power(3).copy()
+    for mask in (space.B.T.tocsr(), space.colrev(space.B).tocsr(),
+                 space.rowrev(space.B).tocsr()):
+        chain = (chain - chain.multiply(mask != 0)).tocsr()
+    chain.setdiag(0)
+    assert np.array_equal(space.atom("chordless3").toarray(),
+                          chain.toarray())
 
 
 def assert_traces_match_dense_power(g: Graph) -> None:

@@ -93,7 +93,12 @@ def vertex_root_orbits(g: Graph) -> list[int]:
     return reps
 
 
-def main() -> int:
+def main(argv: list[str]) -> int:
+    if argv:
+        print("usage: python3 tools/discover_catalog.py (no arguments; it "
+              "rewrites src/nbcensus/data/motif_patterns.json)",
+              file=sys.stderr)
+        return 2
     graphs = corpus()
     spaces = [EdgeSpace(g) for g in graphs]
 
@@ -189,4 +194,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(main(sys.argv[1:]))

@@ -68,7 +68,12 @@ def is_cycle(g: Graph) -> bool:
     return g.m == g.n and all(d == 2 for d in g.degrees)
 
 
-def main() -> int:
+def main(argv: list[str]) -> int:
+    if argv:
+        print("usage: python3 tools/discover_walks.py (no arguments; it "
+              "rewrites src/nbcensus/data/walk_classes.json)",
+              file=sys.stderr)
+        return 2
     t0 = time.time()
     problems = []
 
@@ -230,4 +235,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))
