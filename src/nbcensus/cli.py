@@ -3,10 +3,15 @@
 The report is deterministic: identical input and options produce byte
 identical output, so runs can be diffed. JSON values are integers,
 strings and booleans only; stage timings go to the error stream instead
-of the report. CSV lays out one row per location (directed edge or
-vertex) with one column per counter id and a trailing ``__total__`` row;
-a refused counter gets no column, and each error the JSON report would
-list goes to the error stream as ``error: <key>: <message>``.
+of the report. The JSON text is exactly what ``json.dumps(report,
+indent=2, sort_keys=True)`` plus a final newline gives: keys in sorted
+order, two-space indentation, and every non-ASCII or control character
+as a ``\\uXXXX`` escape. It is written straight from the count vectors,
+without building a ``{label: count}`` dict per counter. CSV lays out one
+row per location (directed edge or vertex) with one column per counter
+id and a trailing ``__total__`` row; a refused counter gets no column,
+and each error the JSON report would list goes to the error stream as
+``error: <key>: <message>``.
 
 Counters: ``order3``, ``order4``, ``order5`` (catalog formulas, edge and
 vertex rootings), ``k6`` (edge-rooted 6-cliques), ``cycles`` (C3..C9),
@@ -14,8 +19,9 @@ and ``generic:<pattern-file>`` (the constructive engine on an arbitrary
 rooted pattern). A pattern file is an ordinary edge list plus header
 lines ``r: ...`` and ``s: ...`` naming the root vertices.
 
-Exit status: 0 on success, 1 on input problems, 2 on any integrity
-failure (inexact division, overflow guard, oracle mismatch).
+Exit status: 0 on success, 1 on input problems or a report file that
+cannot be written, 2 on any integrity failure (inexact division,
+overflow guard, oracle mismatch).
 """
 
 from __future__ import annotations
@@ -27,6 +33,8 @@ import os
 import sys
 import time
 from dataclasses import dataclass
+from itertools import repeat
+from json.encoder import encode_basestring_ascii
 
 import click
 import numpy as np
@@ -108,15 +116,21 @@ def load_pattern(path: str) -> RootedGraph:
 # counter stages
 # ---------------------------------------------------------------------------
 
-def _vector_block(ids, values, labels) -> dict:
-    out = {}
-    for mid in ids:
-        vec = values[mid]
-        out[mid] = {
-            "per_location": {labels[k]: int(vec[k]) for k in range(len(vec))},
-            "total": int(vec.sum()),
-        }
-    return out
+@dataclass(frozen=True, eq=False)
+class PerLocation:
+    """One count per location: ``values[k]`` is the count at ``labels[k]``.
+
+    The report's ``per_location`` objects; the writers render them as the
+    mapping ``{label: count}``. Every block over the same locations shares
+    one ``labels`` tuple, so the writers lay each tuple out once per run.
+    """
+    labels: tuple[str, ...]
+    values: np.ndarray
+
+
+def _vector_block(labels: tuple[str, ...], values: np.ndarray) -> dict:
+    return {"per_location": PerLocation(labels, values),
+            "total": int(values.sum())}
 
 
 def _order_section(space: EdgeSpace, index: DirectedEdgeIndex,
@@ -127,13 +141,11 @@ def _order_section(space: EdgeSpace, index: DirectedEdgeIndex,
                               collect_errors=collected)
     for mid, msg in collected.items():
         errors[f"order{order}/{mid}"] = msg
-    edge_labels = [index.label(e) for e in range(index.size)]
-    g = space.graph
     return {
-        "edge": _vector_block([m for m in edge_entries if m in values],
-                              values, edge_labels),
-        "vertex": _vector_block([m for m in vertex_entries if m in values],
-                                values, list(g.labels)),
+        "edge": {mid: _vector_block(index.labels, values[mid])
+                 for mid in edge_entries if mid in values},
+        "vertex": {mid: _vector_block(space.graph.labels, values[mid])
+                   for mid in vertex_entries if mid in values},
     }
 
 
@@ -208,7 +220,7 @@ def _verdict(mismatches: list, checked: int) -> dict:
 
 
 def _values(block: dict) -> list[int]:
-    return list(block["per_location"].values())
+    return block["per_location"].values.tolist()
 
 
 def _check_order(section, index, order) -> dict:
@@ -257,15 +269,76 @@ def _check_generic(space, counter) -> dict:
 # serialization
 # ---------------------------------------------------------------------------
 
+def _last_positions(labels: tuple[str, ...]) -> dict[str, int]:
+    """Each distinct label's last position: the count the mapping
+    ``{label: count}`` keeps when two locations print the same label."""
+    return {label: k for k, label in enumerate(labels)}
+
+
 def _to_json(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    """``json.dumps(report, indent=2, sort_keys=True) + "\\n"``, byte for
+    byte, with each ``PerLocation`` written straight from its vector."""
+    out: list[str] = []
+    _write_json(report, "", out, {})
+    out.append("\n")
+    return "".join(out)
+
+
+def _write_json(obj, pad: str, out: list[str], layouts: dict) -> None:
+    if isinstance(obj, PerLocation):
+        out.append(_per_location_json(obj, pad, layouts))
+    elif isinstance(obj, (dict, list)) and obj:
+        inner = pad + "  "
+        if isinstance(obj, dict):
+            opening, closing = "{", "}"
+            items = [(encode_basestring_ascii(key) + ": ", obj[key])
+                     for key in sorted(obj)]
+        else:
+            opening, closing = "[", "]"
+            items = [("", item) for item in obj]
+        sep = opening + "\n"
+        for key, value in items:
+            out.append(sep + inner + key)
+            _write_json(value, inner, out, layouts)
+            sep = ",\n"
+        out.append("\n" + pad + closing)
+    else:
+        out.append(json.dumps(obj))
+
+
+def _per_location_json(block: PerLocation, pad: str, layouts: dict) -> str:
+    """The object ``{label: count}`` with sorted keys, its entries indented
+    under ``pad``; the key order and key text are computed once per label
+    tuple and indentation."""
+    if not block.labels:
+        return "{}"
+    key = (id(block.labels), pad)
+    if key not in layouts:
+        last = _last_positions(block.labels)
+        names = sorted(last)
+        inner = pad + "  "
+        layouts[key] = (
+            [inner + encode_basestring_ascii(name) + ": " for name in names],
+            np.array([last[name] for name in names], dtype=np.intp))
+    prefixes, order = layouts[key]
+    counts = map(str, block.values[order].tolist())
+    return ("{\n" + ",\n".join(map(str.__add__, prefixes, counts))
+            + "\n" + pad + "}")
+
+
+def _csv_column(block: PerLocation, rows: dict) -> list[int]:
+    """The block's count on each of its rows, as ``{label: count}[label]``
+    reads it: rows that print the same label show the count kept for it."""
+    key = id(block.labels)
+    if key not in rows:
+        last = _last_positions(block.labels)
+        rows[key] = np.array([last[label] for label in block.labels],
+                             dtype=np.intp)
+    return block.values[rows[key]].tolist()
 
 
 def _to_csv(report: dict, config: RunConfig, index: DirectedEdgeIndex) -> str:
-    g = index.graph
-    edge_rows = [index.label(e) for e in range(index.size)]
-    vertex_rows = list(g.labels)
-    columns: list[tuple[str, dict | None, dict | None, int]] = []
+    columns: list[tuple[str, PerLocation | None, PerLocation | None, int]] = []
     counters = report["counters"]
     refused = report.get("errors", {})
     for counter in config.counters:
@@ -291,17 +364,14 @@ def _to_csv(report: dict, config: RunConfig, index: DirectedEdgeIndex) -> str:
             block = counters[counter]
             columns.append((counter, None, None, block["total"]))
 
+    rows: dict = {}
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["location"] + [c[0] for c in columns])
-    for label in edge_rows:
-        writer.writerow([label] + [("" if by_edge is None
-                                    else by_edge.get(label, 0))
-                                   for _, by_edge, _, _ in columns])
-    for label in vertex_rows:
-        writer.writerow([label] + [("" if by_vertex is None
-                                    else by_vertex.get(label, 0))
-                                   for _, _, by_vertex, _ in columns])
+    for labels, side in ((index.labels, 1), (index.graph.labels, 2)):
+        writer.writerows(zip(labels, *[
+            repeat("") if c[side] is None else _csv_column(c[side], rows)
+            for c in columns]))
     writer.writerow(["__total__"] + [c[3] for c in columns])
     return buf.getvalue()
 
@@ -341,9 +411,7 @@ def run(config: RunConfig) -> tuple[int, str]:
                     _order_section(space, index, int(c[-1]), errors)))
             elif counter == "k6":
                 result = _stage(timings, counter, lambda: eval_k6_edge(space))
-                section = _vector_block(
-                    ["k6"], {"k6": result.values},
-                    [index.label(e) for e in range(index.size)])["k6"]
+                section = _vector_block(index.labels, result.values)
             elif counter == "cycles":
                 section = _stage(timings, counter, lambda: dict(
                     full_census(space).cycle_counts))
@@ -430,8 +498,12 @@ def main(input_path, counts, fmt, oracle_check, max_oracle_n, output):
     status, text = run(config)
     if text:
         if config.output:
-            with open(config.output, "w", encoding="utf-8") as fh:
-                fh.write(text)
+            try:
+                with open(config.output, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                print(f"error: cannot write report: {exc}", file=sys.stderr)
+                sys.exit(1)
         else:
             click.echo(text, nl=False)
     sys.exit(status)

@@ -85,7 +85,7 @@ class DirectedEdgeIndex:
     endpoint arrays, ``id_of`` maps an ordered vertex pair back to its id.
     """
 
-    __slots__ = ("graph", "tail", "head", "id_of")
+    __slots__ = ("graph", "tail", "head", "id_of", "_labels")
 
     def __init__(self, graph: Graph):
         self.graph = graph
@@ -93,6 +93,7 @@ class DirectedEdgeIndex:
         self.head = tuple(x for u, v in graph.edges for x in (v, u))
         self.id_of = {pair: e for e, pair in
                       enumerate(zip(self.tail, self.head))}
+        self._labels: tuple[str, ...] | None = None
 
     @property
     def size(self) -> int:
@@ -108,8 +109,16 @@ class DirectedEdgeIndex:
 
     def label(self, e: int) -> str:
         """Human-readable 'tail->head' form using the original labels."""
-        g = self.graph
-        return f"{g.labels[self.tail[e]]}->{g.labels[self.head[e]]}"
+        return self.labels[e]
+
+    @property
+    def labels(self) -> tuple[str, ...]:
+        """Every id's ``label``, built on first use and then shared."""
+        if self._labels is None:
+            names = self.graph.labels
+            self._labels = tuple(f"{names[t]}->{names[h]}"
+                                 for t, h in zip(self.tail, self.head))
+        return self._labels
 
 
 def path2_count(graph: Graph) -> int:

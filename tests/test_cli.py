@@ -1,6 +1,10 @@
 """End-to-end runs of the command-line front end."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -10,6 +14,7 @@ from nbcensus.cli import RunConfig, load_pattern, main, run
 from nbcensus.edge_matrix import IntegrityError
 from nbcensus.graphs import GraphError
 
+ROOT = Path(__file__).resolve().parent.parent
 K4_TEXT = "a b\na c\na d\nb c\nb d\nc d\n"
 TRIANGLE_TEXT = "x y\ny z\nz x\n"
 PATTERN_TEXT = "r: x\ns: y z\nx y\nx z\ny z\n"
@@ -82,6 +87,16 @@ def test_missing_input_fails_cleanly(runner, tmp_path):
     assert result.exit_code == 1
     assert result.stdout == ""
     assert "error:" in result.stderr
+
+
+def test_unwritable_output_fails_cleanly(runner, k4_file, tmp_path):
+    out = tmp_path / "missing-dir" / "report.json"
+    result = runner.invoke(main, ["--input", k4_file, "--counts", "order3",
+                                  "--output", str(out)])
+    assert result.exit_code == 1
+    assert "error: cannot write report: " in result.stderr
+    assert "Traceback" not in result.stderr
+    assert not out.exists()
 
 
 def test_unknown_counter_is_usage_error(runner, k4_file):
@@ -244,3 +259,20 @@ def test_run_returns_report_without_click(k4_file):
     assert status == 0
     report = json.loads(text)
     assert report["counters"]["k6"]["total"] == 0
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_bench_tracer_finds_the_cli_entry_points(k4_file, tmp_path, fmt):
+    # bench/tracer.py wraps cli functions by name; a rename loses its spans
+    trace = tmp_path / "spans.jsonl"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "tracer.py"), str(trace), "--",
+         "--input", k4_file, "--counts", "order3,k6,cycles", "--oracle-check",
+         "--format", fmt, "--output", str(tmp_path / "report")],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert result.returncode == 0, result.stderr
+    rows = [json.loads(line) for line in trace.read_text().splitlines()]
+    names = {row["name"] for row in rows if row["kind"] == "span"}
+    assert {"cli.serialize", "cli.stage", "motifs.catalog",
+            "oracle.check"} <= names
