@@ -153,11 +153,19 @@ def _tuple_label(t: tuple[int, ...], labels) -> str:
     return ",".join(labels[v] for v in t)
 
 
-def _generic_section(space: EdgeSpace, counter: str, errors: dict) -> dict:
-    path = counter.split(":", 1)[1]
-    pattern = load_pattern(path)
-    expr = build_formula(pattern)
-    km = eval_formula(expr, space.graph)
+def _generic_section(space: EdgeSpace, counter: str, computed: dict) -> dict:
+    """The engine's matrix for a ``generic:`` counter as a report section.
+
+    ``computed[counter]`` keeps what the oracle check compares: the pattern
+    and its matrix, or the refusal that stopped the engine.
+    """
+    pattern = load_pattern(counter.split(":", 1)[1])
+    try:
+        km = eval_formula(build_formula(pattern), space.graph)
+    except (IntegrityError, ScaleGuardError) as exc:
+        computed[counter] = exc
+        raise
+    computed[counter] = (pattern, km)
     labels = space.graph.labels
     n = space.graph.n
     entries = {}
@@ -194,14 +202,14 @@ def _decode(idx: int, n: int, arity: int) -> tuple[int, ...]:
 # oracle cross-checks
 # ---------------------------------------------------------------------------
 
-def _oracle_check(space, counter, section, errors, max_n) -> dict:
-    """The oracle's verdict on the counts the report holds (a generic
-    counter is recomputed); a refused count raises its refusal again."""
+def _oracle_check(space, counter, section, errors, max_n, computed) -> dict:
+    """The oracle's verdict on the counts the report holds; a refused
+    count raises its refusal again."""
     g = space.graph
     if g.n > max_n:
         return {"status": f"skipped: n={g.n} exceeds max-oracle-n={max_n}"}
     if counter.startswith("generic:"):
-        return _check_generic(space, counter)
+        return _check_generic(counter, computed[counter], g)
     for key, msg in errors.items():
         if key == counter or key.startswith(counter + "/"):
             raise IntegrityError(msg)
@@ -254,11 +262,15 @@ def _check_k6(section, index) -> dict:
     return _verdict([] if _values(section) == want else ["K6"], 1)
 
 
-def _check_generic(space, counter) -> dict:
-    g = space.graph
-    pattern = load_pattern(counter.split(":", 1)[1])
+def _check_generic(counter, result, g) -> dict:
+    """``kappa_direct`` against the matrix the section was built from; a
+    scale refusal skips the check, any other refusal is raised again."""
+    if isinstance(result, ScaleGuardError):
+        return {"status": f"skipped: {result}"}
+    if isinstance(result, IntegrityError):
+        raise result
+    pattern, got = result
     try:
-        got = eval_formula(build_formula(pattern), g)
         want = kappa_direct(pattern, g)
     except ScaleGuardError as exc:
         return {"status": f"skipped: {exc}"}
@@ -397,6 +409,7 @@ def run(config: RunConfig) -> tuple[int, str]:
         return 1, ""
 
     errors: dict[str, str] = {}
+    computed: dict = {}
     space = _stage(timings, "edge-space", lambda: EdgeSpace(g))
     index = space.index
     report: dict = {
@@ -417,7 +430,7 @@ def run(config: RunConfig) -> tuple[int, str]:
                     full_census(space).cycle_counts))
             else:
                 section = _stage(timings, counter, lambda c=counter: (
-                    _generic_section(space, c, errors)))
+                    _generic_section(space, c, computed)))
         except (OSError, GraphError) as exc:
             print(f"error: {counter}: {exc}", file=sys.stderr)
             return 1, ""
@@ -434,7 +447,7 @@ def run(config: RunConfig) -> tuple[int, str]:
                     timings, f"check:{counter}",
                     lambda c=counter: _oracle_check(
                         space, c, report["counters"][c], errors,
-                        config.max_oracle_n))
+                        config.max_oracle_n, computed))
             except OracleGuardError as exc:
                 checks[counter] = {"status": f"skipped: {exc}"}
             except IntegrityError as exc:

@@ -15,13 +15,25 @@ routes are implemented and cross-checked.
 The backtracking enumerator ``embeddings`` is the package's only one:
 ``connection.kappa_direct``, the direct route the formula engine is
 certified against, tallies its maps by root location.
+
+The whole-vector counters ``edge_rooted_vector`` and
+``vertex_rooted_vector`` do not backtrack. Once per rooted pattern of order
+k they list its labelled copies on local vertices 0..k-1 (all k!
+placements, divided by the automorphisms fixing the root), and once per
+host and k they list every k-subset with the bitmask of the edges it
+induces. A subset's rooted counts are the copies whose edges its mask
+contains, summed by root image; each distinct mask is tabulated once per
+call. Their cost follows the number of k-subsets, not the number of maps,
+so dense desk-scale hosts stay cheap.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations, permutations
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .graphs import DirectedEdgeIndex, Graph
@@ -291,71 +303,80 @@ def count_copies(pattern: Graph, G: Graph,
 # whole-vector rooted counts (table-accelerated, still brute force)
 # ---------------------------------------------------------------------------
 #
-# For a root-location sweep over a host graph we would otherwise redo the
-# same small-subgraph enumeration many times. Instead, for every k-subset of
-# host vertices we read off the induced edge bitmask and look up (or build,
-# by exhaustive bijection enumeration) a table of rooted counts for that
-# labelled k-graph. The table is keyed by (k, mask, pattern); entries are
-# computed by the same injective-map semantics as above.
+# The three kinds of work the module docstring describes, and where each
+# is kept:
+#   - labelled copies, once per rooted pattern: a bounded cache keyed by
+#     (order, edges, root);
+#   - the mask list, once per host and k: a bounded cache keyed by
+#     (n, edges, k), so every pattern of one order shares one subset scan.
+#     It keeps only the masks, as 64-bit words in combinations order (room
+#     for the 55 pairs of order 11); the subsets are generated again
+#     alongside them;
+#   - mask tables, once per call and distinct mask: a mask with fewer edges
+#     than the pattern gets an empty table without a scan.
+# Local vertices are 0..k-1; bit b of a bitmask is the b-th local pair in
+# combinations(range(k), 2) order.
 
-_mask_tables: dict[tuple, dict] = {}
-
-
-def _pattern_key(pattern: Graph, root: tuple) -> tuple:
-    return (pattern.n, pattern.edges, root)
-
-
-def _subset_masks(G: Graph, k: int):
-    """Yield (subset, mask) for every k-subset; mask bit for pair (p, q)."""
-    from itertools import combinations
-    verts = range(G.n)
-    pairs = list(combinations(range(k), 2))
-    for subset in combinations(verts, k):
-        mask = 0
-        for b, (p, q) in enumerate(pairs):
-            if G.has_edge(subset[p], subset[q]):
-                mask |= 1 << b
-        yield subset, mask
-
-
-def _mask_table(k: int, mask: int, pattern: Graph, root: tuple,
-                rooted_on_edge: bool) -> dict:
-    """Rooted counts of ``pattern`` inside the labelled k-graph ``mask``.
-
-    Returns {local_location: count} where a location is a directed local
-    pair (a, b) for edge roots or a single local vertex for vertex roots.
-    """
-    key = (k, mask, _pattern_key(pattern, root), rooted_on_edge)
-    table = _mask_tables.get(key)
-    if table is not None:
-        return table
-    from itertools import combinations, permutations
-    pairs = list(combinations(range(k), 2))
+@lru_cache(maxsize=1024)
+def _labelled_copies(k: int, edges: tuple, root: tuple) -> tuple:
+    """(edge bitmask, root image, copies) for each labelled copy of the
+    pattern (k, edges) rooted at ``root`` on local vertices 0..k-1."""
     bit = {}
-    for b, (p, q) in enumerate(pairs):
-        bit[(p, q)] = b
-        bit[(q, p)] = b
-    pedges = pattern.edges
+    for b, (p, q) in enumerate(combinations(range(k), 2)):
+        bit[(p, q)] = bit[(q, p)] = 1 << b
     counts: Counter = Counter()
-    for perm in permutations(range(k), pattern.n):
-        ok = True
-        for u, v in pedges:
-            if not (mask >> bit[(perm[u], perm[v])]) & 1:
-                ok = False
-                break
-        if ok:
-            if rooted_on_edge:
-                counts[(perm[root[0]], perm[root[1]])] += 1
-            else:
-                counts[perm[root[0]]] += 1
-    aut = automorphism_count_fixing(pattern, root)
-    table = {}
-    for loc, c in counts.items():
+    for perm in permutations(range(k)):
+        bits = 0
+        for u, v in edges:
+            bits |= bit[(perm[u], perm[v])]
+        counts[(bits, tuple(perm[r] for r in root))] += 1
+    aut = automorphism_count_fixing(Graph(k, edges), root)
+    out = []
+    for (bits, image), c in sorted(counts.items()):
         if c % aut:
             raise AssertionError("rooted table count not divisible by aut")
-        table[loc] = c // aut
-    _mask_tables[key] = table
-    return table
+        out.append((bits, image, c // aut))
+    return tuple(out)
+
+
+@lru_cache(maxsize=8)
+def _subset_masks(n: int, edges: tuple, k: int) -> array:
+    """The induced edge bitmask of every k-subset of the host, in
+    ``combinations(range(n), k)`` order (8 bytes per subset)."""
+    adj = [0] * n
+    for u, v in edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    pairs = list(enumerate(combinations(range(k), 2)))
+    masks = array("Q")
+    for subset in combinations(range(n), k):
+        mask = 0
+        for b, (p, q) in pairs:
+            if adj[subset[p]] >> subset[q] & 1:
+                mask |= 1 << b
+        masks.append(mask)
+    return masks
+
+
+def _located_tables(pattern: Graph, root: tuple, G: Graph):
+    """Yield (subset, ((root image, copies), ...)) for every k-subset of
+    ``G`` that holds a copy of the rooted pattern."""
+    k = pattern.n
+    copies = _labelled_copies(k, pattern.edges, root)
+    size = pattern.m
+    tables: dict[int, tuple] = {}
+    for subset, mask in zip(combinations(range(G.n), k),
+                            _subset_masks(G.n, G.edges, k)):
+        table = tables.get(mask)
+        if table is None:
+            counts: Counter = Counter()
+            if mask.bit_count() >= size:
+                for bits, image, c in copies:
+                    if not bits & ~mask:
+                        counts[image] += c
+            table = tables[mask] = tuple(counts.items())
+        if table:
+            yield subset, table
 
 
 def edge_rooted_vector(pattern: Graph, root: tuple[int, int], G: Graph,
@@ -374,10 +395,10 @@ def edge_rooted_vector(pattern: Graph, root: tuple[int, int], G: Graph,
     out = [0] * index.size
     if pattern.n > G.n:
         return out
-    for subset, mask in _subset_masks(G, pattern.n):
-        table = _mask_table(pattern.n, mask, pattern, tuple(root), True)
-        for (la, lb), c in table.items():
-            out[index.id_of[(subset[la], subset[lb])]] += c
+    id_of = index.id_of
+    for subset, table in _located_tables(pattern, tuple(root), G):
+        for (la, lb), c in table:
+            out[id_of[(subset[la], subset[lb])]] += c
     return out
 
 
@@ -388,9 +409,8 @@ def vertex_rooted_vector(pattern: Graph, root: int, G: Graph,
     out = [0] * G.n
     if pattern.n > G.n:
         return out
-    for subset, mask in _subset_masks(G, pattern.n):
-        table = _mask_table(pattern.n, mask, pattern, (root,), False)
-        for lv, c in table.items():
+    for subset, table in _located_tables(pattern, (root,), G):
+        for (lv,), c in table:
             out[subset[lv]] += c
     return out
 

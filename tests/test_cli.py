@@ -233,6 +233,36 @@ def test_generic_counter_roundtrip(runner, k4_file, tmp_path):
         "verified": True, "checked": 1}
 
 
+def test_oracle_check_evaluates_each_generic_counter_once(runner, tmp_path,
+                                                         monkeypatch):
+    host = tmp_path / "c9.txt"
+    host.write_text("".join(f"{i} {(i + 1) % 9}\n" for i in range(9)))
+    triangle = tmp_path / "triangle.txt"
+    triangle.write_text(PATTERN_TEXT)
+    paw = tmp_path / "paw.txt"
+    paw.write_text("r: a\ns: b c\na b\na c\nb c\nc d\n")
+    accepted, refused = f"generic:{triangle}", f"generic:{paw}"
+    calls = []
+    real = cli.eval_formula
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+    monkeypatch.setattr(cli, "eval_formula", counted)
+    result = runner.invoke(main, [
+        "--input", str(host), "--counts", f"{accepted},{refused}",
+        "--oracle-check"])
+    assert result.exit_code == 2
+    assert len(calls) == 2
+    report = json.loads(result.stdout)
+    assert report["oracle_check"][accepted] == {"verified": True,
+                                                "checked": 1}
+    # the cell budget refuses the paw on nine vertices; the check says why
+    assert report["oracle_check"][refused] == {
+        "status": f"skipped: {report['errors'][refused]}"}
+    assert set(report["errors"]) == {refused}
+
+
 def test_pattern_file_needs_root_headers(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("x y\ny z\n")
@@ -275,4 +305,5 @@ def test_bench_tracer_finds_the_cli_entry_points(k4_file, tmp_path, fmt):
     rows = [json.loads(line) for line in trace.read_text().splitlines()]
     names = {row["name"] for row in rows if row["kind"] == "span"}
     assert {"cli.serialize", "cli.stage", "motifs.catalog",
-            "oracle.check"} <= names
+            "oracle.check", "oracle.edge_rooted",
+            "oracle.vertex_rooted"} <= names

@@ -7,9 +7,10 @@ certify each one independently before they are combined into cycles.
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
 
-from conftest import (complete_graph, cycle_graph, er_graph, petersen_graph,
-                      wheel_graph)
+from conftest import (complete_graph, cycle_graph, differential_hosts,
+                      er_graph, petersen_graph, wheel_graph)
 from nbcensus.cycle_census import (C_NAMES, CYCLE_CORRECTION_COEFFICIENTS,
                                    F_NAMES, class_shape,
                                    class_walk_multiplicity,
@@ -64,6 +65,13 @@ def test_bipartite_has_even_cycles_only():
 def test_census_matches_brute_force(g):
     rep = full_census(EdgeSpace(g))
     assert rep.cycle_counts == census_dict(g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(differential_hosts())
+@example(Graph(0, []))
+def test_census_matches_brute_force_on_degenerate_hosts(g):
+    assert full_census(EdgeSpace(g)).cycle_counts == census_dict(g)
 
 
 def test_corrections_are_subgraph_counts():

@@ -13,7 +13,8 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import complete_graph, cycle_graph, er_graph, petersen_graph
+from conftest import (complete_graph, cycle_graph, degenerate_graphs,
+                      er_graph, petersen_graph)
 from nbcensus.edge_matrix import (ATOMS, EdgeSpace, Evaluator,
                                   IntegrityError, checked_binom,
                                   checked_hadamard, checked_matmul,
@@ -201,45 +202,8 @@ def test_trace_matches_row_blocked_reference(petersen):
             assert space.trace(k) == row_blocked_trace(space, k, block), k
 
 
-@st.composite
-def forests(draw):
-    n = draw(st.integers(1, 9))
-    return Graph(n, [(v, draw(st.integers(0, v - 1))) for v in range(1, n)
-                     if draw(st.booleans())])
-
-
-@st.composite
-def clique_unions(draw):
-    """Disjoint small cliques; size-1 cliques are isolated vertices."""
-    edges, n = [], 0
-    for size in draw(st.lists(st.integers(1, 5), min_size=1, max_size=3)):
-        edges += itertools.combinations(range(n, n + size), 2)
-        n += size
-    return Graph(n, edges)
-
-
-@st.composite
-def pendant_heavy(draw):
-    core = draw(st.integers(1, 4))
-    leaves = draw(st.lists(st.integers(0, core - 1), max_size=8))
-    return Graph(core + len(leaves),
-                 list(itertools.combinations(range(core), 2))
-                 + [(v, core + i) for i, v in enumerate(leaves)])
-
-
-@st.composite
-def sparse_graphs(draw):
-    """Few edges over up to 9 vertices: isolated vertices, several
-    components."""
-    n = draw(st.integers(2, 9))
-    pairs = list(itertools.combinations(range(n), 2))
-    return Graph(n, draw(st.lists(st.sampled_from(pairs), max_size=n,
-                                  unique=True)))
-
-
 @settings(max_examples=80, deadline=None)
-@given(st.one_of(st.integers(0, 5).map(lambda n: Graph(n, [])), forests(),
-                 clique_unions(), pendant_heavy(), sparse_graphs()))
+@given(degenerate_graphs())
 @example(Graph(0, []))
 def test_trace_matches_dense_power_on_degenerate_graphs(g):
     """Graph(0, []), edgeless graphs and forests make m - n, and with it

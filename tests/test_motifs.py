@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
-from conftest import complete_graph, cycle_graph, er_graph, wheel_graph
+from conftest import (complete_graph, cycle_graph, differential_hosts,
+                      er_graph, wheel_graph)
 from nbcensus import catalog
 from nbcensus.connection import RootedGraph
 from nbcensus.edge_matrix import EdgeSpace
@@ -156,3 +158,15 @@ def test_k6_against_order6_evaluator():
     via_pairs = eval_order6_edge(space, RootedGraph(complete_graph(6),
                                                    (0, 1), ()))
     assert list(via_steps.values) == list(via_pairs.values)
+
+
+@settings(max_examples=60, deadline=None)
+@given(differential_hosts())
+@example(Graph(0, []))
+@example(complete_graph(8))
+def test_catalog_matches_oracle_on_degenerate_hosts(g):
+    space = EdgeSpace(g)
+    for order in (3, 4, 5):
+        assert_against_oracle(order_values(space, order), g)
+    assert list(eval_k6_edge(space).values) == edge_rooted_vector(
+        complete_graph(6), (0, 1), g)

@@ -5,10 +5,16 @@ close to first principles: tiny fixtures with hand-checked values, plus
 agreement between the two independent rooted-count strategies.
 """
 
-import pytest
-from hypothesis import given, settings, strategies as st
+from collections import Counter
+from functools import lru_cache
+from itertools import combinations, permutations
 
-from conftest import complete_graph, cycle_graph, er_graph, petersen_graph
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from conftest import (complete_graph, cycle_graph, differential_hosts,
+                      er_graph, petersen_graph)
+from nbcensus import catalog
 from nbcensus.connection import RootedGraph
 from nbcensus.edge_matrix import EdgeSpace
 from nbcensus.graphs import DirectedEdgeIndex, Graph
@@ -22,6 +28,23 @@ from nbcensus.oracle import (OracleConfig, OracleGuardError,
 
 PATH3 = Graph(3, [(0, 1), (1, 2)])
 TRIANGLE = complete_graph(3)
+K6 = complete_graph(6)
+
+
+def rooted_patterns():
+    """(shape, root, edge rooted?) for every order 3..5 catalog id, and K6
+    rooted on an edge."""
+    out = []
+    for order in (3, 4, 5):
+        edge, vertex = catalog.entries_for_order(order)
+        for mid in (*edge, *vertex):
+            shape, root = catalog.pattern_for(mid)
+            out.append((shape, tuple(root), mid in edge))
+    out.append((K6, (0, 1), True))
+    return out
+
+
+ROOTED_PATTERNS = rooted_patterns()
 
 
 def test_automorphism_group_sizes():
@@ -180,3 +203,73 @@ def test_rooted_strategies_agree_property(seed):
     j = ((seed // 7) % host.n, (seed // 49) % host.n)
     assert (count_rooted_copies(F, host, (i0,), j)
             == count_rooted_copies_dedup(F, host, (i0,), j))
+
+
+# The oracle's former whole-vector route, kept as the reference: for every
+# k-subset of the host, every one of the k! placements of the pattern is
+# checked against the induced edges, the hits are tallied by root location
+# and divided by the automorphisms fixing the root.
+
+@lru_cache(maxsize=None)
+def reference_table(k, mask, edges, root):
+    pairs = list(combinations(range(k), 2))
+    bit = {}
+    for b, (p, q) in enumerate(pairs):
+        bit[(p, q)] = bit[(q, p)] = b
+    counts = Counter()
+    for perm in permutations(range(k)):
+        if all((mask >> bit[(perm[u], perm[v])]) & 1 for u, v in edges):
+            counts[tuple(perm[r] for r in root)] += 1
+    aut = automorphism_count_fixing(Graph(k, edges), root)
+    assert all(c % aut == 0 for c in counts.values())
+    return {loc: c // aut for loc, c in counts.items()}
+
+
+def reference_counts(pattern, root, host):
+    """{host root location: rooted copies} by the permutation tables."""
+    k = pattern.n
+    pairs = list(combinations(range(k), 2))
+    out = Counter()
+    for subset in combinations(range(host.n), k):
+        mask = sum(1 << b for b, (p, q) in enumerate(pairs)
+                   if host.has_edge(subset[p], subset[q]))
+        for loc, c in reference_table(k, mask, pattern.edges, root).items():
+            out[tuple(subset[v] for v in loc)] += c
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(differential_hosts())
+@example(Graph(0, []))
+@example(Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]))
+@example(complete_graph(8))
+def test_vectors_match_permutation_tables(host):
+    index = DirectedEdgeIndex(host)
+    for shape, root, on_edge in ROOTED_PATTERNS:
+        want = reference_counts(shape, root, host)
+        if on_edge:
+            got = edge_rooted_vector(shape, root, host, index)
+            locations = zip(index.tail, index.head)
+        else:
+            got = vertex_rooted_vector(shape, root[0], host)
+            locations = ((v,) for v in range(host.n))
+        assert got == [want[loc] for loc in locations], (shape.edges, root)
+        assert sum(got) == sum(want.values()), (shape.edges, root)
+
+
+@pytest.mark.parametrize("mid", ["X032", "X051", "X141", "X011v", "X204v",
+                                 "X102v"])
+def test_order5_vectors_match_dedup_pointwise(mid):
+    host = er_graph(7, 0.7, 52)
+    shape, root = catalog.pattern_for(mid)
+    F = RootedGraph(shape, tuple(root), ())
+    if len(root) == 2:
+        index = DirectedEdgeIndex(host)
+        vec = edge_rooted_vector(shape, tuple(root), host, index)
+        locations = list(zip(index.tail, index.head))
+    else:
+        vec = vertex_rooted_vector(shape, root[0], host)
+        locations = [(v,) for v in range(host.n)]
+    assert any(vec)
+    assert vec == [count_rooted_copies_dedup(F, host, loc, ())
+                   for loc in locations]
