@@ -25,6 +25,7 @@ import json
 from functools import lru_cache
 from importlib import resources
 
+from .edge_matrix import MEETS
 from .graphs import Graph
 
 # shared subtrees -----------------------------------------------------------
@@ -33,6 +34,11 @@ _SQL = ("had", "square", ("rowrev", "B2"))
 _SQR = ("had", "square", ("colrev", "B2"))
 _B1 = ("rowsum", "B")
 _TRI1 = ("rowsum", "tri")
+# B^3 and the chordless three-step (B^3 less MEETS) are read only through
+# masks, so the entries read them as masked products over B^2
+_B3T = ("hadmm", ("T", "B"), "B2")                   # B^3 masked by B^T
+_C3TWIN = ("hadnot", ("hadmm", ("colrev", "B2"), "B2"),
+           MEETS)                                    # chordless3 by colrev B^2
 
 
 def _expr(tree):
@@ -108,18 +114,19 @@ EDGE_ORDER5 = {
     "X025": _expr(("sub", ("mm", "B", ("binom", _B1, 2)), ("rowsum", "texit"))),
     "X026": _rev("X025"),
     # 03
-    "X031": _expr(("rowsum", "chordless3")),
+    "X031": _expr(("sub", ("mm", "B2", _B1),
+                   ("rowsum", ("hadmm", MEETS, "B2")))),
     "X032": _rev("X031"),
     "X033": _expr(("sub", ("sub", ("had", ("rowsum", "wedge"), ("rowrev", _B1)),
                            ("rowsum", "square")), ("rowsum", "texit"))),
     "X034": _rev("X033"),
     # 04
-    "X041": _expr(("div", ("rowsum", ("had", "chordless3", ("colrev", "B2"))), 2)),
+    "X041": _expr(("div", ("rowsum", _C3TWIN), 2)),
     "X042": _rev("X041"),
     "X043": _expr(("sub", ("had", ("rowsum", "square"),
                            ("sshift", ("rowrev", _B1), 1)), ("rowsum", _SQL))),
     "X044": _rev("X043"),
-    "X045": _expr(("colsum", ("had", "chordless3", ("colrev", "B2")))),
+    "X045": _expr(("colsum", _C3TWIN)),
     "X046": _rev("X045"),
     # 05
     # The degree factor here reads off the far endpoint of the reversed
@@ -132,7 +139,7 @@ EDGE_ORDER5 = {
     "X055": _expr(("div", ("rowsum", ("sub", ("mm", "texit", ("rowrev", "B")),
                                       ("scale", "texit", 2, 1))), 2)),
     # 06
-    "X061": _expr(("rowsum", ("had", "B3", ("T", "B2")))),
+    "X061": _expr(("rowsum", ("hadmm", ("T", "B2"), "B2"))),
     # 07
     "X071": _expr(("div", ("rowsum", ("had", "crossed", "join")), 6)),
     # 08
@@ -165,8 +172,8 @@ EDGE_ORDER5 = {
                    ("scale", ("colsum", "crossed"), 2, 1))),
     # 12
     "X121": _expr(("colsum", ("sub",
-                   ("had", "B3", ("had", ("mm", "tri", ("rowrev", "tri")),
-                                  ("T", "B"))),
+                   ("hadmm", ("had", ("mm", "tri", ("rowrev", "tri")),
+                              ("T", "B")), "B2"),
                    ("had", ("mm", "tri", ("rowrev", "tri")), ("T", "B"))))),
     "X122": _rev("X121"),
     "X123": _expr(("div", ("colsum", ("had", ("mm", "square", "tri"), "B2")), 2)),
@@ -182,8 +189,8 @@ EDGE_ORDER5 = {
                               "crossed"))),
     "X136": _rev("X135"),
     "X137": _expr(("rowsum", ("sub",
-                   ("sub", ("mm", ("had", ("had", "B3", "B2"), ("T", "B")), "tri"),
-                    ("had", ("had", "B3", "B2"), ("T", "B"))),
+                   ("sub", ("mm", ("hadmm", "tri", "B2"), "tri"),
+                    ("hadmm", "tri", "B2")),
                    "crossed"))),
     # 14
     "X141": _expr(("binom", _TRI1, 3)),
@@ -221,8 +228,8 @@ EDGE_ORDER5 = {
     "X181": _expr(("rowsum", ("hadnot", ("hadnot", ("mm", "tri", "square"),
                                          ("colrev", "B")), "B"))),
     "X182": _rev("X181"),
-    "X183": _expr(("rowsum", ("sub", ("hadnot", ("mm", ("had", "B3", ("T", "B")),
-                                                 "tri"), "B"), _SQL))),
+    "X183": _expr(("rowsum", ("sub", ("hadnot", ("mm", _B3T, "tri"), "B"),
+                              _SQL))),
     "X184": _rev("X183"),
     "X185": _expr(("colsum", ("hadnot", ("hadnot", ("mm", "tri", "square"),
                                          ("colrev", "B")), "B"))),
@@ -230,7 +237,7 @@ EDGE_ORDER5 = {
                    ("rowsum", ("had", "square",
                                ("add", ("colrev", "B2"), ("rowrev", "B2")))))),
     # 19
-    "X191": _expr(("colsum", ("binom", ("had", "B3", ("T", "B")), 2))),
+    "X191": _expr(("colsum", ("binom", _B3T, 2))),
     "X192": _rev("X191"),
     # 20
     "X201": _expr(("div", ("colsum",

@@ -34,7 +34,7 @@ from importlib import resources
 from . import oracle
 from .catalog import _SQL, _SQR
 from .edge_matrix import (EdgeSpace, Evaluator, IntegrityError,
-                          exact_div)
+                          exact_div, last_uses)
 from .graphs import Graph
 
 F_NAMES = tuple(f"F{i}" for i in range(1, 36))
@@ -128,7 +128,7 @@ CORRECTIONS: tuple[tuple[str, tuple, tuple[tuple[int, str], ...], int], ...] = (
      ((8, "F2"), (4, "F9"), (24, "F5")), 4),
     ("F22", _inner(_QLOOP, ("rowsum", _SQL)),
      ((48, "F7"), (4, "F9"), (8, "F19")), 4),
-    ("F23", ("total", ("had", _SQR, "B4")),
+    ("F23", ("total", ("hadmm", _SQR, "B3")),
      ((24, "F7"), (2, "F9"), (4, "F19")), 1),
     # the trailing three-step here carries a column reversal the printed
     # form drops; without it the entry matches no shape
@@ -146,7 +146,7 @@ CORRECTIONS: tuple[tuple[str, tuple, tuple[tuple[int, str], ...], int], ...] = (
      ((12, "F2"), (8, "F4"), (36, "F5"), (8, "F6"), (24, "F7"),
       (6, "F9"), (12, "F18"), (4, "F19"), (4, "F21"), (3, "F23"),
       (4, "F24")), 4),
-    ("F29", ("total", ("had", ("had", ("had", "B", "B4"), ("rowrev", "B3")),
+    ("F29", ("total", ("had", ("had", ("hadmm", "B", "B3"), ("rowrev", "B3")),
                        ("colrev", "B3"))),
      ((8, "F2"), (16, "F3"), (24, "F5"), (24, "F7"), (14, "F9"),
       (28, "F21")), 48),
@@ -171,13 +171,6 @@ CORRECTIONS: tuple[tuple[str, tuple, tuple[tuple[int, str], ...], int], ...] = (
 )
 
 
-def _subtrees(expr):
-    if isinstance(expr, tuple):
-        yield expr
-        for child in expr[1:]:
-            yield from _subtrees(child)
-
-
 def eval_walk_corrections(space: EdgeSpace) -> dict[str, int]:
     """Evaluate the thirty-five correction counts, keyed "F1".."F35".
 
@@ -186,8 +179,7 @@ def eval_walk_corrections(space: EdgeSpace) -> dict[str, int]:
     forgotten after the last entry that uses it, so the memo never holds
     more than the entries still to come need.
     """
-    last_use = {sub: i for i, (_, main, _, _) in enumerate(CORRECTIONS)
-                for sub in _subtrees(main)}
+    done = last_uses([main for _, main, _, _ in CORRECTIONS])
     ev = Evaluator(space)
     f: dict[str, int] = {}
     for i, (name, main, coefs, divisor) in enumerate(CORRECTIONS):
@@ -200,7 +192,7 @@ def eval_walk_corrections(space: EdgeSpace) -> dict[str, int]:
         if out < 0:
             raise IntegrityError(f"{name}: negative count {out}")
         f[name] = out
-        ev.forget(sub for sub, last in last_use.items() if last == i)
+        ev.forget(done[i])
     return f
 
 
@@ -247,7 +239,7 @@ def full_census(space: EdgeSpace) -> CensusReport:
     """Corrections and cycle totals for one graph, sharing the power cache.
 
     The traces come first, so the vertex-space powers behind them are
-    freed before B^4 and the correction evaluator's memo are resident.
+    freed before B^3 and the correction evaluator's memo are resident.
     """
     traces = {k: space.trace(k) for k in range(4, 10)}
     f = eval_walk_corrections(space)

@@ -16,16 +16,24 @@ Expression language of ``Evaluator`` (nested tuples, first element is the
 op name), used by the catalog, the F1..F35 census and the constructive
 engine alike:
   atoms (strings): "B" (the non-backtracking matrix), "I" (the identity
-      over directed edges), and every name of the ATOMS table: the powers
-      "B2".."B4", the step matrices "tri", "wedge", "square", "crossed",
-      "twin", "texit", "chordless3", "join", and "d3".."d6" (the
-      diagonals of B^3..B^6). Each ATOMS entry is itself a definition in
-      this language, which ``EdgeSpace.atom`` evaluates once and caches.
+      over directed edges), "H" (the head incidence, directed edges by
+      vertices: H[e, v] = 1 iff e ends at v), and every name of the ATOMS
+      table: the powers "B2".."B3", the step matrices "tri", "wedge",
+      "square", "crossed", "twin", "texit", "chordless3", "join", and
+      "d3".."d6" (the diagonals of B^3..B^6). Each ATOMS entry is itself a
+      definition in this language, which ``EdgeSpace.atom`` evaluates once
+      and caches.
   ("T", X)            matrix transpose
   ("rowrev", X)       index reversal on rows (vectors: the whole index)
   ("colrev", X)       index reversal on columns
   ("mm", X, Y)        matrix product (or matrix-vector when Y is a vector)
   ("had", X, Y)       entrywise product of like-shaped operands
+  ("hadmm", M, X)     ("had", M, ("mm", X, "B")), computed only at the
+                      stored entries of M (a masked product: X·B is never
+                      built). From B = H·T^T - J, with T the tail incidence
+                      and J the reversal, its value at (e, f) is
+                      M[e, f] * ((X·H)[e, tail f] - X[e, rev f]); X·H is
+                      the memoized node ("mm", X, "H").
   ("hadnot", X, M)    zero out entries of X wherever M is nonzero
   ("add", X, Y), ("sub", X, Y)
   ("sshift", X, c)    subtract the integer c from every vector entry
@@ -198,29 +206,36 @@ def exact_div(x, d: int, label: str):
     return x // d
 
 
-def nonbacktracking_matrix(index: DirectedEdgeIndex) -> sp.csr_matrix:
-    """B[e, f] = 1 iff f starts where e ends and f is not e reversed."""
-    tail = np.asarray(index.tail, dtype=np.int64)
-    head = np.asarray(index.head, dtype=np.int64)
+def nonbacktracking_matrix(tail: np.ndarray, head: np.ndarray,
+                           n: int) -> sp.csr_matrix:
+    """B[e, f] = 1 iff f starts where e ends and f is not e reversed, from
+    the int64 endpoint arrays of the directed edges over n vertices."""
+    size = tail.size
     # row e lists the edges leaving head[e], ids ascending, less rev e
     by_tail = np.argsort(tail, kind="stable")
-    out_deg = np.bincount(tail, minlength=index.graph.n)
+    out_deg = np.bincount(tail, minlength=n)
     width = out_deg[head]
     cols = by_tail[np.arange(width.sum()) + np.repeat(
         np.cumsum(out_deg)[head] - np.cumsum(width), width)]
-    cols = cols[cols != np.repeat(np.arange(index.size) ^ 1, width)]
+    cols = cols[cols != np.repeat(np.arange(size) ^ 1, width)]
     indptr = np.concatenate(([0], np.cumsum(width - 1)))
     return sp.csr_matrix((np.ones(cols.size, dtype=np.int64), cols, indptr),
-                         shape=(index.size, index.size))
+                         shape=(size, size))
 
 
-# The named atoms of the expression language beyond "B" and the identity
-# "I" over directed edges: name -> (EdgeSpace cache key, definition over
+# [e, f] set where f meets an endpoint of e other than as a next step: f
+# steps into e (B^T), f ends where e ends (colrev B), f starts where e
+# starts (rowrev B), or f is e (I). The four parts are disjoint, so it is
+# 0/1.
+MEETS = ("add", ("add", ("add", ("T", "B"), ("colrev", "B")), ("rowrev", "B")),
+         "I")
+
+# The named atoms of the expression language beyond "B", the identity "I"
+# over directed edges and the head incidence "H": name -> (EdgeSpace cache key, definition over
 # "B", "I" and earlier atoms). EdgeSpace.atom builds each one on first use.
 ATOMS = {
     "B2": (("pow", 2), ("mm", "B", "B")),
     "B3": (("pow", 3), ("mm", "B2", "B")),
-    "B4": (("pow", 4), ("mm", "B3", "B")),
     # two-steps closed into a triangle by the reverse single step
     "tri": ("triangle_step", ("had", "B2", ("T", "B"))),
     # two-steps whose endpoints do not bound a triangle
@@ -240,13 +255,11 @@ ATOMS = {
     # dropped where the far edge meets the starting one (the reverse step
     # or either reversal-conjugate of B) and on the diagonal (the closed
     # walks around a triangle, which the index masks cannot see)
-    "chordless3": ("chordless_three_step", ("hadnot", "B3", (
-        "add", ("add", ("add", ("T", "B"), ("colrev", "B")), ("rowrev", "B")),
-        "I"))),
+    "chordless3": ("chordless_three_step", ("hadnot", "B3", MEETS)),
     # bowties: a triangle over e joined at one apex to a second triangle
     # whose far edge is f
     "join": ("triangle_join_step", ("mm", "texit", ("rowrev", "tri"))),
-    # diag(B^(i+j)) pairs B^i with the transpose of B^j; powers above B^4
+    # diag(B^(i+j)) pairs B^i with the transpose of B^j; powers above B^3
     # are never held in memory
     "d3": ("diag3", ("rowsum", "tri")),
     "d4": ("diag4", ("rowsum", "square")),
@@ -265,6 +278,8 @@ class EdgeSpace:
     def __init__(self, graph: Graph, index: DirectedEdgeIndex | None = None):
         self.graph = graph
         self.index = index if index is not None else DirectedEdgeIndex(graph)
+        self.tail = np.asarray(self.index.tail, dtype=np.int64)
+        self.head = np.asarray(self.index.head, dtype=np.int64)
         self.rev = np.arange(self.index.size, dtype=np.int64) ^ 1
         self.stats: dict = {"peak_product_nnz": 0}
         self._cache: dict = {}
@@ -286,6 +301,25 @@ class EdgeSpace:
     def revvec(self, v):
         return np.asarray(v)[self.rev]
 
+    def masked_step(self, M, X, XH, label):
+        """M times X·B entrywise, read only at the stored entries of M, from
+        X and XH = X·H: (X·B)[e, f] = XH[e, tail f] - X[e, rev f]."""
+        M = M.tocsr()
+        if not M.nnz:
+            return sp.csr_matrix(M.shape, dtype=np.int64)
+        rows = np.repeat(np.arange(M.shape[0]), np.diff(M.indptr))
+        # sorted in place, values unchanged: a gather from a matrix without
+        # sorted indices scans whole rows
+        X.sum_duplicates()
+        XH.sum_duplicates()
+        steps = checked_add(np.asarray(XH[rows, self.tail[M.indices]]).ravel(),
+                            np.asarray(X[rows, self.rev[M.indices]]).ravel(),
+                            label, -1)
+        out = sp.csr_matrix((checked_hadamard(M.data, steps, label),
+                             M.indices.copy(), M.indptr.copy()), shape=M.shape)
+        out.eliminate_zeros()
+        return out
+
     # -- atoms -----------------------------------------------------------
 
     def _get(self, key, build):
@@ -297,23 +331,29 @@ class EdgeSpace:
 
     @property
     def B(self) -> sp.csr_matrix:
-        return self._get("B", lambda: nonbacktracking_matrix(self.index))
+        return self._get("B", lambda: nonbacktracking_matrix(
+            self.tail, self.head, self.graph.n))
 
     def atom(self, name: str):
-        """B, the uncached identity I, or an ATOMS entry evaluated from its
-        definition (each by its own Evaluator, so the intermediates die
-        with the build) and cached under the entry's key."""
+        """B, the uncached identity I and head incidence H, or an ATOMS
+        entry evaluated from its definition (each by its own Evaluator, so
+        the intermediates die with the build) and cached under the entry's
+        key."""
         if name == "B":
             return self.B
         if name == "I":
             return sp.identity(self.size, dtype=np.int64, format="csr")
+        if name == "H":
+            return sp.csr_matrix(
+                (np.ones(self.size, dtype=np.int64), self.head,
+                 np.arange(self.size + 1)), shape=(self.size, self.graph.n))
         key, definition = ATOMS[name]
         return self._get(key, lambda: Evaluator(self).eval(definition))
 
     def power(self, k: int) -> sp.csr_matrix:
-        """B^k for 1 <= k <= 4; higher powers are never materialized."""
-        if not 1 <= k <= 4:
-            raise ValueError("only powers 1..4 are materialized")
+        """B^k for 1 <= k <= 3; higher powers are never materialized."""
+        if not 1 <= k <= 3:
+            raise ValueError("only powers 1..3 are materialized")
         return self.atom("B" if k == 1 else f"B{k}")
 
     def diag(self, k: int) -> np.ndarray:
@@ -357,11 +397,10 @@ class EdgeSpace:
         of B~ are dropped on return."""
         start = time.perf_counter()
         n, m = self.graph.n, self.graph.m
-        tail = np.asarray(self.index.tail, dtype=np.int64)
-        head = np.asarray(self.index.head, dtype=np.int64)
-        A = sp.csr_matrix((np.ones(self.size, dtype=np.int64), (tail, head)),
-                          shape=(n, n), dtype=np.int64)
-        step = sp.bmat([[A, sp.diags(1 - np.bincount(tail, minlength=n),
+        A = sp.csr_matrix((np.ones(self.size, dtype=np.int64),
+                           (self.tail, self.head)), shape=(n, n),
+                          dtype=np.int64)
+        step = sp.bmat([[A, sp.diags(1 - np.bincount(self.tail, minlength=n),
                                      dtype=np.int64)],
                         [sp.identity(n, dtype=np.int64), None]],
                        format="csr", dtype=np.int64)
@@ -391,7 +430,7 @@ class EdgeSpace:
             raise ValueError("gamma expects a directed-edge-indexed vector")
         _check_sums(v, None, "gamma")
         out = np.zeros(self.graph.n, dtype=v.dtype)
-        np.add.at(out, np.asarray(self.index.tail, dtype=np.int64), v)
+        np.add.at(out, self.tail, v)
         return out
 
 
@@ -409,6 +448,31 @@ class _Label:
 
     def __str__(self) -> str:
         return repr(self.node)[:80] + self.note
+
+
+def _subexpressions(expr):
+    """The nodes an Evaluator memoizes while evaluating ``expr``: every tuple
+    subtree, and the product X·H read by each ("hadmm", M, X)."""
+    if isinstance(expr, tuple):
+        yield expr
+        if expr[0] == "hadmm":
+            yield ("mm", expr[2], "H")
+        for child in expr[1:]:
+            yield from _subexpressions(child)
+
+
+def last_uses(exprs) -> list[list]:
+    """For a sequence of expressions evaluated in order (None for a position
+    that evaluates none): at each position, the subexpressions no later
+    expression reads, which the Evaluator can forget once it is there."""
+    last = {}
+    for i, expr in enumerate(exprs):
+        for sub in _subexpressions(expr):
+            last[sub] = i
+    out: list[list] = [[] for _ in exprs]
+    for sub, i in last.items():
+        out[i].append(sub)
+    return out
 
 
 class Evaluator:
@@ -460,6 +524,10 @@ class Evaluator:
         if op == "had":
             return checked_hadamard(self.eval(expr[1]), self.eval(expr[2]),
                                     label)
+        if op == "hadmm":
+            _, m, x = expr
+            return s.masked_step(self.eval(m), self.eval(x),
+                                 self.eval(("mm", x, "H")), label)
         if op == "kron":
             return checked_kron(self.eval(expr[1]), self.eval(expr[2]), label)
         if op == "hadnot":

@@ -22,7 +22,7 @@ import numpy as np
 
 from .edge_matrix import (EdgeSpace, Evaluator, IntegrityError,
                           checked_hadamard, checked_matmul, checked_scale,
-                          checked_total, exact_div)
+                          checked_total, exact_div, last_uses)
 from .graphs import Graph
 from .oracle import automorphism_count_fixing
 
@@ -54,8 +54,12 @@ def evaluate_catalog(space: EdgeSpace, entries: dict,
 
     With ``collect_errors`` given, an entry whose evaluation raises an
     IntegrityError is skipped and the error recorded under its id instead
-    of aborting the whole block.
+    of aborting the whole block. The evaluator's memo shares subexpressions
+    between entries and forgets each after the last entry that reads it (an
+    entry is evaluated at its own position or, when a sibling refers to it,
+    earlier).
     """
+    done = last_uses([entry.get("expr") for entry in entries.values()])
     ev = Evaluator(space)
     values: dict[str, np.ndarray] = {}
 
@@ -79,13 +83,14 @@ def evaluate_catalog(space: EdgeSpace, entries: dict,
         values[mid] = out
         return out
 
-    for mid in entries:
+    for mid, forget in zip(entries, done):
         try:
             value_of(mid)
         except IntegrityError as exc:
             if collect_errors is None:
                 raise
             collect_errors[mid] = str(exc)
+        ev.forget(forget)
     return values
 
 

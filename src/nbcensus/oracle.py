@@ -406,6 +406,8 @@ def vertex_rooted_vector(pattern: Graph, root: int, G: Graph,
                          config: OracleConfig = DEFAULT_CONFIG) -> list[int]:
     """Rooted copies of ``pattern`` per host vertex."""
     _check_guards(pattern, G, config)
+    if not 0 <= root < pattern.n:
+        raise ValueError("vertex root must be a vertex of the pattern")
     out = [0] * G.n
     if pattern.n > G.n:
         return out

@@ -6,17 +6,21 @@ certify each one independently before they are combined into cycles.
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import example, given, settings
 
 from conftest import (complete_graph, cycle_graph, differential_hosts,
                       er_graph, petersen_graph, wheel_graph)
-from nbcensus.cycle_census import (C_NAMES, CYCLE_CORRECTION_COEFFICIENTS,
+from nbcensus.catalog import _SQR
+from nbcensus.cycle_census import (C_NAMES, CORRECTIONS,
+                                   CYCLE_CORRECTION_COEFFICIENTS,
                                    F_NAMES, class_shape,
                                    class_walk_multiplicity,
                                    eval_walk_corrections, full_census,
                                    printed_f15_value, walk_class_oracle)
-from nbcensus.edge_matrix import EdgeSpace
+from nbcensus.edge_matrix import EdgeSpace, Evaluator
 from nbcensus.graphs import Graph
 from nbcensus.oracle import count_copies, simple_cycle_census
 
@@ -72,6 +76,35 @@ def test_census_matches_brute_force(g):
 @example(Graph(0, []))
 def test_census_matches_brute_force_on_degenerate_hosts(g):
     assert full_census(EdgeSpace(g)).cycle_counts == census_dict(g)
+
+
+class DenseB4Space(EdgeSpace):
+    """An EdgeSpace that also answers "B4", from a dense fourth power."""
+
+    def atom(self, name):
+        if name == "B4":
+            return sp.csr_matrix(np.linalg.matrix_power(self.B.toarray(), 4))
+        return super().atom(name)
+
+
+# F23's and F29's main terms as they read B^4 before the masked product
+B4_MAINS = {
+    "F23": ("total", ("had", _SQR, "B4")),
+    "F29": ("total", ("had", ("had", ("had", "B", "B4"), ("rowrev", "B3")),
+                      ("colrev", "B3"))),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(differential_hosts())
+@example(Graph(0, []))
+@example(er_graph(9, 0.5, 61))
+@example(wheel_graph(6))
+def test_masked_mains_match_the_b4_mains(g):
+    ev = Evaluator(DenseB4Space(g))
+    table = {name: main for name, main, _, _ in CORRECTIONS}
+    for name, old in B4_MAINS.items():
+        assert ev.eval(table[name]) == ev.eval(old), name
 
 
 def test_corrections_are_subgraph_counts():

@@ -14,8 +14,8 @@ import scipy.sparse as sp
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import (complete_graph, cycle_graph, degenerate_graphs,
-                      er_graph, petersen_graph)
-from nbcensus.edge_matrix import (ATOMS, EdgeSpace, Evaluator,
+                      differential_hosts, er_graph, petersen_graph)
+from nbcensus.edge_matrix import (ATOMS, MEETS, EdgeSpace, Evaluator,
                                   IntegrityError, checked_binom,
                                   checked_hadamard, checked_matmul,
                                   checked_scale, checked_total, exact_div)
@@ -124,7 +124,7 @@ def dense_atoms(g: Graph) -> dict[str, np.ndarray]:
     B3, B4 = B2 @ B, B2 @ B2
     tri, square, texit = B2 * B.T, B2 * B2.T, B2 * B2[rev]
     return {
-        "B2": B2, "B3": B3, "B4": B4,
+        "B2": B2, "B3": B3,
         "tri": tri, "wedge": B2 - tri, "square": square,
         "crossed": square * square[:, rev], "twin": B2 * B2[:, rev],
         "texit": texit, "chordless3": five_vertex_three_steps(g),
@@ -162,6 +162,61 @@ def test_chordless3_union_mask_matches_mask_chain(g):
     chain.setdiag(0)
     assert np.array_equal(space.atom("chordless3").toarray(),
                           chain.toarray())
+
+
+# masks of the masked product: 0/1 ones, one with larger entries (the
+# X121 mask) and an empty one
+MASKS = ["B", ("T", "B"), ("colrev", "B2"), "square", MEETS,
+         ("had", ("mm", "tri", ("rowrev", "tri")), ("T", "B")),
+         ("sub", "B", "B")]
+
+
+@settings(max_examples=60, deadline=None)
+@given(differential_hosts())
+@example(Graph(0, []))
+@example(petersen_graph())
+@example(er_graph(9, 0.5, 84))
+def test_masked_product_matches_dense_product(g):
+    """("hadmm", M, X) is M * (X @ B) entrywise, stored without zeros."""
+    ev = Evaluator(EdgeSpace(g))
+    B = brute_B(g)
+    for m in MASKS:
+        M = ev.eval(m).toarray()
+        for x in ("B", "B2", "B3"):
+            got = ev.eval(("hadmm", m, x))
+            assert got.dtype == np.int64 and got.shape == M.shape
+            assert np.all(got.data != 0), (m, x)
+            assert np.array_equal(got.toarray(), M * (ev.eval(x).toarray() @ B)), (m, x)
+
+
+BIG = ("scale", "B2", 2 ** 61, 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(differential_hosts())
+@example(complete_graph(4))
+def test_masked_product_refuses_where_the_full_product_does(g):
+    """Entries of 2**61 make X·B wrap on hosts with branching rows of B^2;
+    the masked product must refuse there too, and agree elsewhere."""
+    space = EdgeSpace(g)
+    for m in MASKS:
+        try:
+            want = Evaluator(space).eval(("had", m, ("mm", BIG, "B")))
+        except IntegrityError:
+            with pytest.raises(IntegrityError):
+                Evaluator(space).eval(("hadmm", m, BIG))
+            continue
+        try:
+            got = Evaluator(space).eval(("hadmm", m, BIG))
+        except IntegrityError:
+            continue            # the masked bounds may refuse earlier
+        assert np.array_equal(got.toarray(), want.toarray()), m
+
+
+def test_masked_product_refusal_names_the_node():
+    ev = Evaluator(EdgeSpace(complete_graph(4)))
+    with pytest.raises(IntegrityError, match="'mm', \\('scale', 'B2'"):
+        ev.eval(("hadmm", "B", BIG))
 
 
 def assert_traces_match_dense_power(g: Graph) -> None:

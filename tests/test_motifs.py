@@ -7,8 +7,10 @@ from hypothesis import example, given, settings
 from conftest import (complete_graph, cycle_graph, differential_hosts,
                       er_graph, wheel_graph)
 from nbcensus import catalog
+from nbcensus.catalog import _SQL
 from nbcensus.connection import RootedGraph
-from nbcensus.edge_matrix import EdgeSpace
+from nbcensus.cycle_census import CORRECTIONS
+from nbcensus.edge_matrix import ATOMS, EdgeSpace, Evaluator
 from nbcensus.graphs import Graph
 from nbcensus.motifs import (MotifId, eval_k6_edge, eval_order6_edge,
                              evaluate_catalog, pair_connection_matrix)
@@ -170,3 +172,73 @@ def test_catalog_matches_oracle_on_degenerate_hosts(g):
         assert_against_oracle(order_values(space, order), g)
     assert list(eval_k6_edge(space).values) == edge_rooted_vector(
         complete_graph(6), (0, 1), g)
+
+
+# The eight entries that read B^3 or the chordless three-step before both
+# became masked products over B^2, as they read then.
+_PAIRED = ("had", ("mm", "tri", ("rowrev", "tri")), ("T", "B"))
+_CUBE_MASKED = ("had", ("had", "B3", "B2"), ("T", "B"))
+B3_TREES = {
+    "X031": ("rowsum", "chordless3"),
+    "X041": ("div", ("rowsum", ("had", "chordless3", ("colrev", "B2"))), 2),
+    "X045": ("colsum", ("had", "chordless3", ("colrev", "B2"))),
+    "X061": ("rowsum", ("had", "B3", ("T", "B2"))),
+    "X121": ("colsum", ("sub", ("had", "B3", _PAIRED), _PAIRED)),
+    "X137": ("rowsum", ("sub", ("sub", ("mm", _CUBE_MASKED, "tri"),
+                                _CUBE_MASKED), "crossed")),
+    "X183": ("rowsum", ("sub", ("hadnot", ("mm", ("had", "B3", ("T", "B")),
+                                           "tri"), "B"), _SQL)),
+    "X191": ("colsum", ("binom", ("had", "B3", ("T", "B")), 2)),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(differential_hosts())
+@example(Graph(0, []))
+@example(wheel_graph(6))
+@example(er_graph(9, 0.6, 96))
+def test_masked_entries_match_the_b3_trees(g):
+    ev = Evaluator(EdgeSpace(g))
+    for mid, old in B3_TREES.items():
+        got = ev.eval(catalog.EDGE_ORDER5[mid]["expr"])
+        assert np.array_equal(got, ev.eval(old)), mid
+
+
+def atoms_read(tree):
+    """The atom names a tree reads, through the ATOMS definitions."""
+    if isinstance(tree, str):
+        yield tree
+        if tree in ATOMS:
+            yield from atoms_read(ATOMS[tree][1])
+    elif isinstance(tree, tuple):
+        for child in tree[1:]:
+            yield from atoms_read(child)
+
+
+def test_no_tree_reads_b4_and_the_catalog_reads_no_cube():
+    assert "B4" not in ATOMS
+    for name, main, _, _ in CORRECTIONS:
+        assert "B4" not in set(atoms_read(main)), name
+    for order in (3, 4, 5):
+        for mid, entry in catalog.entries_for_order(order)[0].items():
+            read = set(atoms_read(entry.get("expr")))
+            assert not read & {"B3", "B4", "chordless3"}, mid
+
+
+def hub_graph(hubs: int = 3, n: int = 60, reach: int = 25) -> Graph:
+    """A few high-degree hubs over a sparse random background."""
+    background = er_graph(n, 0.06, 97)
+    edges = list(background.edges)
+    for h in range(hubs):
+        edges += [(h, v) for v in range(hubs + h, n, 2)][:reach]
+    return Graph(n, edges)
+
+
+def test_catalog_builds_no_cube_on_a_hub_graph():
+    space = EdgeSpace(hub_graph())
+    for order in (3, 4, 5):
+        order_values(space, order)
+    eval_k6_edge(space)
+    assert ("pow", 2) in space._cache
+    assert ("pow", 3) not in space._cache
+    assert "chordless_three_step" not in space._cache

@@ -184,6 +184,19 @@ def test_vertex_vector_matches_pointwise_counts(petersen):
     assert vec == [3] * 10
 
 
+@pytest.mark.parametrize("root", [3, 5, -1])
+def test_vertex_vector_rejects_a_root_outside_the_pattern(root):
+    with pytest.raises(ValueError, match="vertex root must be a vertex"):
+        vertex_rooted_vector(PATH3, root, complete_graph(4))
+    with pytest.raises(ValueError, match="edge root must be an edge"):
+        edge_rooted_vector(PATH3, (0, root), complete_graph(4))
+
+
+def test_vector_on_a_host_smaller_than_the_pattern_is_zero():
+    assert vertex_rooted_vector(PATH3, 1, complete_graph(2)) == [0, 0]
+    assert edge_rooted_vector(PATH3, (0, 1), complete_graph(2)) == [0, 0]
+
+
 def test_guards_refuse_oversize_work():
     tight = OracleConfig(max_vertices=4, max_pattern_order=3)
     with pytest.raises(OracleGuardError):
