@@ -425,24 +425,6 @@ def prop1_union_same_roots(rf1: RootedFormula,
                          ("had", rf1.expr, rf2.expr))
 
 
-def _pinned_copy_edges(pattern: Graph, r, s, host: Graph, i, j):
-    """Edge set of the unique pinned copy of a fully rooted pattern, or None.
-
-    The root tuples cover every pattern vertex, so the candidate map is
-    forced; it must be consistent, injective, and edge-preserving.
-    """
-    phi = _pin_map(r, s, i, j)
-    if phi is None:
-        return None
-    edges = set()
-    for u, v in pattern.edges:
-        iu, iv = phi[u], phi[v]
-        if not host.has_edge(iu, iv):
-            return None
-        edges.add((min(iu, iv), max(iu, iv)))
-    return frozenset(edges)
-
-
 def prop1_chain(rf1: RootedFormula, rf2: RootedFormula) -> RootedFormula:
     """Glue two fully rooted patterns along shared middle roots.
 
@@ -454,7 +436,8 @@ def prop1_chain(rf1: RootedFormula, rf2: RootedFormula) -> RootedFormula:
     collide (or fail to coincide) off the glued pattern's own structure,
     and the result is divided by the number of ways the glued pattern
     splits back into its two parts, found by enumerating middle placements
-    on the pattern itself. That split count always equals the number of
+    on the pattern itself and taking each part's pinned copy from
+    ``oracle.embeddings``. That split count always equals the number of
     pattern automorphisms fixing the outer roots, which is asserted.
     """
     p1, p2 = rf1.pattern, rf2.pattern
@@ -491,15 +474,21 @@ def prop1_chain(rf1: RootedFormula, rf2: RootedFormula) -> RootedFormula:
     if eq or ne:
         expr = ("had", _sel(len(outer_r), len(outer_t), eq, ne), expr)
 
-    c = 0
+    def copy_edges(pattern: Graph, pins) -> set | None:
+        """Edge set of the pinned copy of a fully rooted part, or None."""
+        image = None if pins is None else next(
+            embeddings(pattern, union, pins), None)
+        return None if image is None else {
+            (min(image[u], image[v]), max(image[u], image[v]))
+            for u, v in pattern.edges}
+
+    whole, c = set(union.edges), 0
     for w in tuple_product(range(union.n), repeat=len(mid1)):
-        left = _pinned_copy_edges(p1.graph, p1.r, mid1, union, outer_r, w)
+        left = copy_edges(p1.graph, _pin_map(p1.r, mid1, outer_r, w))
         if left is None:
             continue
-        right = _pinned_copy_edges(p2.graph, mid2, p2.s, union, w, outer_t)
-        if right is None:
-            continue
-        if left | right == set(union.edges):
+        right = copy_edges(p2.graph, _pin_map(mid2, p2.s, w, outer_t))
+        if right is not None and left | right == whole:
             c += 1
     aut = automorphism_count_fixing(union, set(outer_r) | set(outer_t))
     if c != aut:

@@ -291,15 +291,13 @@ class EdgeSpace:
     # -- reversal conjugations ------------------------------------------
 
     def rowrev(self, M):
-        """Row reversal: entry (e, f) becomes (rev e, f)."""
+        """Row reversal: entry (e, f) becomes (rev e, f); a vector's entry e
+        becomes rev e."""
         return M[self.rev, :] if sp.issparse(M) else np.asarray(M)[self.rev]
 
     def colrev(self, M):
         """Column reversal: entry (e, f) becomes (e, rev f)."""
         return M[:, self.rev]
-
-    def revvec(self, v):
-        return np.asarray(v)[self.rev]
 
     def masked_step(self, M, X, XH, label):
         """M times X·B entrywise, read only at the stored entries of M, from
@@ -312,9 +310,11 @@ class EdgeSpace:
         # sorted indices scans whole rows
         X.sum_duplicates()
         XH.sum_duplicates()
-        steps = checked_add(np.asarray(XH[rows, self.tail[M.indices]]).ravel(),
-                            np.asarray(X[rows, self.rev[M.indices]]).ravel(),
-                            label, -1)
+        # both gathers are guarded values below 2**62, so their difference
+        # is exact in int64; only the difference itself is bounded
+        steps = (np.asarray(XH[rows, self.tail[M.indices]]).ravel()
+                 - np.asarray(X[rows, self.rev[M.indices]]).ravel())
+        _refuse_beyond(_max_abs(steps), label, "step value")
         out = sp.csr_matrix((checked_hadamard(M.data, steps, label),
                              M.indices.copy(), M.indptr.copy()), shape=M.shape)
         out.eliminate_zeros()
@@ -514,8 +514,8 @@ class Evaluator:
         if op == "vec":
             return self.eval(expr[1]).reshape(-1, 1)
         if op == "rowrev":
-            x = self.eval(expr[1])
-            return s.revvec(x) if isinstance(x, np.ndarray) else s.rowrev(x).tocsr()
+            x = s.rowrev(self.eval(expr[1]))
+            return x if isinstance(x, np.ndarray) else x.tocsr()
         if op == "colrev":
             return s.colrev(self.eval(expr[1])).tocsr()
         if op == "mm":

@@ -5,7 +5,10 @@ an expression tree over directed-edge matrix primitives, to the row
 reversal of a sibling id, or to a stated fraction of the gamma aggregation
 of its edge-rooted counterpart. This module interprets those trees
 (``evaluate_catalog`` evaluates a block of entries) and holds the general
-order-6 edge-rooted construction and the 6-clique shortcut.
+order-6 edge-rooted construction and the 6-clique shortcut. The order-6
+construction composes three fully rooted order-4 blocks, each a dense
+connection matrix from ``connection.kappa_direct`` and so bounded by its
+cell budget (hosts of at most 31 vertices).
 
 The trees are written in the expression language of
 ``edge_matrix.Evaluator``, whose atoms (B, its powers, the step matrices
@@ -20,6 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .connection import RootedGraph, kappa_direct
 from .edge_matrix import (EdgeSpace, Evaluator, IntegrityError,
                           checked_hadamard, checked_matmul, checked_scale,
                           checked_total, exact_div, last_uses)
@@ -71,7 +75,7 @@ def evaluate_catalog(space: EdgeSpace, entries: dict,
         if kind == "expr":
             out = ev.eval(entry["expr"])
         elif kind == "rowrev_of":
-            out = space.revvec(value_of(entry["of"]))
+            out = space.rowrev(value_of(entry["of"]))
         elif kind == "gamma_of":
             agg = space.gamma(value_of(entry["of"]))
             frac = Fraction(entry["num"], entry["den"])
@@ -98,60 +102,17 @@ def evaluate_catalog(space: EdgeSpace, entries: dict,
 # order 6: one composition formula for every edge-rooted pattern
 # ---------------------------------------------------------------------------
 
-def _ordered_pair_index(n: int):
-    pairs = [(p, q) for p in range(n) for q in range(n) if p != q]
-    idx = {pq: i for i, pq in enumerate(pairs)}
-    return pairs, idx
-
-
-def pair_connection_matrix(G: Graph, pattern: Graph,
-                           r: tuple[int, int], s: tuple[int, int]) -> np.ndarray:
-    """Dense connection matrix of a fully double-pair-rooted order-4 pattern.
-
-    Rows and columns are indexed by ordered pairs of distinct host
-    vertices; with all four pattern vertices rooted the count at each
-    location is 0 or 1 (the copy, if present, is pinned completely).
-    """
-    if pattern.n != 4:
-        raise ValueError("pair connection matrices are for order-4 patterns")
-    n = G.n
-    pairs, _ = _ordered_pair_index(n)
-    P = len(pairs)
-    arr = np.array(pairs, dtype=np.int64)
-    x, y = arr[:, 0], arr[:, 1]
-    adj = np.zeros((n, n), dtype=bool)
-    for u, v in G.edges:
-        adj[u, v] = adj[v, u] = True
-
-    out = np.ones((P, P), dtype=np.int64)
-    # all four host vertices distinct
-    for rowv in (x, y):
-        for colv in (x, y):
-            out *= (rowv[:, None] != colv[None, :])
-    slot = {r[0]: ("row", 0), r[1]: ("row", 1), s[0]: ("col", 0), s[1]: ("col", 1)}
-    rowvecs, colvecs = (x, y), (x, y)
-    for u, v in pattern.edges:
-        su, sv = slot[u], slot[v]
-        if su[0] == "row" and sv[0] == "row":
-            out *= adj[rowvecs[su[1]], rowvecs[sv[1]]][:, None]
-        elif su[0] == "col" and sv[0] == "col":
-            out *= adj[colvecs[su[1]], colvecs[sv[1]]][None, :]
-        else:
-            a = rowvecs[su[1]] if su[0] == "row" else rowvecs[sv[1]]
-            b = colvecs[sv[1]] if sv[0] == "col" else colvecs[su[1]]
-            out *= adj[a[:, None], b[None, :]]
-    return out
-
-
 def eval_order6_edge(space: EdgeSpace, F) -> MotifResult:
-    """Edge-rooted count of any order-6 pattern via three order-4 slices.
+    """Edge-rooted count of any order-6 pattern via three order-4 blocks.
 
-    The four non-root vertices are split into two pairs; the three
-    patterns induced on (roots+pair1), (pair1+pair2), (roots+pair2) are
-    fully rooted, so composing their pair-indexed connection matrices and
-    summing reconstructs each placement of F once per automorphism fixing
-    the root edge. Dividing by that automorphism count gives the copy
-    count. Intended for desk-scale graphs; the host pair space is dense.
+    The four non-root vertices are split into two pairs; the patterns
+    induced on (roots+pair1), (pair1+pair2), (roots+pair2), rooted (first
+    pair; second pair), are fully rooted. Their ``kappa_direct`` matrices
+    are n^2 x n^2 over ordered vertex pairs, zero where a vertex repeats;
+    composing them and summing rows reconstructs each placement of F once
+    per automorphism fixing the root edge, which is divided out. Each
+    block is dense under ``kappa_direct``'s cell budget: a host above 31
+    vertices raises ScaleGuardError before anything is enumerated.
     """
     pattern: Graph = F.graph
     root = tuple(F.r)
@@ -163,33 +124,24 @@ def eval_order6_edge(space: EdgeSpace, F) -> MotifResult:
         raise ValueError("order-6 evaluation is edge-rooted only")
     G = space.graph
     a1, a2 = root
-    rest = sorted(set(range(6)) - {a1, a2})
-    b1, b2, c1, c2 = rest
+    b1, b2, c1, c2 = sorted(set(range(6)) - {a1, a2})
 
-    def induced(keep: tuple[int, ...]) -> Graph:
+    def block(keep: tuple[int, ...]) -> np.ndarray:
         pos = {v: i for i, v in enumerate(keep)}
-        edges = [(pos[u], pos[v]) for u, v in pattern.edges
-                 if u in pos and v in pos]
-        return Graph(len(keep), edges)
+        induced = Graph(4, [(pos[u], pos[v]) for u, v in pattern.edges
+                            if u in pos and v in pos])
+        return kappa_direct(RootedGraph(induced, (0, 1), (2, 3)), G).data
 
-    Fa = induced((a1, a2, b1, b2))
-    Fb = induced((b1, b2, c1, c2))
-    Fc = induced((a1, a2, c1, c2))
-    ka = pair_connection_matrix(G, Fa, (0, 1), (2, 3))
-    kb = pair_connection_matrix(G, Fb, (0, 1), (2, 3))
-    kc = pair_connection_matrix(G, Fc, (0, 1), (2, 3))
+    ka = block((a1, a2, b1, b2))
+    kb = block((b1, b2, c1, c2))
+    kc = block((a1, a2, c1, c2))
     label = "order6 composition"
     per_pair = checked_total(checked_hadamard(
         checked_matmul(ka, kb, label), kc, label), label, axis=1)
     divisor = automorphism_count_fixing(pattern, (a1, a2))
     per_pair = exact_div(per_pair, divisor, "order6 root-fixing symmetry")
-
-    pairs, idx = _ordered_pair_index(G.n)
-    out = np.zeros(space.size, dtype=np.int64)
-    for e in range(space.size):
-        u, v = space.index.endpoints(e)
-        out[e] = per_pair[idx[(u, v)]]
-    return MotifResult(MotifId(6, "order6", "edge"), out)
+    return MotifResult(MotifId(6, "order6", "edge"),
+                       per_pair[space.tail * G.n + space.head])
 
 
 def eval_k6_edge(space: EdgeSpace) -> MotifResult:

@@ -12,9 +12,13 @@ componentwise. Equivalently: injective edge-preserving maps pinned at the
 roots, divided by the automorphisms of F that fix every root vertex. Both
 routes are implemented and cross-checked.
 
-The backtracking enumerator ``embeddings`` is the package's only one:
+The backtracking enumerator ``embeddings`` is the package's only one, and
+every pinned pattern map the package needs comes from it:
+``automorphisms`` are a pattern's embeddings into itself;
 ``connection.kappa_direct``, the direct route the formula engine is
-certified against, tallies its maps by root location.
+certified against, tallies its maps by root location (and so builds the
+order-6 evaluation's fully rooted blocks); ``connection.prop1_chain``
+takes each pinned copy of its two parts from it.
 
 The whole-vector counters ``edge_rooted_vector`` and
 ``vertex_rooted_vector`` do not backtrack. Once per rooted pattern of order
@@ -70,46 +74,20 @@ def _check_guards(pattern: Graph, host: Graph, config: OracleConfig) -> None:
 # automorphisms
 # ---------------------------------------------------------------------------
 
-def _graph_key(g: Graph) -> tuple:
-    return (g.n, g.edges)
-
 @lru_cache(maxsize=4096)
 def _automorphisms_cached(n: int, edges: tuple) -> tuple:
-    adj = [set() for _ in range(n)]
-    for u, v in edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    deg = [len(a) for a in adj]
-    perms: list[tuple[int, ...]] = []
-    image = [-1] * n
-    used = [False] * n
-
-    def extend(k: int) -> None:
-        if k == n:
-            perms.append(tuple(image))
-            return
-        for t in range(n):
-            if used[t] or deg[t] != deg[k]:
-                continue
-            ok = True
-            for p in range(k):
-                if (p in adj[k]) != (image[p] in adj[t]):
-                    ok = False
-                    break
-            if ok:
-                image[k] = t
-                used[t] = True
-                extend(k + 1)
-                used[t] = False
-                image[k] = -1
-
-    extend(0)
-    return tuple(perms)
+    g = Graph(n, edges)
+    return tuple(tuple(image) for image in embeddings(g, g))
 
 
 def automorphisms(graph: Graph) -> tuple[tuple[int, ...], ...]:
-    """All automorphisms of ``graph`` as vertex-image tuples (cached)."""
-    return _automorphisms_cached(*_graph_key(graph))
+    """All automorphisms of ``graph`` as vertex-image tuples (cached).
+
+    They are the embeddings of the graph into itself: an injective
+    edge-preserving self-map of a finite graph permutes its edges, so it
+    also maps non-edges to non-edges.
+    """
+    return _automorphisms_cached(graph.n, graph.edges)
 
 
 def automorphism_count_fixing(graph: Graph, fixed: Iterable[int]) -> int:

@@ -295,15 +295,19 @@ def test_run_returns_report_without_click(k4_file):
 def test_bench_tracer_finds_the_cli_entry_points(k4_file, tmp_path, fmt):
     # bench/tracer.py wraps cli functions by name; a rename loses its spans
     trace = tmp_path / "spans.jsonl"
+    pattern = tmp_path / "pattern.txt"
+    pattern.write_text(PATTERN_TEXT)
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     result = subprocess.run(
         [sys.executable, str(ROOT / "bench" / "tracer.py"), str(trace), "--",
-         "--input", k4_file, "--counts", "order3,k6,cycles", "--oracle-check",
-         "--format", fmt, "--output", str(tmp_path / "report")],
+         "--input", k4_file, "--counts", f"order3,k6,cycles,generic:{pattern}",
+         "--oracle-check", "--format", fmt,
+         "--output", str(tmp_path / "report")],
         env=env, capture_output=True, text=True, timeout=300)
     assert result.returncode == 0, result.stderr
     rows = [json.loads(line) for line in trace.read_text().splitlines()]
     names = {row["name"] for row in rows if row["kind"] == "span"}
     assert {"cli.serialize", "cli.stage", "motifs.catalog",
-            "oracle.check", "oracle.edge_rooted",
-            "oracle.vertex_rooted"} <= names
+            "oracle.check", "oracle.edge_rooted", "oracle.vertex_rooted",
+            "connection.build_formula", "connection.eval_formula",
+            "connection.kappa_direct", "cycle_census.corrections"} <= names

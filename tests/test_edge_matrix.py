@@ -213,6 +213,28 @@ def test_masked_product_refuses_where_the_full_product_does(g):
         assert np.array_equal(got.toarray(), want.toarray()), m
 
 
+# At X = BIG the bound max|X·H| + max|X| on the two terms of
+# X·B = X·H·T^T - X·J reaches the guard on some of these hosts, while
+# every value of X·B stays below it.
+STEP_CORPUS = [complete_graph(3), cycle_graph(5), petersen_graph()] + [
+    er_graph(n, 0.3, seed) for n in range(5, 9) for seed in range(20)]
+
+
+def test_masked_product_computes_wherever_the_full_product_does():
+    computed = 0
+    for g in STEP_CORPUS:
+        space = EdgeSpace(g)
+        for m in MASKS:
+            try:
+                want = Evaluator(space).eval(("had", m, ("mm", BIG, "B")))
+            except IntegrityError:
+                continue
+            got = Evaluator(space).eval(("hadmm", m, BIG))
+            assert np.array_equal(got.toarray(), want.toarray()), (g.edges, m)
+            computed += 1
+    assert computed == 231
+
+
 def test_masked_product_refusal_names_the_node():
     ev = Evaluator(EdgeSpace(complete_graph(4)))
     with pytest.raises(IntegrityError, match="'mm', \\('scale', 'B2'"):

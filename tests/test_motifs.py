@@ -6,14 +6,14 @@ from hypothesis import example, given, settings
 
 from conftest import (complete_graph, cycle_graph, differential_hosts,
                       er_graph, wheel_graph)
-from nbcensus import catalog
+from nbcensus import catalog, connection
 from nbcensus.catalog import _SQL
-from nbcensus.connection import RootedGraph
+from nbcensus.connection import RootedGraph, ScaleGuardError, kappa_direct
 from nbcensus.cycle_census import CORRECTIONS
 from nbcensus.edge_matrix import ATOMS, EdgeSpace, Evaluator
 from nbcensus.graphs import Graph
 from nbcensus.motifs import (MotifId, eval_k6_edge, eval_order6_edge,
-                             evaluate_catalog, pair_connection_matrix)
+                             evaluate_catalog)
 from nbcensus.oracle import edge_rooted_vector, vertex_rooted_vector
 
 
@@ -118,7 +118,7 @@ def test_pair_connection_matrix_path_pairs():
     # 4-vertex path, all four vertices rooted: every entry pins one copy
     g = cycle_graph(4)
     pattern = Graph(4, [(0, 1), (1, 2), (2, 3)])
-    M = pair_connection_matrix(g, pattern, (0, 1), (2, 3))
+    M = kappa_direct(RootedGraph(pattern, (0, 1), (2, 3)), g).data
     total = int(M.sum())
     # 4-cycle holds 4 paths on 4 vertices, 2 directed orientations each
     assert total == 8
@@ -151,6 +151,17 @@ def test_order6_input_validation():
         eval_order6_edge(space, RootedGraph(hexagon, (0, 2), ()))
     with pytest.raises(ValueError, match="edge-rooted"):
         eval_order6_edge(space, RootedGraph(hexagon, (0, 1), (3,)))
+
+
+def test_order6_refuses_hosts_above_the_cell_budget(monkeypatch):
+    """Each order-4 block holds n^4 cells: 32^4 is over the budget, and the
+    refusal comes before any embedding is enumerated."""
+    def enumerate_nothing(*args, **kwargs):
+        raise AssertionError("embeddings enumerated before the budget check")
+    monkeypatch.setattr(connection, "embeddings", enumerate_nothing)
+    with pytest.raises(ScaleGuardError, match="32\\^4 cells"):
+        eval_order6_edge(EdgeSpace(cycle_graph(32)),
+                         RootedGraph(cycle_graph(6), (0, 1), ()))
 
 
 def test_k6_against_order6_evaluator():

@@ -54,6 +54,29 @@ def test_automorphism_group_sizes():
     assert len(automorphisms(petersen_graph())) == 120
 
 
+@st.composite
+def hosts_up_to_7(draw):
+    """Any graph on at most 7 vertices; shrinks towards edgeless ones."""
+    n = draw(st.integers(0, 7))
+    pairs = list(combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs),
+                         max_size=len(pairs)))
+    return Graph(n, [pair for pair, k in zip(pairs, keep) if k])
+
+
+@settings(max_examples=60, deadline=None)
+@given(hosts_up_to_7())
+@example(Graph(0, []))
+@example(Graph(6, []))
+@example(Graph(7, [(0, 1), (1, 2), (3, 4)]))
+@example(complete_graph(7))
+def test_automorphisms_are_the_edge_set_preserving_permutations(g):
+    edges = {frozenset(e) for e in g.edges}
+    want = [perm for perm in permutations(range(g.n))
+            if {frozenset((perm[u], perm[v])) for u, v in g.edges} == edges]
+    assert sorted(automorphisms(g)) == want
+
+
 def test_automorphisms_fixing_subsets():
     assert automorphism_count_fixing(complete_graph(4), {0}) == 6
     assert automorphism_count_fixing(complete_graph(4), {0, 1}) == 2
