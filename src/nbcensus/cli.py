@@ -44,7 +44,8 @@ from .connection import (RootedGraph, ScaleGuardError, build_formula,
                          eval_formula, kappa_direct)
 from .cycle_census import full_census
 from .edge_matrix import EdgeSpace, IntegrityError
-from .graphs import DirectedEdgeIndex, Graph, GraphError, load_graph
+from .graphs import (DirectedEdgeIndex, Graph, GraphError, load_graph,
+                     utf8_text)
 from .motifs import eval_k6_edge, evaluate_catalog
 from .oracle import (OracleGuardError, edge_rooted_vector,
                      simple_cycle_census, vertex_rooted_vector)
@@ -84,7 +85,7 @@ def load_pattern(path: str) -> RootedGraph:
     """Parse a rooted pattern file: edge list plus ``r:`` / ``s:`` lines."""
     roots: dict[str, list[str] | None] = {"r": None, "s": None}
     edge_lines: list[str] = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with utf8_text(path) as fh:
         for raw in fh:
             stripped = raw.split("#", 1)[0].strip()
             took = False
@@ -120,9 +121,11 @@ def load_pattern(path: str) -> RootedGraph:
 class PerLocation:
     """One count per location: ``values[k]`` is the count at ``labels[k]``.
 
-    The report's ``per_location`` objects; the writers render them as the
-    mapping ``{label: count}``. Every block over the same locations shares
-    one ``labels`` tuple, so the writers lay each tuple out once per run.
+    The report's ``per_location`` objects; the labels are distinct (vertex
+    tokens, or ``tail->head`` over tokens without ``->``), so the writers
+    render a block as the mapping ``{label: count}`` with one key per
+    location. Every block over the same locations shares one ``labels``
+    tuple, so the writers lay each tuple out once per run.
     """
     labels: tuple[str, ...]
     values: np.ndarray
@@ -149,8 +152,13 @@ def _order_section(space: EdgeSpace, index: DirectedEdgeIndex,
     }
 
 
-def _tuple_label(t: tuple[int, ...], labels) -> str:
-    return ",".join(labels[v] for v in t)
+def _tuple_labels(idx: np.ndarray, n: int, arity: int, labels) -> list[str]:
+    """Each linear tuple index in ``idx`` (row-major, as ``TupleMatrix``
+    lays tuples out) printed as its vertex labels joined by ``,``."""
+    if not arity:
+        return [""] * idx.size
+    coords = [(idx // n ** (arity - 1 - a) % n).tolist() for a in range(arity)]
+    return [",".join(labels[v] for v in t) for t in zip(*coords)]
 
 
 def _generic_section(space: EdgeSpace, counter: str, computed: dict) -> dict:
@@ -166,21 +174,16 @@ def _generic_section(space: EdgeSpace, counter: str, computed: dict) -> dict:
         computed[counter] = exc
         raise
     computed[counter] = (pattern, km)
-    labels = space.graph.labels
-    n = space.graph.n
-    entries = {}
-    rows, cols = km.data.shape
-    for ri in range(rows):
-        row = km.data[ri]
-        if not row.any():
-            continue
-        i = _decode(ri, n, km.row_arity)
-        for ci in range(cols):
-            v = int(row[ci])
-            if v:
-                j = _decode(ci, n, km.col_arity)
-                key = f"{_tuple_label(i, labels)}->{_tuple_label(j, labels)}"
-                entries[key] = v
+    labels, n = space.graph.labels, space.graph.n
+    rows, cols = np.nonzero(km.data)
+    entries = dict(zip(
+        map("{}->{}".format, _tuple_labels(rows, n, km.row_arity, labels),
+            _tuple_labels(cols, n, km.col_arity, labels)),
+        km.data[rows, cols].tolist()))
+    if len(entries) != rows.size:
+        raise GraphError(
+            f"{rows.size} nonzero entries print only {len(entries)} distinct "
+            "keys: host labels containing ',' join into the same key")
     return {
         "pattern_order": pattern.graph.n,
         "pattern_edges": pattern.graph.m,
@@ -189,13 +192,6 @@ def _generic_section(space: EdgeSpace, counter: str, computed: dict) -> dict:
         "entries": entries,
         "total": int(km.data.sum()),
     }
-
-
-def _decode(idx: int, n: int, arity: int) -> tuple[int, ...]:
-    out = []
-    for a in range(arity):
-        out.append(idx // n ** (arity - 1 - a) % n)
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -281,12 +277,6 @@ def _check_generic(counter, result, g) -> dict:
 # serialization
 # ---------------------------------------------------------------------------
 
-def _last_positions(labels: tuple[str, ...]) -> dict[str, int]:
-    """Each distinct label's last position: the count the mapping
-    ``{label: count}`` keeps when two locations print the same label."""
-    return {label: k for k, label in enumerate(labels)}
-
-
 def _to_json(report: dict) -> str:
     """``json.dumps(report, indent=2, sort_keys=True) + "\\n"``, byte for
     byte, with each ``PerLocation`` written straight from its vector."""
@@ -326,27 +316,16 @@ def _per_location_json(block: PerLocation, pad: str, layouts: dict) -> str:
         return "{}"
     key = (id(block.labels), pad)
     if key not in layouts:
-        last = _last_positions(block.labels)
-        names = sorted(last)
+        labels = block.labels
+        order = sorted(range(len(labels)), key=labels.__getitem__)
         inner = pad + "  "
         layouts[key] = (
-            [inner + encode_basestring_ascii(name) + ": " for name in names],
-            np.array([last[name] for name in names], dtype=np.intp))
+            [inner + encode_basestring_ascii(labels[k]) + ": " for k in order],
+            np.array(order, dtype=np.intp))
     prefixes, order = layouts[key]
     counts = map(str, block.values[order].tolist())
     return ("{\n" + ",\n".join(map(str.__add__, prefixes, counts))
             + "\n" + pad + "}")
-
-
-def _csv_column(block: PerLocation, rows: dict) -> list[int]:
-    """The block's count on each of its rows, as ``{label: count}[label]``
-    reads it: rows that print the same label show the count kept for it."""
-    key = id(block.labels)
-    if key not in rows:
-        last = _last_positions(block.labels)
-        rows[key] = np.array([last[label] for label in block.labels],
-                             dtype=np.intp)
-    return block.values[rows[key]].tolist()
 
 
 def _to_csv(report: dict, config: RunConfig, index: DirectedEdgeIndex) -> str:
@@ -376,13 +355,12 @@ def _to_csv(report: dict, config: RunConfig, index: DirectedEdgeIndex) -> str:
             block = counters[counter]
             columns.append((counter, None, None, block["total"]))
 
-    rows: dict = {}
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["location"] + [c[0] for c in columns])
     for labels, side in ((index.labels, 1), (index.graph.labels, 2)):
         writer.writerows(zip(labels, *[
-            repeat("") if c[side] is None else _csv_column(c[side], rows)
+            repeat("") if c[side] is None else c[side].values.tolist()
             for c in columns]))
     writer.writerow(["__total__"] + [c[3] for c in columns])
     return buf.getvalue()

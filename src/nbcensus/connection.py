@@ -12,7 +12,7 @@ Two independent routes to that matrix live here.
 root-fixing automorphism count turns embeddings into copies.
 
 ``build_formula`` emits a closed-form expression for the same matrix using
-nothing but the host adjacency matrix and eight algebraic node kinds of the
+nothing but the host adjacency matrix and seven algebraic node kinds of the
 package's one expression language. ``eval_formula`` checks every node's size
 against the cell budget, then evaluates the formula exactly on
 ``edge_matrix.Evaluator``, the catalog's interpreter, over a dense tuple
@@ -171,7 +171,7 @@ def kappa_direct(F: RootedGraph, G: Graph, *,
 # ---------------------------------------------------------------------------
 #
 # A formula is a nested tuple in the expression language of
-# edge_matrix.Evaluator, restricted to eight node kinds:
+# edge_matrix.Evaluator, restricted to seven node kinds:
 #
 #   ("adj",)                 host adjacency matrix, arity (1, 1)
 #   ("sel", p, q, eq, ne)    0/1 constraint matrix, arity (p, q); eq and ne
@@ -179,9 +179,9 @@ def kappa_direct(F: RootedGraph, G: Graph, *,
 #                            demanding i_a == j_b resp. i_a != j_b
 #   ("T", e)                 transpose
 #   ("vec", e)               row-major column stacking, arity (p+q, 0)
-#   ("mm", e1, e2)           matrix product over the shared inner arity
+#   ("mm", e1, e2)           matrix product over the shared inner arity;
+#                            over inner arity 0 it is the outer product
 #   ("had", e1, e2)          entrywise product of equal-arity operands
-#   ("kron", e1, e2)         Kronecker product; arities add, indices concat
 #   ("scale", e, num, den)   exact rational rescale; den must divide
 #
 # Tuples are hashable, so shared subterms deduplicate in the evaluator.
@@ -223,10 +223,6 @@ def _arities(expr: tuple) -> dict[tuple, tuple[int, int]]:
             if got != a2:
                 raise CompositionError(
                     f"entrywise arities differ: {got} vs {a2}")
-        elif head == "kron":
-            p1, q1 = arity(e[1])
-            p2, q2 = arity(e[2])
-            got = (p1 + p2, q1 + q2)
         else:
             raise ValueError(f"unknown formula node kind {head!r}")
         out[e] = got
@@ -360,9 +356,10 @@ def lemma1_inflate(rf: RootedFormula, dup: tuple[int, ...]) -> RootedFormula:
     """Echo chosen row-root coordinates into a fresh column index.
 
     Only valid when the column side is empty. The column vector spreads
-    across all column tuples and a 0/1 gate keeps the columns that repeat
-    the selected row coordinates; no correction factor is needed because
-    the new column roots are already pinned by the rows.
+    across all column tuples (its outer product with the all-ones row
+    ``sel(0, q)``) and a 0/1 gate keeps the columns that repeat the
+    selected row coordinates; no correction factor is needed because the
+    new column roots are already pinned by the rows.
     """
     pat = rf.pattern
     if pat.s:
@@ -374,7 +371,7 @@ def lemma1_inflate(rf: RootedFormula, dup: tuple[int, ...]) -> RootedFormula:
             raise ValueError(f"duplicated position {k} out of range")
     q = len(dup)
     new_s = tuple(pat.r[k] for k in dup)
-    spread = ("kron", _sel(0, q), rf.expr)
+    spread = ("mm", rf.expr, _sel(0, q))
     gate = _sel(p, q, eq=[(k, b) for b, k in enumerate(dup)])
     return RootedFormula(RootedGraph(pat.graph, pat.r, new_s),
                          ("had", gate, spread))
@@ -575,7 +572,7 @@ def _build_rooted(F: RootedGraph) -> RootedFormula:
 def build_formula(F: RootedGraph) -> tuple:
     """Emit a formula whose evaluation is the connection matrix of ``F``.
 
-    The output uses only the eight node kinds understood by
+    The output uses only the seven node kinds understood by
     ``eval_formula``; correctness is certified against ``kappa_direct``
     in the test suite rather than assumed.
     """

@@ -2,7 +2,9 @@
 the one expression language every count is written in.
 
 All matrices are scipy CSR with int64 entries and are indexed by directed
-edge ids (edge k yields ids 2k and 2k+1; reversal flips the low bit).
+edge ids (edge k yields ids 2k and 2k+1; reversal flips the low bit). The
+endpoint and reversal arrays they are built from are the graph's
+``DirectedEdgeIndex`` arrays, which ``EdgeSpace.index`` holds.
 
 This is the package's one exact-arithmetic layer: every product, sum,
 binomial, rescaling and division of a counting formula goes through a
@@ -45,8 +47,7 @@ engine alike:
   ("div", X, c)       exact division; nonzero remainder raises IntegrityError
   tuple-space nodes, on dense matrices over host vertex tuples (the two
   leaves come from connection.py's host): ("adj",) adjacency, ("sel", p,
-  q, eq, ne) 0/1 root constraints, ("vec", X) row-major column stacking,
-  ("kron", X, Y) Kronecker product
+  q, eq, ne) 0/1 root constraints, ("vec", X) row-major column stacking
 
 Every node that computes new values goes through one of the guards, so a
 result that would wrap int64 raises IntegrityError (labelled with the
@@ -131,12 +132,6 @@ def checked_hadamard(A, B, label: str):
     """Entrywise product with the same overflow discipline."""
     _refuse_beyond(_max_abs(A) * _max_abs(B), label, "entrywise product")
     return A.multiply(B).tocsr() if sp.issparse(A) else A * B
-
-
-def checked_kron(A, B, label: str) -> np.ndarray:
-    """Kronecker product of dense arrays; its entries are entrywise products."""
-    _refuse_beyond(_max_abs(A) * _max_abs(B), label, "entrywise product")
-    return np.kron(A, B)
 
 
 def checked_add(A, B, label: str, sign: int):
@@ -278,9 +273,8 @@ class EdgeSpace:
     def __init__(self, graph: Graph, index: DirectedEdgeIndex | None = None):
         self.graph = graph
         self.index = index if index is not None else DirectedEdgeIndex(graph)
-        self.tail = np.asarray(self.index.tail, dtype=np.int64)
-        self.head = np.asarray(self.index.head, dtype=np.int64)
-        self.rev = np.arange(self.index.size, dtype=np.int64) ^ 1
+        # the index's reversal permutation, applied by rowrev and colrev
+        self.rev = self.index.rev
         self.stats: dict = {"peak_product_nnz": 0}
         self._cache: dict = {}
 
@@ -312,7 +306,7 @@ class EdgeSpace:
         XH.sum_duplicates()
         # both gathers are guarded values below 2**62, so their difference
         # is exact in int64; only the difference itself is bounded
-        steps = (np.asarray(XH[rows, self.tail[M.indices]]).ravel()
+        steps = (np.asarray(XH[rows, self.index.tail[M.indices]]).ravel()
                  - np.asarray(X[rows, self.rev[M.indices]]).ravel())
         _refuse_beyond(_max_abs(steps), label, "step value")
         out = sp.csr_matrix((checked_hadamard(M.data, steps, label),
@@ -332,7 +326,7 @@ class EdgeSpace:
     @property
     def B(self) -> sp.csr_matrix:
         return self._get("B", lambda: nonbacktracking_matrix(
-            self.tail, self.head, self.graph.n))
+            self.index.tail, self.index.head, self.graph.n))
 
     def atom(self, name: str):
         """B, the uncached identity I and head incidence H, or an ATOMS
@@ -345,7 +339,7 @@ class EdgeSpace:
             return sp.identity(self.size, dtype=np.int64, format="csr")
         if name == "H":
             return sp.csr_matrix(
-                (np.ones(self.size, dtype=np.int64), self.head,
+                (np.ones(self.size, dtype=np.int64), self.index.head,
                  np.arange(self.size + 1)), shape=(self.size, self.graph.n))
         key, definition = ATOMS[name]
         return self._get(key, lambda: Evaluator(self).eval(definition))
@@ -397,10 +391,10 @@ class EdgeSpace:
         of B~ are dropped on return."""
         start = time.perf_counter()
         n, m = self.graph.n, self.graph.m
+        tail, head = self.index.tail, self.index.head
         A = sp.csr_matrix((np.ones(self.size, dtype=np.int64),
-                           (self.tail, self.head)), shape=(n, n),
-                          dtype=np.int64)
-        step = sp.bmat([[A, sp.diags(1 - np.bincount(self.tail, minlength=n),
+                           (tail, head)), shape=(n, n), dtype=np.int64)
+        step = sp.bmat([[A, sp.diags(1 - np.bincount(tail, minlength=n),
                                      dtype=np.int64)],
                         [sp.identity(n, dtype=np.int64), None]],
                        format="csr", dtype=np.int64)
@@ -430,7 +424,7 @@ class EdgeSpace:
             raise ValueError("gamma expects a directed-edge-indexed vector")
         _check_sums(v, None, "gamma")
         out = np.zeros(self.graph.n, dtype=v.dtype)
-        np.add.at(out, self.tail, v)
+        np.add.at(out, self.index.tail, v)
         return out
 
 
@@ -528,8 +522,6 @@ class Evaluator:
             _, m, x = expr
             return s.masked_step(self.eval(m), self.eval(x),
                                  self.eval(("mm", x, "H")), label)
-        if op == "kron":
-            return checked_kron(self.eval(expr[1]), self.eval(expr[2]), label)
         if op == "hadnot":
             a, m = self.eval(expr[1]), self.eval(expr[2])
             drop = a.multiply(m != 0)

@@ -6,17 +6,25 @@ file are kept alongside so reports can speak the caller's language.
 
 Every undirected edge k is split into two directed orientations with ids
 2k and 2k+1, so reversal is id ^ 1. All edge-indexed matrices in this
-package use that numbering.
+package use that numbering, and ``DirectedEdgeIndex`` is the one place that
+holds it: int64 endpoint and reversal arrays over the ids, and the
+``tail->head`` labels reports print.
 """
 
 from __future__ import annotations
 
 import os
+from contextlib import contextmanager
+from functools import cached_property
+from itertools import chain
 from typing import Iterable, Sequence
+
+import numpy as np
 
 
 class GraphError(ValueError):
-    """Raised for malformed graph input (self-loops, bad edge lines)."""
+    """Raised for malformed graph input (self-loops, bad edge lines,
+    tokens containing ``->``, bytes that are not UTF-8)."""
 
 
 class Graph:
@@ -81,44 +89,37 @@ class DirectedEdgeIndex:
     """Both orientations of every edge, numbered so reversal is ``id ^ 1``.
 
     Undirected edge k (in the graph's edge order) becomes directed ids
-    2k (u -> v with u < v) and 2k+1 (v -> u). ``tail``/``head`` give the
-    endpoint arrays, ``id_of`` maps an ordered vertex pair back to its id.
+    2k (u -> v with u < v) and 2k+1 (v -> u). ``tail``, ``head`` and
+    ``rev`` are int64 arrays over the ids. ``id_of`` maps an ordered
+    vertex pair back to its id and ``labels`` prints each id as
+    ``tail->head`` in the original labels; both are built on first use.
     """
-
-    __slots__ = ("graph", "tail", "head", "id_of", "_labels")
 
     def __init__(self, graph: Graph):
         self.graph = graph
-        self.tail = tuple(x for u, v in graph.edges for x in (u, v))
-        self.head = tuple(x for u, v in graph.edges for x in (v, u))
-        self.id_of = {pair: e for e, pair in
-                      enumerate(zip(self.tail, self.head))}
-        self._labels: tuple[str, ...] | None = None
+        self.tail = np.fromiter(chain.from_iterable(graph.edges),
+                                dtype=np.int64, count=2 * graph.m)
+        self.rev = np.arange(self.tail.size, dtype=np.int64) ^ 1
+        self.head = self.tail[self.rev]
 
     @property
     def size(self) -> int:
         """Number of directed edges (2m)."""
-        return 2 * self.graph.m
+        return self.tail.size
 
-    @staticmethod
-    def reverse(e: int) -> int:
-        return e ^ 1
+    @cached_property
+    def id_of(self) -> dict[tuple[int, int], int]:
+        return dict(zip(zip(self.tail.tolist(), self.head.tolist()),
+                        range(self.size)))
 
-    def endpoints(self, e: int) -> tuple[int, int]:
-        return self.tail[e], self.head[e]
-
-    def label(self, e: int) -> str:
-        """Human-readable 'tail->head' form using the original labels."""
-        return self.labels[e]
-
-    @property
+    @cached_property
     def labels(self) -> tuple[str, ...]:
-        """Every id's ``label``, built on first use and then shared."""
-        if self._labels is None:
-            names = self.graph.labels
-            self._labels = tuple(f"{names[t]}->{names[h]}"
-                                 for t, h in zip(self.tail, self.head))
-        return self._labels
+        """Every id as ``tail->head``. The parser refuses vertex tokens
+        containing ``->``, so on a parsed graph no two ids print the same
+        label."""
+        names = self.graph.labels
+        return tuple(f"{names[t]}->{names[h]}"
+                     for t, h in zip(self.tail.tolist(), self.head.tolist()))
 
 
 def path2_count(graph: Graph) -> int:
@@ -130,18 +131,41 @@ def path2_count(graph: Graph) -> int:
     return sum(d * (d - 1) for d in graph.degrees)
 
 
+@contextmanager
+def utf8_text(path):
+    """``path`` opened as UTF-8 text. A byte that does not decode raises
+    GraphError naming its offset in the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            yield fh
+    except UnicodeDecodeError:
+        # the text reader decodes in chunks, so its offsets are not file
+        # offsets: decode the whole file again to find the byte
+        with open(path, "rb") as fh:
+            data = fh.read()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise GraphError(
+                f"{os.fspath(path)}: byte 0x{data[exc.start]:02x} at offset "
+                f"{exc.start} is not UTF-8") from None
+        raise
+
+
 def load_graph(source) -> Graph:
     """Parse an edge-list file into a Graph.
 
     ``source`` may be a path, an open text file, or an iterable of lines.
     Each non-blank line holds two whitespace-separated vertex tokens;
-    anything after '#' is a comment. Tokens are arbitrary strings and are
-    assigned dense integer ids in order of first appearance (the original
-    strings are kept as labels). Duplicate edges are collapsed silently;
-    self-loops and malformed lines raise GraphError with the line number.
+    anything after '#' is a comment. Tokens are arbitrary strings without
+    ``->`` (so every directed-edge label ``tail->head`` splits back one
+    way) and are assigned dense integer ids in order of first appearance
+    (the original strings are kept as labels). Duplicate edges are
+    collapsed silently; self-loops, tokens containing ``->``, malformed
+    lines and a file that is not UTF-8 raise GraphError.
     """
     if isinstance(source, (str, os.PathLike)):
-        with open(source, "r", encoding="utf-8") as fh:
+        with utf8_text(source) as fh:
             return _parse_lines(fh)
     return _parse_lines(source)
 
@@ -168,6 +192,9 @@ def _parse_lines(lines: Iterable[str]) -> Graph:
         a, b = tokens
         if a == b:
             raise GraphError(f"line {lineno}: self-loop on vertex {a!r}")
+        if "->" in line:
+            raise GraphError(f"line {lineno}: vertex token "
+                             f"{a if '->' in a else b!r} contains '->'")
         edges.append((vertex_id(a), vertex_id(b)))
 
     return Graph(len(labels), edges, labels)

@@ -141,7 +141,7 @@ def eval_order6_edge(space: EdgeSpace, F) -> MotifResult:
     divisor = automorphism_count_fixing(pattern, (a1, a2))
     per_pair = exact_div(per_pair, divisor, "order6 root-fixing symmetry")
     return MotifResult(MotifId(6, "order6", "edge"),
-                       per_pair[space.tail * G.n + space.head])
+                       per_pair[space.index.tail * G.n + space.index.head])
 
 
 def eval_k6_edge(space: EdgeSpace) -> MotifResult:

@@ -263,6 +263,58 @@ def test_oracle_check_evaluates_each_generic_counter_once(runner, tmp_path,
     assert set(report["errors"]) == {refused}
 
 
+# both a->x -> b and a -> x->b would print the label a->x->b
+ARROW_TEXT = "a->x b\na x->b\nb x->b\nb a\n"
+
+
+@pytest.mark.parametrize("args", [
+    ["--counts", "order3"],
+    ["--counts", "order3", "--format", "csv"],
+    ["--counts", "cycles"],
+])
+def test_arrow_in_a_token_fails_cleanly(runner, tmp_path, args):
+    host = tmp_path / "arrow.txt"
+    host.write_text(ARROW_TEXT)
+    out = tmp_path / "report"
+    result = runner.invoke(main, ["--input", str(host), "--output", str(out),
+                                  *args])
+    assert result.exit_code == 1
+    assert result.stderr == (
+        "error: line 1: vertex token 'a->x' contains '->'\n")
+    assert result.stdout == "" and not out.exists()
+
+
+def test_non_utf8_files_fail_cleanly(runner, tmp_path, k4_file):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"a b\nb \xffc\n")
+    result = runner.invoke(main, ["--input", str(bad), "--counts", "cycles"])
+    assert result.exit_code == 1 and result.stdout == ""
+    assert result.stderr == (
+        f"error: {bad}: byte 0xff at offset 6 is not UTF-8\n")
+    pattern = tmp_path / "pattern.txt"
+    pattern.write_bytes(PATTERN_TEXT.encode() + b"\xfe\n")
+    counter = f"generic:{pattern}"
+    result = runner.invoke(main, ["--input", k4_file, "--counts", counter])
+    assert result.exit_code == 1 and result.stdout == ""
+    assert result.stderr == (
+        f"error: {counter}: {pattern}: byte 0xfe at offset "
+        f"{len(PATTERN_TEXT)} is not UTF-8\n")
+
+
+def test_generic_keys_that_collide_are_refused(runner, tmp_path):
+    # (x; a, "b,c") and (x; "a,b", c) are two triangles that print one key
+    host = tmp_path / "commas.txt"
+    host.write_text("x a\nx b,c\nx a,b\nx c\na b,c\na,b c\n")
+    pattern = tmp_path / "pattern.txt"
+    pattern.write_text(PATTERN_TEXT)
+    counter = f"generic:{pattern}"
+    result = runner.invoke(main, ["--input", str(host), "--counts", counter])
+    assert result.exit_code == 1 and result.stdout == ""
+    assert result.stderr == (
+        f"error: {counter}: 12 nonzero entries print only 11 distinct keys: "
+        "host labels containing ',' join into the same key\n")
+
+
 def test_pattern_file_needs_root_headers(tmp_path):
     path = tmp_path / "bad.txt"
     path.write_text("x y\ny z\n")
@@ -310,4 +362,5 @@ def test_bench_tracer_finds_the_cli_entry_points(k4_file, tmp_path, fmt):
     assert {"cli.serialize", "cli.stage", "motifs.catalog",
             "oracle.check", "oracle.edge_rooted", "oracle.vertex_rooted",
             "connection.build_formula", "connection.eval_formula",
-            "connection.kappa_direct", "cycle_census.corrections"} <= names
+            "connection.kappa_direct", "cycle_census.corrections",
+            "graphs.index", "graphs.load_graph", "edge_matrix.B"} <= names

@@ -114,7 +114,7 @@ def test_eval_formula_atoms():
 
 
 def test_eval_formula_guards():
-    expr = ("kron", ("adj",), ("adj",))
+    expr = ("mm", ("vec", ("adj",)), ("T", ("vec", ("adj",))))
     with pytest.raises(ScaleGuardError):
         eval_formula(expr, complete_graph(4), max_cells=10)
     with pytest.raises(IntegrityError, match="not exact"):
@@ -122,8 +122,9 @@ def test_eval_formula_guards():
 
 
 def test_eval_formula_guards_inner_nodes():
-    """A 1x1 formula whose inner Kronecker node needs 4^4 cells is refused."""
-    K = ("kron", ("adj",), ("adj",))
+    """A 1x1 formula whose inner outer-product node needs 4^4 cells is
+    refused."""
+    K = ("mm", ("vec", ("adj",)), ("T", ("vec", ("adj",))))
     expr = ("mm", ("T", ("vec", K)), ("vec", K))
     assert formula_arity(expr) == (0, 0)
     with pytest.raises(ScaleGuardError):
@@ -133,7 +134,10 @@ def test_eval_formula_guards_inner_nodes():
 def test_formula_arity_checks_composition():
     assert formula_arity(("adj",)) == (1, 1)
     assert formula_arity(("vec", ("adj",))) == (2, 0)
-    assert formula_arity(("kron", ("adj",), ("adj",))) == (2, 2)
+    assert formula_arity(
+        ("mm", ("vec", ("adj",)), ("T", ("vec", ("adj",))))) == (2, 2)
+    with pytest.raises(ValueError, match="unknown formula node kind 'kron'"):
+        formula_arity(("kron", ("adj",), ("adj",)))
     with pytest.raises(CompositionError):
         formula_arity(("had", ("adj",), ("vec", ("adj",))))
     with pytest.raises(CompositionError):

@@ -109,7 +109,7 @@ def five_vertex_three_steps(g: Graph) -> np.ndarray:
     idx = DirectedEdgeIndex(g)
     out = np.zeros((idx.size, idx.size), dtype=np.int64)
     for e, f in itertools.product(range(idx.size), repeat=2):
-        (v0, v1), (v3, v4) = idx.endpoints(e), idx.endpoints(f)
+        v0, v1, v3, v4 = idx.tail[e], idx.head[e], idx.tail[f], idx.head[f]
         for c in g.neighbors(v1) & g.neighbors(v3):
             out[e, f] += len({v0, v1, c, v3, v4}) == 5
     return out

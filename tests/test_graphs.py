@@ -2,6 +2,7 @@
 
 import io
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -38,7 +39,7 @@ def test_graph_rejects_out_of_range_edge():
 def test_reversal_is_xor_one():
     idx = DirectedEdgeIndex(Graph(3, [(0, 1), (1, 2)]))
     for e in range(idx.size):
-        assert idx.reverse(e) == e ^ 1
+        assert idx.rev[e] == e ^ 1
         assert idx.tail[e] == idx.head[e ^ 1]
         assert idx.head[e] == idx.tail[e ^ 1]
 
@@ -47,14 +48,46 @@ def test_id_of_inverts_endpoints():
     idx = DirectedEdgeIndex(Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)]))
     assert idx.size == 8
     for e in range(idx.size):
-        assert idx.id_of[idx.endpoints(e)] == e
+        assert idx.id_of[(idx.tail[e], idx.head[e])] == e
 
 
 def test_edge_labels_use_original_tokens():
     g = load_graph(["left right\n"])
     idx = DirectedEdgeIndex(g)
-    assert idx.label(0) == "left->right"
-    assert idx.label(1) == "right->left"
+    assert idx.labels[0] == "left->right"
+    assert idx.labels[1] == "right->left"
+
+
+@pytest.mark.parametrize("g", [
+    Graph(0, []),
+    Graph(6, [(4, 1), (1, 3)]),  # vertices 0, 2 and 5 are isolated
+    Graph(4, [(u, v) for u in range(4) for v in range(u + 1, 4)]),
+], ids=["empty", "isolated", "K4"])
+def test_index_arrays(g):
+    idx = DirectedEdgeIndex(g)
+    for arr in (idx.tail, idx.head, idx.rev):
+        assert arr.dtype == np.int64 and arr.shape == (2 * g.m,)
+    assert idx.size == 2 * g.m
+    assert np.array_equal(idx.rev, np.arange(2 * g.m) ^ 1)
+    pairs = [p for u, v in g.edges for p in ((u, v), (v, u))]
+    assert list(zip(idx.tail.tolist(), idx.head.tolist())) == pairs
+    assert idx.id_of == {p: e for e, p in enumerate(pairs)}
+    assert idx.labels == tuple(f"{g.labels[t]}->{g.labels[h]}"
+                               for t, h in pairs)
+
+
+def test_arrow_token_rejected_with_line_number():
+    with pytest.raises(GraphError,
+                       match=r"line 2: vertex token 'x->b' contains '->'"):
+        load_graph(["a b\n", "a x->b\n"])
+
+
+def test_non_utf8_file_names_the_byte_offset(tmp_path):
+    path = tmp_path / "bad.txt"
+    # the bad byte sits past the text reader's first 8 KiB chunk
+    path.write_bytes(b"a b\n" * 3000 + b"c \xff\n")
+    with pytest.raises(GraphError, match="byte 0xff at offset 12002 "):
+        load_graph(str(path))
 
 
 def test_path2_count_is_the_nonbacktracking_pair_count():

@@ -4,25 +4,35 @@
 vectors. Their output must stay byte-identical to what the report gave
 when every per-location block was a ``{label: count}`` dict: the JSON
 of ``json.dumps(report, indent=2, sort_keys=True)`` and the CSV of the
-per-cell writer kept below as the reference.
+per-cell writer kept below as the reference. ``cli._generic_section``
+reads only the nonzero cells of the engine's matrix; the loop over every
+cell that it replaces is kept below as its reference.
 """
 
 import csv
 import io
 import json
 import tempfile
+from contextlib import redirect_stderr
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from nbcensus import cli
 from nbcensus.cli import PerLocation, RunConfig
+from nbcensus.edge_matrix import EdgeSpace
+from nbcensus.graphs import Graph, GraphError
 
 TRIANGLE_PATTERN = "r: x\ns: y z\nx y\nx z\ny z\n"
 # the cell budget refuses this paw on hosts of eight or more vertices
 PAW_PATTERN = "r: a\ns: b c\na b\na c\nb c\nc d\n"
+# the benchmark's second generic: pattern
+SQUARE_PATTERN = "r: a\ns: c\na b\nb c\nc d\nd a\n"
+# a path rooted on one side only: its column tuple is the empty tuple
+PATH_PATTERN = "r: a c\ns:\na b\nb c\n"
 
 
 def as_dicts(obj):
@@ -39,7 +49,7 @@ def as_dicts(obj):
 def csv_reference(report: dict, config: RunConfig, index) -> str:
     """The per-cell CSV writer, on a report whose blocks are dicts."""
     g = index.graph
-    edge_rows = [index.label(e) for e in range(index.size)]
+    edge_rows = list(index.labels)
     vertex_rows = list(g.labels)
     columns = []
     counters = report["counters"]
@@ -134,7 +144,8 @@ EXAMPLES = [
      [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4), (4, 5), (5, 6), (6, 7),
       (7, 0), (8, 6), (8, 1)],
      ["order3", "order4", "k6", "cycles", "triangle"], True),
-    # two directed edges that print the same label, a->x->b
+    # tokens containing '->', which would make two directed edges print the
+    # same label a->x->b: refused at parse time
     (['a->x', 'b', 'a', 'x->b'], [(0, 1), (2, 3), (1, 3), (1, 2)],
      ["order3", "k6"], True),
     # a refused counter (an errors section) beside a generic: section
@@ -150,6 +161,8 @@ def patterns():
         root = Path(tmp)
         (root / "triangle.txt").write_text(TRIANGLE_PATTERN)
         (root / "paw.txt").write_text(PAW_PATTERN)
+        (root / "square.txt").write_text(SQUARE_PATTERN)
+        (root / "path.txt").write_text(PATH_PATTERN)
         yield root
 
 
@@ -170,12 +183,42 @@ def with_examples(test):
     return test
 
 
+def arrow_refusal(host) -> str | None:
+    """The error line the edge-list reader gives a host with a vertex token
+    containing '->' (the first such line names its first such token), or
+    None when no token has one."""
+    labels, edges = host[0], host[1]
+    for lineno, (u, v) in enumerate(edges, start=1):
+        for token in (labels[u], labels[v]):
+            if "->" in token:
+                return (f"error: line {lineno}: vertex token {token!r} "
+                        "contains '->'\n")
+    return None
+
+
+def writer_or_refusal(config: RunConfig, host, writer: str):
+    """``run_capturing(config, writer)``, or None after checking that a host
+    whose tokens contain '->' exits 1 with one error line and no report."""
+    want = arrow_refusal(host)
+    if want is None:
+        return run_capturing(config, writer)
+    stderr = io.StringIO()
+    with mock.patch.object(cli, writer) as spy, redirect_stderr(stderr):
+        assert cli.run(config) == (1, "")
+    assert stderr.getvalue() == want
+    assert not spy.called
+    return None
+
+
 @settings(max_examples=100, deadline=None)
 @given(host=hosts())
 @with_examples
 def test_json_writer_matches_json_dumps(patterns, host):
-    status, text, (report,) = run_capturing(
-        host_config(patterns, host, "json"), "_to_json")
+    got = writer_or_refusal(host_config(patterns, host, "json"), host,
+                            "_to_json")
+    if got is None:
+        return
+    status, text, (report,) = got
     assert text == json.dumps(as_dicts(report), indent=2,
                               sort_keys=True) + "\n"
     if "paw" in host[2]:
@@ -186,6 +229,61 @@ def test_json_writer_matches_json_dumps(patterns, host):
 @given(host=hosts())
 @with_examples
 def test_csv_writer_matches_per_cell_writer(patterns, host):
-    _, text, (report, config, index) = run_capturing(
-        host_config(patterns, host, "csv"), "_to_csv")
+    got = writer_or_refusal(host_config(patterns, host, "csv"), host,
+                            "_to_csv")
+    if got is None:
+        return
+    _, text, (report, config, index) = got
     assert text == csv_reference(as_dicts(report), config, index)
+
+
+def entries_per_cell(km, labels) -> dict:
+    """The generic section's entries from a loop over every cell."""
+    n = km.n
+
+    def name(idx: int, arity: int) -> str:
+        return ",".join(labels[idx // n ** (arity - 1 - a) % n]
+                        for a in range(arity))
+    entries = {}
+    rows, cols = km.data.shape
+    for ri in range(rows):
+        for ci in range(cols):
+            v = int(km.data[ri, ci])
+            if v:
+                entries[f"{name(ri, km.row_arity)}->"
+                        f"{name(ci, km.col_arity)}"] = v
+    return entries
+
+
+@st.composite
+def small_hosts(draw):
+    """Graphs on at most 7 vertices, labelled with tokens the reader keeps."""
+    labels = draw(st.lists(_label.filter(lambda t: "->" not in t),
+                           max_size=7, unique=True))
+    pairs = [(i, j) for i in range(len(labels))
+             for j in range(i + 1, len(labels))]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=21)
+                 if pairs else st.just([]))
+    return Graph(len(labels), edges, labels)
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=small_hosts(),
+       name=st.sampled_from(["triangle", "paw", "square", "path"]))
+@example(g=Graph(5, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (3, 4)],
+                 ["x", "a", "b,c", "a,b", "c"]), name="triangle")
+def test_generic_entries_match_the_per_cell_loop(patterns, g, name):
+    counter = f"generic:{patterns / (name + '.txt')}"
+    computed = {}
+    try:
+        section = cli._generic_section(EdgeSpace(g), counter, computed)
+    except GraphError:
+        section = None
+    _, km = computed[counter]
+    want = entries_per_cell(km, g.labels)
+    if len(want) < np.count_nonzero(km.data):
+        # two vertex tuples print one key: the section is refused
+        assert section is None
+    else:
+        assert section is not None
+        assert list(section["entries"].items()) == list(want.items())
