@@ -9,9 +9,9 @@ order, two-space indentation, and every non-ASCII or control character
 as a ``\\uXXXX`` escape. It is written straight from the count vectors,
 without building a ``{label: count}`` dict per counter. CSV lays out one
 row per location (directed edge or vertex) with one column per counter
-id and a trailing ``__total__`` row; a refused counter gets no column,
-and each error the JSON report would list goes to the error stream as
-``error: <key>: <message>``.
+id and a trailing ``__total__`` row (so an input vertex of that name is
+refused); a refused counter gets no column, and each error the JSON
+report would list goes to the error stream as ``error: <key>: <message>``.
 
 Counters: ``order3``, ``order4``, ``order5`` (catalog formulas, edge and
 vertex rootings), ``k6`` (edge-rooted 6-cliques), ``cycles`` (C3..C9),
@@ -33,7 +33,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import combinations, repeat
 from json.encoder import encode_basestring_ascii
 
 import click
@@ -41,7 +41,7 @@ import numpy as np
 
 from . import catalog
 from .connection import (RootedGraph, ScaleGuardError, build_formula,
-                         eval_formula, kappa_direct)
+                         eval_formula, kappa_direct, tuple_coords)
 from .cycle_census import full_census
 from .edge_matrix import EdgeSpace, IntegrityError
 from .graphs import (DirectedEdgeIndex, Graph, GraphError, load_graph,
@@ -88,14 +88,13 @@ def load_pattern(path: str) -> RootedGraph:
     with utf8_text(path) as fh:
         for raw in fh:
             stripped = raw.split("#", 1)[0].strip()
-            took = False
             for side in ("r", "s"):
                 if stripped == side + ":" or stripped.startswith(side + ": "):
                     if roots[side] is not None:
                         raise GraphError(f"duplicate {side}: header")
                     roots[side] = stripped[2:].split()
-                    took = True
-            if not took:
+                    break
+            else:
                 edge_lines.append(raw)
     if roots["r"] is None or roots["s"] is None:
         raise GraphError("pattern file needs both r: and s: header lines")
@@ -152,15 +151,6 @@ def _order_section(space: EdgeSpace, index: DirectedEdgeIndex,
     }
 
 
-def _tuple_labels(idx: np.ndarray, n: int, arity: int, labels) -> list[str]:
-    """Each linear tuple index in ``idx`` (row-major, as ``TupleMatrix``
-    lays tuples out) printed as its vertex labels joined by ``,``."""
-    if not arity:
-        return [""] * idx.size
-    coords = [(idx // n ** (arity - 1 - a) % n).tolist() for a in range(arity)]
-    return [",".join(labels[v] for v in t) for t in zip(*coords)]
-
-
 def _generic_section(space: EdgeSpace, counter: str, computed: dict) -> dict:
     """The engine's matrix for a ``generic:`` counter as a report section.
 
@@ -176,10 +166,12 @@ def _generic_section(space: EdgeSpace, counter: str, computed: dict) -> dict:
     computed[counter] = (pattern, km)
     labels, n = space.graph.labels, space.graph.n
     rows, cols = np.nonzero(km.data)
-    entries = dict(zip(
-        map("{}->{}".format, _tuple_labels(rows, n, km.row_arity, labels),
-            _tuple_labels(cols, n, km.col_arity, labels)),
-        km.data[rows, cols].tolist()))
+    # each nonzero cell's row and column tuples, labels joined by ","
+    keys = [[",".join(labels[v] for v in t)
+             for t in tuple_coords(idx, n, arity).T.tolist()]
+            for idx, arity in ((rows, km.row_arity), (cols, km.col_arity))]
+    entries = dict(zip(map("{}->{}".format, *keys),
+                       km.data[rows, cols].tolist()))
     if len(entries) != rows.size:
         raise GraphError(
             f"{rows.size} nonzero entries print only {len(entries)} distinct "
@@ -252,24 +244,18 @@ def _check_cycles(section, g) -> dict:
 
 
 def _check_k6(section, index) -> dict:
-    from itertools import combinations
     k6 = Graph(6, list(combinations(range(6), 2)))
     want = edge_rooted_vector(k6, (0, 1), index.graph, index)
     return _verdict([] if _values(section) == want else ["K6"], 1)
 
 
 def _check_generic(counter, result, g) -> dict:
-    """``kappa_direct`` against the matrix the section was built from; a
-    scale refusal skips the check, any other refusal is raised again."""
-    if isinstance(result, ScaleGuardError):
-        return {"status": f"skipped: {result}"}
-    if isinstance(result, IntegrityError):
+    """``kappa_direct`` against the matrix the section was built from; the
+    refusal that stopped the engine is raised again."""
+    if isinstance(result, Exception):
         raise result
     pattern, got = result
-    try:
-        want = kappa_direct(pattern, g)
-    except ScaleGuardError as exc:
-        return {"status": f"skipped: {exc}"}
+    want = kappa_direct(pattern, g)
     return _verdict([] if got.equal(want) else [counter], 1)
 
 
@@ -382,6 +368,8 @@ def run(config: RunConfig) -> tuple[int, str]:
     timings: list[tuple[str, int]] = []
     try:
         g = _stage(timings, "parse", lambda: load_graph(config.input_path))
+        if config.fmt == "csv" and "__total__" in g.labels:
+            raise GraphError("vertex '__total__' reads as the CSV totals row")
     except (OSError, GraphError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1, ""
@@ -426,7 +414,7 @@ def run(config: RunConfig) -> tuple[int, str]:
                     lambda c=counter: _oracle_check(
                         space, c, report["counters"][c], errors,
                         config.max_oracle_n, computed))
-            except OracleGuardError as exc:
+            except (OracleGuardError, ScaleGuardError) as exc:
                 checks[counter] = {"status": f"skipped: {exc}"}
             except IntegrityError as exc:
                 errors[f"check:{counter}"] = str(exc)

@@ -16,7 +16,8 @@ nothing but the host adjacency matrix and seven algebraic node kinds of the
 package's one expression language. ``eval_formula`` checks every node's size
 against the cell budget, then evaluates the formula exactly on
 ``edge_matrix.Evaluator``, the catalog's interpreter, over a dense tuple
-space.
+space: the host's adjacency matrix, and read-only selections that
+``selection`` builds once per host order. ``tuple_index`` lays out tuples.
 The builder works by recursion on pattern order: a minimum-degree vertex is
 set aside, the edges avoiding it and the star at it are each produced by
 one-order-smaller builds chained with a two-vertex pattern, the halves are
@@ -45,9 +46,10 @@ module exists for certification and generality, not throughput.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import partial
 from itertools import product as tuple_product
 from math import gcd
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -100,12 +102,23 @@ class RootedGraph:
         return set(self.r) | set(self.s) == set(range(self.graph.n))
 
 
-def _lin(t: tuple[int, ...], n: int) -> int:
-    """Row-major linear index of a vertex tuple: last coordinate fastest."""
+def tuple_index(t, n: int):
+    """The one tuple layout: row-major, last coordinate fastest (the order of
+    ``itertools.product``), so ``t`` sits at sum of t_a * n**(len(t)-1-a)
+    and the empty tuple at 0. Coordinates are ints or int64 arrays."""
     idx = 0
     for v in t:
         idx = idx * n + v
     return idx
+
+
+def tuple_coords(idx, n: int, arity: int) -> np.ndarray:
+    """Inverse of ``tuple_index`` over an array of linear indices: row a of
+    the (arity, len(idx)) result holds coordinate a of every tuple."""
+    out = np.empty((arity, np.size(idx)), dtype=np.int64)
+    for a in reversed(range(arity)):
+        idx, out[a] = np.divmod(idx, n)
+    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,8 +126,7 @@ class TupleMatrix:
     """Integer matrix indexed by vertex tuples of a fixed host order.
 
     Rows range over [0, n)^row_arity and columns over [0, n)^col_arity,
-    linearized row-major (tuple (t_0, .., t_{l-1}) maps to sum of
-    t_a * n**(l-1-a)); arity zero is the single empty tuple.
+    each laid out by ``tuple_index``.
     """
     n: int
     row_arity: int
@@ -124,7 +136,7 @@ class TupleMatrix:
     def entry(self, i: tuple[int, ...] = (), j: tuple[int, ...] = ()) -> int:
         if len(i) != self.row_arity or len(j) != self.col_arity:
             raise ValueError("tuple arity mismatch")
-        return int(self.data[_lin(i, self.n), _lin(j, self.n)])
+        return int(self.data[tuple_index(i, self.n), tuple_index(j, self.n)])
 
     def equal(self, other: "TupleMatrix") -> bool:
         return (self.n == other.n
@@ -153,16 +165,14 @@ def kappa_direct(F: RootedGraph, G: Graph, *,
             f"pattern order {F.graph.n} exceeds limit {MAX_PATTERN_ORDER}")
     tally = np.zeros((G.n ** p, G.n ** q), dtype=np.int64)
     for image in embeddings(F.graph, G):
-        ri = _lin(tuple(image[v] for v in F.r), G.n)
-        ci = _lin(tuple(image[v] for v in F.s), G.n)
-        tally[ri, ci] += 1
+        tally[tuple_index([image[v] for v in F.r], G.n),
+              tuple_index([image[v] for v in F.s], G.n)] += 1
     aut = automorphism_count_fixing(F.graph, set(F.r) | set(F.s))
-    if aut != 1:
-        if (tally % aut).any():
-            raise IntegrityError(
-                "embedding tallies not divisible by the root-fixing "
-                "automorphism count")
-        tally //= aut
+    if (tally % aut).any():
+        raise IntegrityError(
+            "embedding tallies not divisible by the root-fixing "
+            "automorphism count")
+    tally //= aut
     return TupleMatrix(G.n, p, q, tally)
 
 
@@ -176,7 +186,8 @@ def kappa_direct(F: RootedGraph, G: Graph, *,
 #   ("adj",)                 host adjacency matrix, arity (1, 1)
 #   ("sel", p, q, eq, ne)    0/1 constraint matrix, arity (p, q); eq and ne
 #                            are sorted tuples of (a, b) position pairs
-#                            demanding i_a == j_b resp. i_a != j_b
+#                            demanding i_a == j_b resp. i_a != j_b; one
+#                            shared matrix per host order (``selection``)
 #   ("T", e)                 transpose
 #   ("vec", e)               row-major column stacking, arity (p+q, 0)
 #   ("mm", e1, e2)           matrix product over the shared inner arity;
@@ -247,8 +258,7 @@ def _scale(expr: tuple, num: int, den: int) -> tuple:
     if den < 0:
         num, den = -num, -den
     g = gcd(abs(num), den)
-    if g > 1:
-        num, den = num // g, den // g
+    num, den = num // g, den // g
     if (num, den) == (1, 1):
         return expr
     if expr[0] == "scale":
@@ -256,34 +266,32 @@ def _scale(expr: tuple, num: int, den: int) -> tuple:
     return ("scale", expr, num, den)
 
 
-class _TupleSpace:
-    """The host side of a formula: its two leaves as dense int64 matrices
-    over the vertex tuples of one host graph, for ``edge_matrix.Evaluator``."""
+# A selection depends on the host's order alone, so all hosts of one order
+# share it; the cache is emptied when a new one would take it past this.
+SELECTION_CACHE_CELLS = 4 * MAX_CELLS
+_selections: dict[tuple, np.ndarray] = {}
 
-    stats = None
 
-    def __init__(self, G: Graph):
-        self.graph = G
-
-    @cached_property
-    def adj(self) -> np.ndarray:
-        n = self.graph.n
-        out = np.zeros((n, n), dtype=np.int64)
-        for u, v in self.graph.edges:
-            out[u, v] = out[v, u] = 1
-        return out
-
-    def sel(self, p: int, q: int, eq, ne) -> np.ndarray:
-        n = self.graph.n
-        rows, cols = n ** p, n ** q
-        rowd = [(np.arange(rows) // n ** (p - 1 - a)) % n for a in range(p)]
-        cold = [(np.arange(cols) // n ** (q - 1 - b)) % n for b in range(q)]
-        out = np.ones((rows, cols), dtype=bool)
+def selection(n: int, p: int, q: int, eq=(), ne=()) -> np.ndarray:
+    """The ``("sel", p, q, eq, ne)`` leaf over hosts of order n: a shared,
+    read-only 0/1 int64 matrix whose entry (i, j) is 1 iff i_a == j_b for
+    every (a, b) in eq and i_a != j_b for every (a, b) in ne."""
+    key = (n, p, q, eq, ne)
+    out = _selections.get(key)
+    if out is None:
+        rows, cols = (tuple_coords(np.arange(n ** k), n, k) for k in (p, q))
+        mask = np.ones((n ** p, n ** q), dtype=bool)
         for a, b in eq:
-            out &= rowd[a][:, None] == cold[b][None, :]
+            mask &= rows[a][:, None] == cols[b]
         for a, b in ne:
-            out &= rowd[a][:, None] != cold[b][None, :]
-        return out.astype(np.int64)
+            mask &= rows[a][:, None] != cols[b]
+        out = mask.astype(np.int64)
+        out.flags.writeable = False
+        held = sum(m.size for m in _selections.values())
+        if held + out.size > SELECTION_CACHE_CELLS:
+            _selections.clear()
+        _selections[key] = out
+    return out
 
 
 def eval_formula(expr: tuple, G: Graph, *,
@@ -298,7 +306,11 @@ def eval_formula(expr: tuple, G: Graph, *,
     for p, q in arities.values():
         _guard_cells(G.n, p, q, max_cells)
     p, q = arities[expr]
-    return TupleMatrix(G.n, p, q, Evaluator(_TupleSpace(G)).eval(expr))
+    adj = np.zeros((G.n, G.n), dtype=np.int64)
+    for u, v in G.edges:
+        adj[u, v] = adj[v, u] = 1
+    host = SimpleNamespace(adj=adj, sel=partial(selection, G.n), stats=None)
+    return TupleMatrix(G.n, p, q, Evaluator(host).eval(expr))
 
 
 # ---------------------------------------------------------------------------

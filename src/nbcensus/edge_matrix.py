@@ -45,9 +45,10 @@ engine alike:
   ("rowsum", X), ("colsum", X)
   ("total", X)        sum of all entries, as a Python int
   ("div", X, c)       exact division; nonzero remainder raises IntegrityError
-  tuple-space nodes, on dense matrices over host vertex tuples (the two
-  leaves come from connection.py's host): ("adj",) adjacency, ("sel", p,
-  q, eq, ne) 0/1 root constraints, ("vec", X) row-major column stacking
+  tuple-space nodes, on dense matrices over host vertex tuples laid out by
+  connection.tuple_index: ("adj",) the host's adjacency matrix, ("sel", p,
+  q, eq, ne) 0/1 root constraints (connection.selection, one read-only
+  matrix per host order), ("vec", X) row-major column stacking
 
 Every node that computes new values goes through one of the guards, so a
 result that would wrap int64 raises IntegrityError (labelled with the
@@ -474,7 +475,7 @@ class Evaluator:
 
     The host is an EdgeSpace, which supplies the string atoms, or any
     object with ``adj``, ``sel(p, q, eq, ne)`` and ``stats`` for the
-    tuple-space leaves (connection.py's dense host).
+    tuple-space leaves (``connection.eval_formula`` makes one per host).
     """
 
     def __init__(self, space):

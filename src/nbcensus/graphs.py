@@ -133,10 +133,10 @@ def path2_count(graph: Graph) -> int:
 
 @contextmanager
 def utf8_text(path):
-    """``path`` opened as UTF-8 text. A byte that does not decode raises
-    GraphError naming its offset in the file."""
+    """``path`` opened as UTF-8 text, less a leading byte-order mark. A byte
+    that does not decode raises GraphError naming its offset in the file."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             yield fh
     except UnicodeDecodeError:
         # the text reader decodes in chunks, so its offsets are not file

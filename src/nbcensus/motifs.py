@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .connection import RootedGraph, kappa_direct
+from .connection import RootedGraph, kappa_direct, tuple_index
 from .edge_matrix import (EdgeSpace, Evaluator, IntegrityError,
                           checked_hadamard, checked_matmul, checked_scale,
                           checked_total, exact_div, last_uses)
@@ -122,7 +122,7 @@ def eval_order6_edge(space: EdgeSpace, F) -> MotifResult:
         raise ValueError("root must be a directed edge of the pattern")
     if getattr(F, "s", ()) not in ((), None):
         raise ValueError("order-6 evaluation is edge-rooted only")
-    G = space.graph
+    G, index = space.graph, space.index
     a1, a2 = root
     b1, b2, c1, c2 = sorted(set(range(6)) - {a1, a2})
 
@@ -141,7 +141,7 @@ def eval_order6_edge(space: EdgeSpace, F) -> MotifResult:
     divisor = automorphism_count_fixing(pattern, (a1, a2))
     per_pair = exact_div(per_pair, divisor, "order6 root-fixing symmetry")
     return MotifResult(MotifId(6, "order6", "edge"),
-                       per_pair[space.index.tail * G.n + space.index.head])
+                       per_pair[tuple_index((index.tail, index.head), G.n)])
 
 
 def eval_k6_edge(space: EdgeSpace) -> MotifResult:

@@ -9,8 +9,9 @@ Counting semantics for rooted patterns: a copy of a pattern F with root
 tuples (r, s) at a location (i, j) is a distinct subgraph of the host whose
 vertices can be matched to F by a bijection sending r onto i and s onto j
 componentwise. Equivalently: injective edge-preserving maps pinned at the
-roots, divided by the automorphisms of F that fix every root vertex. Both
-routes are implemented and cross-checked.
+roots, divided by the automorphisms of F that fix every root vertex. The
+test suite cross-checks the two, counting the copies themselves in its
+``reference_counts`` module.
 
 The backtracking enumerator ``embeddings`` is the package's only one, and
 every pinned pattern map the package needs comes from it:
@@ -219,53 +220,6 @@ def count_rooted_copies(F, G: Graph, i: Sequence[int] = (), j: Sequence[int] = (
     return emb // aut
 
 
-def count_rooted_copies_dedup(F, G: Graph, i: Sequence[int] = (),
-                              j: Sequence[int] = (),
-                              config: OracleConfig = DEFAULT_CONFIG) -> int:
-    """Same count via explicit subgraph-set deduplication (slow cross-check)."""
-    if isinstance(F, Graph):
-        pattern, r, s = F, (), ()
-    else:
-        pattern, r, s = F.graph, tuple(F.r), tuple(F.s)
-    _check_guards(pattern, G, config)
-    pins = _pin_map(r, s, i, j)
-    if pins is None:
-        return 0
-
-    copies: set[tuple] = set()
-    n = pattern.n
-    image = [-1] * n
-    used = set()
-    for pv, hv in pins.items():
-        image[pv] = hv
-        used.add(hv)
-    free = [v for v in range(n) if v not in pins]
-
-    def walk(idx: int) -> None:
-        if idx == len(free):
-            for u, v in pattern.edges:
-                if not G.has_edge(image[u], image[v]):
-                    return
-            vset = frozenset(image)
-            eset = frozenset(
-                (min(image[u], image[v]), max(image[u], image[v]))
-                for u, v in pattern.edges)
-            copies.add((vset, eset))
-            return
-        pv = free[idx]
-        for hv in range(G.n):
-            if hv in used:
-                continue
-            image[pv] = hv
-            used.add(hv)
-            walk(idx + 1)
-            used.discard(hv)
-            image[pv] = -1
-
-    walk(0)
-    return len(copies)
-
-
 def count_copies(pattern: Graph, G: Graph,
                  config: OracleConfig = DEFAULT_CONFIG) -> int:
     """Unrooted copy count of ``pattern`` in ``G``."""
@@ -443,13 +397,6 @@ def simple_cycle_census(G: Graph, kmax: int = 9,
     return counts
 
 
-def count_simple_cycles(G: Graph, k: int,
-                        config: OracleConfig = DEFAULT_CONFIG) -> int:
-    if not 3 <= k:
-        raise ValueError("cycles have length at least 3")
-    return simple_cycle_census(G, kmax=k, config=config)[k]
-
-
 # ---------------------------------------------------------------------------
 # closed non-backtracking walks
 # ---------------------------------------------------------------------------
@@ -496,11 +443,6 @@ def closed_nb_walks_by_edge_set(G: Graph, k: int, max_walks: int = 2_000_000
             walk[0], walk[1] = v0, v1
             step(1)
     return out
-
-
-def closed_nb_walk_total(G: Graph, k: int, max_walks: int = 2_000_000) -> int:
-    """Trace of the k-th non-backtracking power, by explicit enumeration."""
-    return sum(closed_nb_walks_by_edge_set(G, k, max_walks).values())
 
 
 def walk_shape_classes(k: int) -> list[dict]:

@@ -301,6 +301,46 @@ def test_non_utf8_files_fail_cleanly(runner, tmp_path, k4_file):
         f"{len(PATTERN_TEXT)} is not UTF-8\n")
 
 
+def test_byte_order_mark_is_not_part_of_a_token(runner, tmp_path):
+    bom = b"\xef\xbb\xbf"
+    host = tmp_path / "tri.txt"
+    host.write_bytes(bom + TRIANGLE_TEXT.encode())
+    pattern = tmp_path / "pattern.txt"
+    pattern.write_bytes(bom + PATTERN_TEXT.encode())
+    counter = f"generic:{pattern}"
+    result = runner.invoke(main, ["--input", str(host), "--counts",
+                                  f"cycles,{counter}"])
+    assert result.exit_code == 0, result.stderr
+    report = json.loads(result.stdout)
+    assert report["meta"] == {"n": 3, "m": 3, "l": 6}
+    assert report["counters"]["cycles"]["C3"] == 1
+    assert report["counters"][counter]["total"] == 6
+    # a byte that does not decode is still named by its offset in the file
+    host.write_bytes(bom + b"a b\nb \xffc\n")
+    result = runner.invoke(main, ["--input", str(host), "--counts", "cycles"])
+    assert result.exit_code == 1 and result.stdout == ""
+    assert result.stderr == (
+        f"error: {host}: byte 0xff at offset 9 is not UTF-8\n")
+
+
+def test_vertex_named_like_the_csv_totals_row_is_refused(runner, tmp_path):
+    host = tmp_path / "total.txt"
+    host.write_text("__total__ b\nb c\nc __total__\n")
+    out = tmp_path / "report.csv"
+    result = runner.invoke(main, ["--input", str(host), "--counts", "order3",
+                                  "--format", "csv", "--output", str(out)])
+    assert result.exit_code == 1
+    assert result.stderr == (
+        "error: vertex '__total__' reads as the CSV totals row\n")
+    assert result.stdout == "" and not out.exists()
+    # JSON keys vertices by label, so the name is harmless there
+    result = runner.invoke(main, ["--input", str(host), "--counts", "order3"])
+    assert result.exit_code == 0, result.stderr
+    vertex = json.loads(result.stdout)["counters"]["order3"]["vertex"]
+    assert all("__total__" in block["per_location"]
+               for block in vertex.values())
+
+
 def test_generic_keys_that_collide_are_refused(runner, tmp_path):
     # (x; a, "b,c") and (x; "a,b", c) are two triangles that print one key
     host = tmp_path / "commas.txt"

@@ -10,18 +10,20 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import complete_graph, cycle_graph, er_graph
+from nbcensus import connection
 from nbcensus.connection import (MAX_PATTERN_ORDER, CompositionError,
                                  RootedFormula, RootedGraph, ScaleGuardError,
                                  TupleMatrix, build_formula, eval_formula,
                                  formula_arity, kappa_direct, lemma1_project,
                                  lemma1_transpose, lemma1_vectorize,
                                  prop1_chain, prop1_restrict,
-                                 prop1_union_same_roots)
-from nbcensus.edge_matrix import EdgeSpace, IntegrityError
+                                 prop1_union_same_roots, selection)
+from nbcensus.edge_matrix import EdgeSpace, Evaluator, IntegrityError
 from nbcensus.graphs import Graph
-from nbcensus.oracle import count_rooted_copies_dedup
+from reference_counts import count_rooted_copies_dedup
 
 P2 = Graph(2, [(0, 1)])
 P3 = Graph(3, [(0, 1), (1, 2)])
@@ -111,6 +113,73 @@ def test_eval_formula_atoms():
     assert int(adj.data.sum()) == 2 * g.m
     off = eval_formula(("sel", 1, 1, (), ((0, 0),)), g)
     assert np.array_equal(off.data, 1 - np.eye(5, dtype=np.int64))
+
+
+@st.composite
+def selection_keys(draw):
+    """(n, p, q, eq, ne) with n <= 4, p + q <= 4 and random position pairs."""
+    n = draw(st.integers(0, 4))
+    p = draw(st.integers(0, 4))
+    q = draw(st.integers(0, 4 - p))
+    pairs = st.sampled_from([(a, b) for a in range(p) for b in range(q)])
+    eq, ne = (tuple(sorted(draw(st.lists(pairs, unique=True))))
+              if p and q else () for _ in range(2))
+    return n, p, q, eq, ne
+
+
+@settings(max_examples=200, deadline=None)
+@given(key=selection_keys())
+def test_selection_matches_the_per_cell_reference(key):
+    n, p, q, eq, ne = key
+    want = [[int(all(i[a] == j[b] for a, b in eq)
+                 and all(i[a] != j[b] for a, b in ne))
+             for j in product(range(n), repeat=q)]
+            for i in product(range(n), repeat=p)]
+    got = selection(*key)
+    assert got.dtype == np.int64 and got.shape == (n ** p, n ** q)
+    assert got.tolist() == want
+
+
+def test_selections_are_read_only():
+    sel = selection(3, 1, 1, ((0, 0),), ())
+    with pytest.raises(ValueError, match="read-only"):
+        sel[0, 1] = 1
+    with pytest.raises(ValueError, match="read-only"):
+        sel += 1
+    assert np.array_equal(sel, np.eye(3, dtype=np.int64))
+
+
+def test_hosts_of_one_order_share_each_selection(monkeypatch):
+    # an empty cache, so that no build empties it between the two hosts
+    monkeypatch.setattr(connection, "_selections", {}, raising=False)
+    seen = []
+    apply = Evaluator._apply
+
+    def spy(self, expr):
+        out = apply(self, expr)
+        if expr[0] == "sel":
+            seen.append(out)
+        return out
+    monkeypatch.setattr(Evaluator, "_apply", spy)
+    expr = build_formula(RootedGraph(DIAMOND, (0,), (2,)))
+    results, leaves = [], []
+    for g in (complete_graph(5), er_graph(5, 0.8, 3)):
+        seen.clear()
+        results.append(eval_formula(expr, g))
+        leaves.append(list(seen))
+    assert not results[0].equal(results[1])
+    assert leaves[0] and len(leaves[0]) == len(leaves[1])
+    assert all(a is b for a, b in zip(*leaves))
+
+
+def test_selection_cache_stays_within_its_cell_bound(monkeypatch):
+    monkeypatch.setattr(connection, "SELECTION_CACHE_CELLS", 100)
+    monkeypatch.setattr(connection, "_selections", {})
+    for n in range(2, 9):
+        selection(n, 1, 1, (), ((0, 0),))
+        assert sum(m.size for m in connection._selections.values()) <= 100
+    assert selection(8, 1, 1, (), ((0, 0),)) is selection(8, 1, 1, (),
+                                                          ((0, 0),))
 
 
 def test_eval_formula_guards():

@@ -20,11 +20,12 @@ from nbcensus.edge_matrix import EdgeSpace
 from nbcensus.graphs import DirectedEdgeIndex, Graph
 from nbcensus.oracle import (OracleConfig, OracleGuardError,
                              automorphism_count_fixing, automorphisms,
-                             closed_nb_walk_total, count_copies,
-                             count_embeddings, count_rooted_copies,
-                             count_rooted_copies_dedup, count_simple_cycles,
-                             edge_rooted_vector, simple_cycle_census,
-                             vertex_rooted_vector, walk_shape_classes)
+                             count_copies, count_embeddings,
+                             count_rooted_copies, edge_rooted_vector,
+                             simple_cycle_census, vertex_rooted_vector,
+                             walk_shape_classes)
+from reference_counts import (closed_nb_walk_total, count_rooted_copies_dedup,
+                              count_simple_cycles)
 
 PATH3 = Graph(3, [(0, 1), (1, 2)])
 TRIANGLE = complete_graph(3)

@@ -14,6 +14,7 @@ import io
 import json
 import tempfile
 from contextlib import redirect_stderr
+from itertools import product
 from pathlib import Path
 from unittest import mock
 
@@ -280,6 +281,10 @@ def test_generic_entries_match_the_per_cell_loop(patterns, g, name):
     except GraphError:
         section = None
     _, km = computed[counter]
+    # the layout: cells in itertools.product order of the vertex tuples
+    assert [km.entry(i, j) for i in product(range(g.n), repeat=km.row_arity)
+            for j in product(range(g.n), repeat=km.col_arity)
+            ] == km.data.ravel().tolist()
     want = entries_per_cell(km, g.labels)
     if len(want) < np.count_nonzero(km.data):
         # two vertex tuples print one key: the section is refused
