@@ -46,10 +46,10 @@ module exists for certification and generality, not throughput.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from itertools import product as tuple_product
 from math import gcd
-from types import SimpleNamespace
+from types import MappingProxyType, SimpleNamespace
 
 import numpy as np
 
@@ -197,10 +197,14 @@ def kappa_direct(F: RootedGraph, G: Graph, *,
 #
 # Tuples are hashable, so shared subterms deduplicate in the evaluator.
 
-def _arities(expr: tuple) -> dict[tuple, tuple[int, int]]:
+@lru_cache(maxsize=256)
+def _arities(expr: tuple) -> MappingProxyType:
     """Row and column arity of every distinct node of a formula, validating
     shapes as it goes. Keys are in the order a depth-first walk first meets
-    the nodes, each parent before its children."""
+    the nodes, each parent before its children.
+
+    The arities depend on the formula alone, so each is walked once and the
+    read-only result shared by every host it is evaluated on."""
     out: dict[tuple, tuple[int, int]] = {}
 
     def arity(e: tuple) -> tuple[int, int]:
@@ -240,7 +244,7 @@ def _arities(expr: tuple) -> dict[tuple, tuple[int, int]]:
         return got
 
     arity(expr)
-    return out
+    return MappingProxyType(out)
 
 
 def formula_arity(expr: tuple) -> tuple[int, int]:

@@ -83,7 +83,12 @@ def _form(v, M, w):
 
 
 _SQTT = ("had", ("colrev", "square"), "B3")
-_PNT = ("had", ("had", ("had", "B2", ("T", "B3")), ("rowrev", "B2")),
+# the transpose of B^2 o (B^3)^T o rowrev(B^2) o colrev(B^2), since
+# (B^k)^T = J B^k J for the reversal J and rowrev(B^2), colrev(B^2) are
+# symmetric. Like every main term below, it transposes or reverses B^2 or
+# smaller factors and reads B^3 as it is: a total is unchanged by
+# transposing, or reversing the rows or columns of, all of its factors.
+_PNT = ("had", ("had", ("had", "B3", ("T", "B2")), ("rowrev", "B2")),
         ("colrev", "B2"))
 # closed 4-walks from e landing on its own reversal, B^4[e, rev e]: the
 # "square over an edge" indicator that rank-one terms multiply against.
@@ -107,7 +112,7 @@ CORRECTIONS: tuple[tuple[str, tuple, tuple[tuple[int, str], ...], int], ...] = (
     ("F10", ("total", _SQTT), (), 12),
     ("F11", ("total", ("binom", "d4", 2)),
      ((2, "F9"), (12, "F10"), (12, "F7")), 2),
-    ("F12", ("total", ("had", "square", ("binom", ("colrev", "B3"), 2))),
+    ("F12", ("total", ("had", ("colrev", "square"), ("binom", "B3", 2))),
      (), 24),
     ("F13", ("total", ("had", "square", ("binom", "B3", 2))), (), 2),
     ("F14", _inner("d3", "d5"), ((4, "F4"), (2, "F9")), 2),
@@ -122,8 +127,8 @@ CORRECTIONS: tuple[tuple[str, tuple, tuple[tuple[int, str], ...], int], ...] = (
     ("F17", _form("d3", "B", "d5"),
      ((6, "F14"), (8, "F4"), (10, "F9"), (16, "F13")), 4),
     ("F18", ("total", _PNT), (), 4),
-    ("F19", ("total", ("had", _PNT, ("T", "B2"))), (), 4),
-    ("F20", ("total", ("had", "B2", ("binom", ("T", "B3"), 2))), (), 2),
+    ("F19", ("total", ("had", _PNT, "B2")), (), 4),
+    ("F20", ("total", ("had", ("T", "B2"), ("binom", "B3", 2))), (), 2),
     ("F21", _inner(_QLOOP, ("rowsum", _SQR)),
      ((8, "F2"), (4, "F9"), (24, "F5")), 4),
     ("F22", _inner(_QLOOP, ("rowsum", _SQL)),
@@ -131,8 +136,10 @@ CORRECTIONS: tuple[tuple[str, tuple, tuple[tuple[int, str], ...], int], ...] = (
     ("F23", ("total", ("hadmm", _SQR, "B3")),
      ((24, "F7"), (2, "F9"), (4, "F19")), 1),
     # the trailing three-step here carries a column reversal the printed
-    # form drops; without it the entry matches no shape
-    ("F24", ("total", ("had", _SQTT, ("colrev", "B3"))), ((4, "F18"),), 2),
+    # form drops; without it the entry matches no shape. The reversal sits
+    # on the other, sparse factor: the total is unchanged by reversing
+    # both factors' columns
+    ("F24", ("total", ("had", ("colrev", _SQTT), "B3")), ((4, "F18"),), 2),
     ("F25", _inner("d3", ("rowsum", ("had", _SQL, "B3"))),
      ((2, "F9"), (8, "F19")), 6),
     ("F26", _inner("d3", "d6"),
@@ -146,8 +153,10 @@ CORRECTIONS: tuple[tuple[str, tuple, tuple[tuple[int, str], ...], int], ...] = (
      ((12, "F2"), (8, "F4"), (36, "F5"), (8, "F6"), (24, "F7"),
       (6, "F9"), (12, "F18"), (4, "F19"), (4, "F21"), (3, "F23"),
       (4, "F24")), 4),
-    ("F29", ("total", ("had", ("had", ("hadmm", "B", "B3"), ("rowrev", "B3")),
-                       ("colrev", "B3"))),
+    # the total of B o B^4 o rowrev(B^3) o colrev(B^3), with both
+    # reversals moved onto the B-sized factors
+    ("F29", ("total", ("had", ("colrev", ("rowrev", ("had", (
+        "rowrev", ("hadmm", "B", "B3")), "B3"))), "B3")),
      ((8, "F2"), (16, "F3"), (24, "F5"), (24, "F7"), (14, "F9"),
       (28, "F21")), 48),
     ("F30", _inner(("binom", "d3", 2), "d5"),

@@ -256,11 +256,12 @@ ATOMS = {
     # whose far edge is f
     "join": ("triangle_join_step", ("mm", "texit", ("rowrev", "tri"))),
     # diag(B^(i+j)) pairs B^i with the transpose of B^j; powers above B^3
-    # are never held in memory
+    # are never held in memory, and B^3 is never transposed: d5 and d6
+    # read B^3 and B^4 at the mask (B^2)^T through the masked product
     "d3": ("diag3", ("rowsum", "tri")),
     "d4": ("diag4", ("rowsum", "square")),
-    "d5": ("diag5", ("rowsum", ("had", "B2", ("T", "B3")))),
-    "d6": ("diag6", ("rowsum", ("had", "B3", ("T", "B3")))),
+    "d5": ("diag5", ("rowsum", ("hadmm", ("T", "B2"), "B2"))),
+    "d6": ("diag6", ("rowsum", ("hadmm", ("T", "B2"), "B3"))),
 }
 
 
@@ -371,10 +372,19 @@ class EdgeSpace:
 
     # -- traces of high powers -------------------------------------------
     #
-    # The traces come from vertex space: by the Ihara-Bass identity
+    # The traces come from vertex space. By the Ihara-Bass identity
     # det(I - uB) = (1 - u^2)^(m-n) det(I - uB~) with the 2n x 2n operator
-    # B~ = [[A, I - D], [I, 0]], tr(B^k) equals tr(B~^k) for odd k and
-    # tr(B~^k) + 2(m - n) for even k.
+    # B~ = [[A, C], [I, 0]], C = I - D, tr(B^k) equals tr(B~^k) for odd k
+    # and tr(B~^k) + 2(m - n) for even k. B~ itself is never built: its
+    # powers are B~^k = [[P_k, P_(k-1) C], [P_(k-1), P_(k-2) C]] with the
+    # n x n blocks P_(-1) = 0, P_0 = I, P_1 = A and
+    # P_k = P_(k-1) A + P_(k-2) C, the non-backtracking walk recurrence
+    # (Alon, Benjamini, Lubetzky and Sodin, 2007): P_k = A_k + P_(k-2),
+    # with A_k counting the non-backtracking k-walks between two vertices.
+    # So each P_k is symmetric, and P_(i+j) = P_i P_j + P_(i-1) C P_(j-1)
+    # (the top left block of B~^i B~^j). With the pairings
+    # H_k = P_ceil(k/2) o P_floor(k/2) (entrywise; H_(-1) = 0) and the
+    # vector c = 1 - d, tr(B~^k) = 1'H_k 1 + 2 c'H_(k-2) 1 + c'H_(k-4) c.
 
     def trace(self, k: int) -> int:
         """tr(B^k) for 3 <= k <= 9, read from a table built once in vertex
@@ -387,32 +397,56 @@ class EdgeSpace:
         return value
 
     def _trace_table(self) -> dict:
-        """tr(B^k), k = 3..9, or the IntegrityError that refused it. Each
-        tr(B~^k) totals B~^i times (B~^j)^T entrywise, i + j = k; the powers
-        of B~ are dropped on return."""
+        """tr(B^k), k = 3..9, or the IntegrityError that refused it, which
+        names B^k. Only n x n matrices are built: the blocks P_0..P_5 and
+        the ten pairings H_0..H_9 (see above), each pairing read by the
+        forms that need it and dropped; a refusal stays with the traces
+        that read the refused block, pairing or form."""
         start = time.perf_counter()
         n, m = self.graph.n, self.graph.m
-        tail, head = self.index.tail, self.index.head
-        A = sp.csr_matrix((np.ones(self.size, dtype=np.int64),
-                           (tail, head)), shape=(n, n), dtype=np.int64)
-        step = sp.bmat([[A, sp.diags(1 - np.bincount(tail, minlength=n),
-                                     dtype=np.int64)],
-                        [sp.identity(n, dtype=np.int64), None]],
-                       format="csr", dtype=np.int64)
-        powers, table = [None, step], {}
-        for k in range(3, 10):
-            i, j = k - k // 2, k // 2
-            try:
-                while len(powers) <= i:
-                    powers.append(checked_matmul(
-                        powers[-1], step, f"trace:B~^{len(powers)}",
-                        self.stats))
-                pair = checked_hadamard(powers[i], powers[j].T,
-                                        f"trace:B~^{k} pairing")
-                table[k] = (checked_total(pair, f"trace:B^{k}")
-                            + (1 + (-1) ** k) * (m - n))
-            except IntegrityError as exc:
-                table[k] = exc
+        tail = self.index.tail
+        c = 1 - np.bincount(tail, minlength=n).astype(np.int64)
+        C = sp.diags(c, format="csr", dtype=np.int64)
+        P = [sp.identity(n, dtype=np.int64, format="csr"),
+             sp.csr_matrix((np.ones(self.size, dtype=np.int64),
+                            (tail, self.index.head)), shape=(n, n))]
+
+        def block(k):
+            while len(P) <= k:
+                i = len(P)
+                label = f"trace:P_{i}"
+                P.append(checked_add(
+                    checked_matmul(P[i - 1], P[1], label, self.stats),
+                    checked_matmul(P[i - 2], C, label), label, 1))
+            return P[k]
+
+        table = {k: (1 + (-1) ** k) * (m - n) for k in range(3, 10)}
+        for h in range(10):
+            label = f"trace:H_{h}"
+            H = Hc = None
+            # H_h enters tr(B~^h) as 1'H 1, tr(B~^(h+2)) as 2 c'H 1 and
+            # tr(B~^(h+4)) as c'H c
+            for k in (h, h + 2, h + 4):
+                if not isinstance(table.get(k), int):  # outside 3..9, or refused
+                    continue
+                try:
+                    if H is None:
+                        H = checked_hadamard(block(h - h // 2), block(h // 2),
+                                             label)
+                    if k == h:
+                        term = checked_total(H, label)
+                    else:
+                        if Hc is None:
+                            Hc = checked_matmul(H, c, label)
+                        if k == h + 2:
+                            term = checked_scale(checked_total(Hc, label), 2,
+                                                 label)
+                        else:
+                            term = checked_total(
+                                checked_hadamard(c, Hc, label), label)
+                    table[k] = checked_add(table[k], term, label, 1)
+                except IntegrityError as exc:
+                    table[k] = IntegrityError(f"trace:B^{k}: {exc}")
         self.stats["traces_ms"] = int((time.perf_counter() - start) * 1000)
         return table
 

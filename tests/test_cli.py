@@ -1,12 +1,17 @@
 """End-to-end runs of the command-line front end."""
 
+import importlib.util
 import json
 import os
+import random
+import resource
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+import scipy.sparse as sp
 from click.testing import CliRunner
 
 from nbcensus import cli
@@ -404,3 +409,42 @@ def test_bench_tracer_finds_the_cli_entry_points(k4_file, tmp_path, fmt):
             "connection.build_formula", "connection.eval_formula",
             "connection.kappa_direct", "cycle_census.corrections",
             "graphs.index", "graphs.load_graph", "edge_matrix.B"} <= names
+
+
+def _bench_workloads():
+    """bench/workloads.py, the benchmark's seeded graph generators."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_workloads", ROOT / "bench" / "workloads.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses resolve it by name
+    spec.loader.exec_module(module)
+    return module
+
+
+def _cap_address_space():
+    limit = int(4.5e9)
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+def test_degree_600_hub_census_fits_under_a_4_5_gb_cap(tmp_path):
+    """Four hubs of degree 600 over the benchmark's hub background (n=2000,
+    nnz(B^3) = 69.5M): the cycle census completes with the child's address
+    space capped at 4.5 GB, where whole copies of B^3 ran out of memory."""
+    edges = _bench_workloads().hub_graph(2000, random.Random(7), p=0.30)
+    graph = tmp_path / "hubs.txt"
+    graph.write_text("".join(f"{u} {v}\n" for u, v in edges))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OMP_NUM_THREADS="1")
+    result = subprocess.run(
+        [sys.executable, "-m", "nbcensus.cli", "--input", str(graph),
+         "--counts", "cycles", "--output", str(tmp_path / "report.json")],
+        env=env, capture_output=True, text=True, timeout=600,
+        preexec_fn=_cap_address_space)
+    assert result.returncode == 0, result.stderr
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert "errors" not in report
+    n = max(max(e) for e in edges) + 1
+    u, v = np.array(edges).T
+    A = sp.csr_matrix((np.ones(2 * len(edges), dtype=np.int64),
+                       (np.r_[u, v], np.r_[v, u])), shape=(n, n))
+    triangles = int((A @ A).multiply(A).sum()) // 6
+    assert report["counters"]["cycles"]["C3"] == triangles

@@ -20,7 +20,7 @@ from nbcensus.cycle_census import (C_NAMES, CORRECTIONS,
                                    class_walk_multiplicity,
                                    eval_walk_corrections, full_census,
                                    printed_f15_value, walk_class_oracle)
-from nbcensus.edge_matrix import EdgeSpace, Evaluator
+from nbcensus.edge_matrix import ATOMS, EdgeSpace, Evaluator
 from nbcensus.graphs import Graph
 from nbcensus.oracle import count_copies, simple_cycle_census
 
@@ -105,6 +105,59 @@ def test_masked_mains_match_the_b4_mains(g):
     table = {name: main for name, main, _, _ in CORRECTIONS}
     for name, old in B4_MAINS.items():
         assert ev.eval(table[name]) == ev.eval(old), name
+
+
+# the main terms, and the d5 and d6 definitions, as they read before every
+# transpose and reversal moved off B^3
+_OLD_PNT = ("had", ("had", ("had", "B2", ("T", "B3")), ("rowrev", "B2")),
+            ("colrev", "B2"))
+_OLD_SQTT = ("had", ("colrev", "square"), "B3")
+OLD_MAINS = {
+    "F12": ("total", ("had", "square", ("binom", ("colrev", "B3"), 2))),
+    "F18": ("total", _OLD_PNT),
+    "F19": ("total", ("had", _OLD_PNT, ("T", "B2"))),
+    "F20": ("total", ("had", "B2", ("binom", ("T", "B3"), 2))),
+    "F24": ("total", ("had", _OLD_SQTT, ("colrev", "B3"))),
+    "F29": ("total", ("had", ("had", ("hadmm", "B", "B3"), ("rowrev", "B3")),
+                      ("colrev", "B3"))),
+}
+OLD_DIAGONALS = {
+    5: ("rowsum", ("had", "B2", ("T", "B3"))),
+    6: ("rowsum", ("had", "B3", ("T", "B3"))),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(differential_hosts())
+@example(Graph(0, []))
+@example(er_graph(9, 0.5, 61))
+@example(er_graph(12, 0.4, 62))
+@example(wheel_graph(6))
+def test_rewritten_mains_match_their_old_trees(g):
+    space = EdgeSpace(g)
+    ev = Evaluator(space)
+    table = {name: main for name, main, _, _ in CORRECTIONS}
+    for name, old in OLD_MAINS.items():
+        assert ev.eval(table[name]) == ev.eval(old), name
+    for k, old in OLD_DIAGONALS.items():
+        assert np.array_equal(space.diag(k), ev.eval(old)), k
+
+
+def _nodes(expr):
+    if isinstance(expr, tuple):
+        yield expr
+        for child in expr[1:]:
+            yield from _nodes(child)
+
+
+def test_no_term_transposes_or_reverses_b3():
+    """B^3 is the largest matrix of the census: every main term and every
+    atom reads it as it is, and none copies it whole."""
+    trees = [main for _, main, _, _ in CORRECTIONS]
+    trees += [definition for _, definition in ATOMS.values()]
+    whole_copies = {(op, "B3") for op in ("T", "rowrev", "colrev")}
+    for tree in trees:
+        assert not whole_copies & set(_nodes(tree)), tree
 
 
 def test_corrections_are_subgraph_counts():

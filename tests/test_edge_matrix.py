@@ -13,8 +13,8 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import (complete_graph, cycle_graph, degenerate_graphs,
-                      differential_hosts, er_graph, petersen_graph)
+from conftest import (complete_graph, cycle_graph, differential_hosts,
+                      er_graph, petersen_graph)
 from nbcensus.edge_matrix import (ATOMS, MEETS, EdgeSpace, Evaluator,
                                   IntegrityError, checked_binom,
                                   checked_hadamard, checked_matmul,
@@ -280,11 +280,17 @@ def test_trace_matches_row_blocked_reference(petersen):
 
 
 @settings(max_examples=80, deadline=None)
-@given(degenerate_graphs())
+@given(differential_hosts())
 @example(Graph(0, []))
+@example(Graph(5, []))
+@example(Graph(7, [(0, v) for v in range(1, 7)]))
+@example(er_graph(9, 0.5, 61))
+@example(er_graph(10, 0.3, 62))
+@example(er_graph(12, 0.6, 63))
 def test_trace_matches_dense_power_on_degenerate_graphs(g):
     """Graph(0, []), edgeless graphs and forests make m - n, and with it
-    the even-k term of the vertex-space identity, zero or negative."""
+    the even-k term of the vertex-space identity, zero or negative; stars,
+    cliques and random hosts exercise every n x n block and pairing."""
     assert_traces_match_dense_power(g)
 
 
@@ -318,6 +324,54 @@ def test_trace_on_k200_is_exact_or_refused():
     assert complete_graph_trace(200, 9) > 2 ** 63
     with pytest.raises(IntegrityError, match="B\\^9"):
         space.trace(9)
+
+
+class IharaBassSpace(EdgeSpace):
+    """An EdgeSpace whose trace table is built from the powers of the
+    2n x 2n operator B~ itself, as before the n x n blocks: each tr(B~^k)
+    totals B~^i times (B~^j)^T entrywise, i + j = k."""
+
+    def _trace_table(self) -> dict:
+        n, m = self.graph.n, self.graph.m
+        tail, head = self.index.tail, self.index.head
+        A = sp.csr_matrix((np.ones(self.size, dtype=np.int64),
+                           (tail, head)), shape=(n, n), dtype=np.int64)
+        step = sp.bmat([[A, sp.diags(1 - np.bincount(tail, minlength=n),
+                                     dtype=np.int64)],
+                        [sp.identity(n, dtype=np.int64), None]],
+                       format="csr", dtype=np.int64)
+        powers, table = [None, step], {}
+        for k in range(3, 10):
+            i, j = k - k // 2, k // 2
+            try:
+                while len(powers) <= i:
+                    powers.append(checked_matmul(
+                        powers[-1], step, f"trace:B~^{len(powers)}"))
+                pair = checked_hadamard(powers[i], powers[j].T,
+                                        f"trace:B~^{k} pairing")
+                table[k] = (checked_total(pair, f"trace:B^{k}")
+                            + (1 + (-1) ** k) * (m - n))
+            except IntegrityError as exc:
+                table[k] = exc
+        return table
+
+
+@pytest.mark.parametrize("n, refused", [(150, {9}), (200, {9}),
+                                        (260, {8, 9}), (400, {8, 9})])
+def test_trace_refusals_match_the_2n_operator_table(n, refused):
+    """On cliques the guards refuse the same traces as the 2n x 2n table
+    did, each with an error naming B^k, and every other trace is exact."""
+    g = complete_graph(n)
+    new = EdgeSpace(g)._trace_table()
+    old = IharaBassSpace(g)._trace_table()
+    for table in (new, old):
+        assert {k for k, v in table.items()
+                if isinstance(v, IntegrityError)} == refused
+    for k in range(3, 10):
+        if k in refused:
+            assert f"B^{k}" in str(new[k]), k
+        else:
+            assert new[k] == old[k] == complete_graph_trace(n, k), k
 
 
 def test_gamma_moves_edge_mass_to_tails():

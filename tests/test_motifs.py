@@ -215,6 +215,18 @@ def test_masked_entries_match_the_b3_trees(g):
         assert np.array_equal(got, ev.eval(old)), mid
 
 
+@settings(max_examples=60, deadline=None)
+@given(differential_hosts())
+@example(Graph(0, []))
+@example(wheel_graph(6))
+@example(er_graph(9, 0.6, 96))
+def test_x061_is_the_fifth_diagonal(g):
+    """X061 and d5 are one masked product: B^3 read at the mask (B^2)^T."""
+    space = EdgeSpace(g)
+    got = Evaluator(space).eval(catalog.EDGE_ORDER5["X061"]["expr"])
+    assert np.array_equal(got, space.diag(5))
+
+
 def atoms_read(tree):
     """The atom names a tree reads, through the ATOMS definitions."""
     if isinstance(tree, str):
