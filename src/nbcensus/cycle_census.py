@@ -11,16 +11,16 @@ dividing by 2k leaves the cycle totals.
 
 The corrections are data: the CORRECTIONS table holds, per entry, a main
 term in the expression language of edge_matrix.Evaluator, the integer
-multiples of earlier entries to subtract, and an exact divisor. One loop
-evaluates the table with the catalog evaluator, so every product, sum
-and binomial goes through the shared int64 guards of edge_matrix.
-Entries are still evaluated strictly in index order because later
-entries subtract earlier ones. Every division must be exact and every
-count non-negative; a violation raises IntegrityError whose message
-starts with the entry name, which is the cheapest tripwire for
-transcription slips and kernel bugs alike. Frozen shape data lives in
-data/walk_classes.json so the walk enumeration oracle and the closed
-formulas can be compared class by class.
+multiples of earlier entries to subtract, and an exact divisor. The main
+terms go through one ``edge_matrix.Evaluator.run`` on the EdgeSpace host,
+so every product, sum and binomial goes through the shared int64 guards.
+Entries are evaluated strictly in index order because later entries
+subtract earlier ones. Every division must be exact and every count
+non-negative; a violation raises IntegrityError whose message starts with
+the entry name, the cheapest tripwire for transcription slips and kernel
+bugs alike. Frozen shape data, with each shape's walks per trace (which
+``eval_cycles`` subtracts), lives in data/walk_classes.json so the walk
+enumeration oracle and the closed formulas can be compared class by class.
 """
 
 from __future__ import annotations
@@ -33,31 +33,11 @@ from importlib import resources
 
 from . import oracle
 from .catalog import _SQL, _SQR
-from .edge_matrix import (EdgeSpace, Evaluator, IntegrityError,
-                          exact_div, last_uses)
+from .edge_matrix import EdgeSpace, Evaluator, IntegrityError, exact_div
 from .graphs import Graph
 
 F_NAMES = tuple(f"F{i}" for i in range(1, 36))
 C_NAMES = tuple(f"C{k}" for k in range(3, 10))
-
-# How many closed non-backtracking k-walks a single copy of each
-# correction shape feeds into tr(B^k). The per-class multiplicities are
-# frozen alongside the shapes in walk_classes.json; these tables are the
-# coefficients actually used by eval_cycles, kept importable so tests can
-# check them against the walk enumeration.
-CYCLE_CORRECTION_COEFFICIENTS: dict[int, tuple[tuple[str, int], ...]] = {
-    6: (("F1", 6), ("F2", 12), ("F3", 24)),
-    7: (("F2", 28), ("F4", 14), ("F5", 84), ("F6", 28)),
-    8: (("F7", 144), ("F8", 8), ("F4", 16), ("F9", 64), ("F10", 48),
-        ("F11", 16), ("F12", 96), ("F13", 96), ("F14", 16), ("F15", 32),
-        ("F16", 32), ("F17", 32)),
-    9: (("F1", 6), ("F2", 36), ("F3", 72), ("F4", 18), ("F5", 36),
-        ("F7", 288), ("F9", 90), ("F14", 18), ("F18", 108), ("F19", 180),
-        ("F20", 36), ("F21", 108), ("F22", 36), ("F23", 72), ("F24", 72),
-        ("F25", 288), ("F26", 18), ("F27", 18), ("F28", 36), ("F29", 144),
-        ("F30", 108), ("F31", 108), ("F32", 72), ("F33", 108), ("F34", 36),
-        ("F35", 36)),
-}
 
 
 @dataclass(frozen=True)
@@ -183,25 +163,19 @@ CORRECTIONS: tuple[tuple[str, tuple, tuple[tuple[int, str], ...], int], ...] = (
 def eval_walk_corrections(space: EdgeSpace) -> dict[str, int]:
     """Evaluate the thirty-five correction counts, keyed "F1".."F35".
 
-    The table is walked in index order with one catalog evaluator, whose
-    memo shares subexpressions between entries. A subexpression is
-    forgotten after the last entry that uses it, so the memo never holds
-    more than the entries still to come need.
+    The main terms go through one ``Evaluator.run`` in index order, so they
+    share subexpressions and each node is dropped after its last reader.
     """
-    done = last_uses([main for _, main, _, _ in CORRECTIONS])
-    ev = Evaluator(space)
     f: dict[str, int] = {}
-    for i, (name, main, coefs, divisor) in enumerate(CORRECTIONS):
-        try:
-            val = ev.eval(main)
-        except IntegrityError as exc:
-            raise IntegrityError(f"{name}: {exc}") from exc
+    mains = Evaluator(space).run(main for _, main, _, _ in CORRECTIONS)
+    for (name, _, coefs, divisor), val in zip(CORRECTIONS, mains):
+        if isinstance(val, IntegrityError):
+            raise IntegrityError(f"{name}: {val}") from val
         val -= sum(c * f[dep] for c, dep in coefs)
         out = exact_div(val, divisor, name)
         if out < 0:
             raise IntegrityError(f"{name}: negative count {out}")
         f[name] = out
-        ev.forget(done[i])
     return f
 
 
@@ -226,17 +200,16 @@ def printed_f15_value(space: EdgeSpace, corrections: dict[str, int]) -> Fraction
 
 def eval_cycles(traces: dict[int, int],
                 corrections: dict[str, int]) -> dict[str, int]:
-    """Cycle totals keyed "C3".."C9" from the traces tr(B^k), k = 4..9,
-    and the correction counts."""
-    f = corrections
+    """Cycle totals keyed "C3".."C9": each trace tr(B^k), k = 3..9, less
+    ``class_walk_multiplicity`` times the count of every correction class
+    other than the k-cycle (F1 for k = 3, F8 for k = 4), over the 2k walks
+    of one k-cycle."""
     out: dict[str, int] = {}
-    out["C3"] = f["F1"]
-    out["C4"] = exact_div(traces[4], 8, "C4")
-    out["C5"] = exact_div(traces[5], 10, "C5")
-    for k in (6, 7, 8, 9):
-        val = traces[k]
-        for name, coef in CYCLE_CORRECTION_COEFFICIENTS[k]:
-            val -= coef * f[name]
+    for k in range(3, 10):
+        cycle = {3: "F1", 4: "F8"}.get(k)
+        val = traces[k] - sum(class_walk_multiplicity(name, k) * count
+                              for name, count in corrections.items()
+                              if name != cycle)
         ck = exact_div(val, 2 * k, f"C{k}")
         if ck < 0:
             raise IntegrityError(f"C{k}: negative count {ck}")
@@ -250,7 +223,7 @@ def full_census(space: EdgeSpace) -> CensusReport:
     The traces come first, so the vertex-space powers behind them are
     freed before B^3 and the correction evaluator's memo are resident.
     """
-    traces = {k: space.trace(k) for k in range(4, 10)}
+    traces = {k: space.trace(k) for k in range(3, 10)}
     f = eval_walk_corrections(space)
     return CensusReport(f_counts=f, cycle_counts=eval_cycles(traces, f))
 

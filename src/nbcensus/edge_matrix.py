@@ -15,8 +15,9 @@ INT64_GUARD = 2**62, half the int64 limit, so a bound estimated in
 float64 still proves the int64 result exact.
 
 Expression language of ``Evaluator`` (nested tuples, first element is the
-op name), used by the catalog, the F1..F35 census and the constructive
-engine alike:
+op name), used by the catalog, the F1..F35 census, the trace table and the
+constructive engine alike, over the three hosts ``Evaluator`` names; each
+of the first three is one ``Evaluator.run`` over a sequence:
   atoms (strings): "B" (the non-backtracking matrix), "I" (the identity
       over directed edges), "H" (the head incidence, directed edges by
       vertices: H[e, v] = 1 iff e ends at v), and every name of the ATOMS
@@ -59,6 +60,8 @@ move or drop entries.
 from __future__ import annotations
 
 import time
+from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import scipy.sparse as sp
@@ -265,6 +268,42 @@ ATOMS = {
 }
 
 
+# The traces come from vertex space. By the Ihara-Bass identity
+# det(I - uB) = (1 - u^2)^(m-n) det(I - uB~) with the 2n x 2n operator
+# B~ = [[A, C], [I, 0]], C = I - D, tr(B^k) equals tr(B~^k) for odd k and
+# tr(B~^k) + 2(m - n) for even k. B~ itself is never built: its powers are
+# B~^k = [[P_k, P_(k-1) C], [P_(k-1), P_(k-2) C]] with the n x n blocks
+# P_(-1) = 0, P_0 = I, P_1 = A and P_k = P_(k-1) A + P_(k-2) C, the
+# non-backtracking walk recurrence (Alon, Benjamini, Lubetzky and Sodin,
+# 2007): P_k = A_k + P_(k-2), with A_k counting the non-backtracking
+# k-walks between two vertices. So each P_k is symmetric, and
+# P_(i+j) = P_i P_j + P_(i-1) C P_(j-1) (the top left block of
+# B~^i B~^j). With the pairings H_h = P_ceil(h/2) o P_floor(h/2)
+# (entrywise; H_(-1) = 0) and the vector c = 1 - d,
+# tr(B~^k) = 1'H_k 1 + 2 c'H_(k-2) 1 + c'H_(k-4) c.
+#
+# TRACE_TERMS: (k, term) pairs, over the atoms of EdgeSpace.vertex_host,
+# whose terms sum to tr(B~^k), k = 3..9. Listed by h, the readers of each
+# pairing H_h (and of H_h c) are consecutive, so it is dropped after them.
+def _trace_terms() -> tuple:
+    P = ["I", "A"]
+    for k in range(2, 6):
+        P.append(("add", ("mm", P[k - 1], "A"), ("mm", P[k - 2], "C")))
+    terms = []
+    for h in range(10):
+        H = ("had", P[h - h // 2], P[h // 2])
+        Hc = ("mm", H, "c")
+        for k, term in ((h, ("total", H)),
+                        (h + 2, ("scale", ("total", Hc), 2, 1)),
+                        (h + 4, ("total", ("had", "c", Hc)))):
+            if 3 <= k <= 9:
+                terms.append((k, term))
+    return tuple(terms)
+
+
+TRACE_TERMS = _trace_terms()
+
+
 class EdgeSpace:
     """Shared home of B and the ATOMS built from it, plus the traces.
 
@@ -371,24 +410,23 @@ class EdgeSpace:
         return self.atom("chordless3")
 
     # -- traces of high powers -------------------------------------------
-    #
-    # The traces come from vertex space. By the Ihara-Bass identity
-    # det(I - uB) = (1 - u^2)^(m-n) det(I - uB~) with the 2n x 2n operator
-    # B~ = [[A, C], [I, 0]], C = I - D, tr(B^k) equals tr(B~^k) for odd k
-    # and tr(B~^k) + 2(m - n) for even k. B~ itself is never built: its
-    # powers are B~^k = [[P_k, P_(k-1) C], [P_(k-1), P_(k-2) C]] with the
-    # n x n blocks P_(-1) = 0, P_0 = I, P_1 = A and
-    # P_k = P_(k-1) A + P_(k-2) C, the non-backtracking walk recurrence
-    # (Alon, Benjamini, Lubetzky and Sodin, 2007): P_k = A_k + P_(k-2),
-    # with A_k counting the non-backtracking k-walks between two vertices.
-    # So each P_k is symmetric, and P_(i+j) = P_i P_j + P_(i-1) C P_(j-1)
-    # (the top left block of B~^i B~^j). With the pairings
-    # H_k = P_ceil(k/2) o P_floor(k/2) (entrywise; H_(-1) = 0) and the
-    # vector c = 1 - d, tr(B~^k) = 1'H_k 1 + 2 c'H_(k-2) 1 + c'H_(k-4) c.
+
+    def vertex_host(self) -> SimpleNamespace:
+        """The vertex-space host of TRACE_TERMS: the adjacency matrix "A",
+        C = I - D as "C", its diagonal c = 1 - d as "c", and the identity
+        "I", all n x n; its products count in this space's stats."""
+        n = self.graph.n
+        c = 1 - np.bincount(self.index.tail, minlength=n).astype(np.int64)
+        atoms = {"A": sp.csr_matrix((np.ones(self.size, dtype=np.int64),
+                                     (self.index.tail, self.index.head)),
+                                    shape=(n, n)),
+                 "C": sp.diags(c, format="csr", dtype=np.int64), "c": c,
+                 "I": sp.identity(n, dtype=np.int64, format="csr")}
+        return SimpleNamespace(atom=atoms.__getitem__, stats=self.stats)
 
     def trace(self, k: int) -> int:
         """tr(B^k) for 3 <= k <= 9, read from a table built once in vertex
-        space: tr(B~^k), plus 2(m - n) for even k (see above)."""
+        space: tr(B~^k), plus 2(m - n) for even k (see TRACE_TERMS)."""
         if not 3 <= k <= 9:
             raise ValueError("traces available for k in 3..9")
         value = self._get("traces", self._trace_table)[k]
@@ -398,53 +436,18 @@ class EdgeSpace:
 
     def _trace_table(self) -> dict:
         """tr(B^k), k = 3..9, or the IntegrityError that refused it, which
-        names B^k. Only n x n matrices are built: the blocks P_0..P_5 and
-        the ten pairings H_0..H_9 (see above), each pairing read by the
-        forms that need it and dropped; a refusal stays with the traces
-        that read the refused block, pairing or form."""
+        starts "trace:B^k:" and names the refused node: TRACE_TERMS run over
+        the vertex host, each term added to its k with the int64 guard."""
         start = time.perf_counter()
         n, m = self.graph.n, self.graph.m
-        tail = self.index.tail
-        c = 1 - np.bincount(tail, minlength=n).astype(np.int64)
-        C = sp.diags(c, format="csr", dtype=np.int64)
-        P = [sp.identity(n, dtype=np.int64, format="csr"),
-             sp.csr_matrix((np.ones(self.size, dtype=np.int64),
-                            (tail, self.index.head)), shape=(n, n))]
-
-        def block(k):
-            while len(P) <= k:
-                i = len(P)
-                label = f"trace:P_{i}"
-                P.append(checked_add(
-                    checked_matmul(P[i - 1], P[1], label, self.stats),
-                    checked_matmul(P[i - 2], C, label), label, 1))
-            return P[k]
-
         table = {k: (1 + (-1) ** k) * (m - n) for k in range(3, 10)}
-        for h in range(10):
-            label = f"trace:H_{h}"
-            H = Hc = None
-            # H_h enters tr(B~^h) as 1'H 1, tr(B~^(h+2)) as 2 c'H 1 and
-            # tr(B~^(h+4)) as c'H c
-            for k in (h, h + 2, h + 4):
-                if not isinstance(table.get(k), int):  # outside 3..9, or refused
-                    continue
+        values = Evaluator(self.vertex_host()).run(t for _, t in TRACE_TERMS)
+        for (k, term), val in zip(TRACE_TERMS, values):
+            if not isinstance(table[k], IntegrityError):  # first one stands
                 try:
-                    if H is None:
-                        H = checked_hadamard(block(h - h // 2), block(h // 2),
-                                             label)
-                    if k == h:
-                        term = checked_total(H, label)
-                    else:
-                        if Hc is None:
-                            Hc = checked_matmul(H, c, label)
-                        if k == h + 2:
-                            term = checked_scale(checked_total(Hc, label), 2,
-                                                 label)
-                        else:
-                            term = checked_total(
-                                checked_hadamard(c, Hc, label), label)
-                    table[k] = checked_add(table[k], term, label, 1)
+                    if isinstance(val, IntegrityError):
+                        raise val
+                    table[k] = checked_add(table[k], val, _Label(term), 1)
                 except IntegrityError as exc:
                     table[k] = IntegrityError(f"trace:B^{k}: {exc}")
         self.stats["traces_ms"] = int((time.perf_counter() - start) * 1000)
@@ -453,7 +456,11 @@ class EdgeSpace:
     # -- aggregation -----------------------------------------------------
 
     def gamma(self, edge_vec) -> np.ndarray:
-        """Sum a directed-edge vector over each vertex's outgoing edges."""
+        """Sum a directed-edge vector over each vertex's outgoing edges.
+
+        The catalog computes this link in the expression language, as
+        ("mm", ("T", ("rowrev", "H")), X); this separate loop is the
+        independent reference that acceptance criterion 6 checks it by."""
         v = np.asarray(edge_vec).ravel()
         if v.shape[0] != self.size:
             raise ValueError("gamma expects a directed-edge-indexed vector")
@@ -479,42 +486,30 @@ class _Label:
         return repr(self.node)[:80] + self.note
 
 
-def _subexpressions(expr):
-    """The nodes an Evaluator memoizes while evaluating ``expr``: every tuple
-    subtree, and the product X·H read by each ("hadmm", M, X)."""
-    if isinstance(expr, tuple):
-        yield expr
-        if expr[0] == "hadmm":
-            yield ("mm", expr[2], "H")
-        for child in expr[1:]:
-            yield from _subexpressions(child)
-
-
-def last_uses(exprs) -> list[list]:
-    """For a sequence of expressions evaluated in order (None for a position
-    that evaluates none): at each position, the subexpressions no later
-    expression reads, which the Evaluator can forget once it is there."""
-    last = {}
-    for i, expr in enumerate(exprs):
-        for sub in _subexpressions(expr):
-            last[sub] = i
-    out: list[list] = [[] for _ in exprs]
-    for sub, i in last.items():
-        out[i].append(sub)
-    return out
+def _reads(node) -> tuple:
+    """The memoized nodes that computing ``node`` reads: its tuple operands,
+    and for ("hadmm", M, X) the product ("mm", X, "H") as well. A "sel"
+    leaf reads nothing; its tuples are root pairs."""
+    if node[0] == "sel":
+        return ()
+    kids = tuple(x for x in node[1:] if isinstance(x, tuple))
+    return kids + (("mm", node[2], "H"),) if node[0] == "hadmm" else kids
 
 
 class Evaluator:
-    """Evaluates expression trees against one host, memoizing subtrees.
-
-    The host is an EdgeSpace, which supplies the string atoms, or any
-    object with ``adj``, ``sel(p, q, eq, ne)`` and ``stats`` for the
-    tuple-space leaves (``connection.eval_formula`` makes one per host).
+    """Evaluates expression trees against one of three hosts, memoizing
+    subtrees: an EdgeSpace (the string atoms of the catalog and the census),
+    the tuple-space host of ``connection.eval_formula`` (``adj`` and
+    ``sel(p, q, eq, ne)``) or ``EdgeSpace.vertex_host`` (the atoms of
+    TRACE_TERMS). Each host has ``stats``, None or the dict where products
+    record their peak nnz. ``eval`` keeps every node it memoizes; ``run``
+    drops each node after its last reader in a sequence.
     """
 
     def __init__(self, space):
         self.space = space
         self._memo: dict = {}
+        self._readers: Counter = Counter()
 
     def eval(self, expr):
         if isinstance(expr, str):
@@ -522,12 +517,49 @@ class Evaluator:
         val = self._memo.get(expr)
         if val is None:
             val = self._memo[expr] = self._apply(expr)
+            if self._readers:  # counted only during a run
+                for node in _reads(expr):
+                    self._read(node)
         return val
 
-    def forget(self, exprs) -> None:
-        """Drop memoized values, e.g. once no later expression needs them."""
-        for expr in exprs:
-            self._memo.pop(expr, None)
+    def run(self, exprs):
+        """Evaluate ``exprs`` in order, yielding each value, or the
+        IntegrityError that refused it, and going on. A node's readers (the
+        nodes that read it, see ``_reads``, and its places in ``exprs``) are
+        counted once; it is dropped once the last has been computed, so a
+        refused reader keeps its operands until the memo is cleared at the
+        end. A node read after its drop is recomputed, so lifetimes never
+        change a value."""
+        exprs = list(exprs)
+        todo = [e for e in exprs if isinstance(e, tuple)]
+        self._readers.update(todo)
+        counted = set()
+        while todo:
+            node = todo.pop()
+            if node not in counted:
+                counted.add(node)
+                self._readers.update(_reads(node))
+                todo.extend(_reads(node))
+        try:
+            for expr in exprs:
+                try:
+                    val = self.eval(expr)
+                    self._read(expr)
+                except IntegrityError as exc:
+                    val = exc
+                yield val
+        finally:
+            self._memo.clear()
+            self._readers.clear()
+
+    def _read(self, node) -> None:
+        """Count off one computed reader of ``node``; drop the node after
+        its last."""
+        left = self._readers.get(node)
+        if left == 1:
+            del self._readers[node], self._memo[node]
+        elif left:
+            self._readers[node] = left - 1
 
     def _apply(self, expr):
         op = expr[0]

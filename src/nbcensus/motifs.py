@@ -3,12 +3,13 @@
 The catalog (see catalog.py) is declarative: each motif id maps either to
 an expression tree over directed-edge matrix primitives, to the row
 reversal of a sibling id, or to a stated fraction of the gamma aggregation
-of its edge-rooted counterpart. This module interprets those trees
-(``evaluate_catalog`` evaluates a block of entries) and holds the general
-order-6 edge-rooted construction and the 6-clique shortcut. The order-6
-construction composes three fully rooted order-4 blocks, each a dense
-connection matrix from ``connection.kappa_direct`` and so bounded by its
-cell budget (hosts of at most 31 vertices).
+of its edge-rooted counterpart. ``evaluate_catalog`` compiles each entry
+of a block to one expression (``compiled``) and runs the block through
+``edge_matrix.Evaluator.run`` on the EdgeSpace host. This module also
+holds the general order-6 edge-rooted construction, which composes three
+fully rooted order-4 blocks, each a dense connection matrix from
+``connection.kappa_direct`` and so bounded by its cell budget (hosts of at
+most 31 vertices), and the 6-clique shortcut.
 
 The trees are written in the expression language of
 ``edge_matrix.Evaluator``, whose atoms (B, its powers, the step matrices
@@ -19,14 +20,13 @@ computes new values goes through edge_matrix's int64 guards.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
 from .connection import RootedGraph, kappa_direct, tuple_index
 from .edge_matrix import (EdgeSpace, Evaluator, IntegrityError,
-                          checked_hadamard, checked_matmul, checked_scale,
-                          checked_total, exact_div, last_uses)
+                          checked_hadamard, checked_matmul, checked_total,
+                          exact_div)
 from .graphs import Graph
 from .oracle import automorphism_count_fixing
 
@@ -52,49 +52,42 @@ class MotifResult:
         self.total = int(self.values.sum())
 
 
+def compiled(entries: dict, mid: str) -> tuple:
+    """The one expression that computes entry ``mid``: its tree, the row
+    reversal of its sibling's, or num/den times the sum of its edge-rooted
+    sibling's over each vertex's outgoing edges."""
+    entry = entries[mid]
+    kind = entry["kind"]
+    if kind == "expr":
+        return entry["expr"]
+    of = compiled(entries, entry["of"])
+    if kind == "rowrev_of":
+        return ("rowrev", of)
+    if kind == "gamma_of":  # rowrev(H)[e, v] = 1 iff e starts at v
+        return ("scale", ("mm", ("T", ("rowrev", "H")), of), entry["num"],
+                entry["den"])
+    raise ValueError(f"bad catalog entry kind {kind!r}")
+
+
 def evaluate_catalog(space: EdgeSpace, entries: dict,
                      collect_errors: dict | None = None) -> dict[str, np.ndarray]:
     """Evaluate a block of catalog entries, resolving cross-references.
 
-    With ``collect_errors`` given, an entry whose evaluation raises an
-    IntegrityError is skipped and the error recorded under its id instead
-    of aborting the whole block. The evaluator's memo shares subexpressions
-    between entries and forgets each after the last entry that reads it (an
-    entry is evaluated at its own position or, when a sibling refers to it,
-    earlier).
+    Each entry is compiled to one expression and the block goes through one
+    ``Evaluator.run``, so an entry and its partners share their subtrees and
+    each node is dropped after its last reader. With ``collect_errors``
+    given, an entry whose evaluation raises an IntegrityError is skipped and
+    the error recorded under its id instead of aborting the whole block.
     """
-    done = last_uses([entry.get("expr") for entry in entries.values()])
-    ev = Evaluator(space)
     values: dict[str, np.ndarray] = {}
-
-    def value_of(mid: str) -> np.ndarray:
-        if mid in values:
-            return values[mid]
-        entry = entries[mid]
-        kind = entry["kind"]
-        if kind == "expr":
-            out = ev.eval(entry["expr"])
-        elif kind == "rowrev_of":
-            out = space.rowrev(value_of(entry["of"]))
-        elif kind == "gamma_of":
-            agg = space.gamma(value_of(entry["of"]))
-            frac = Fraction(entry["num"], entry["den"])
-            scaled = checked_scale(agg, frac.numerator, f"gamma:{mid}")
-            out = exact_div(scaled, frac.denominator, f"gamma:{mid}")
-        else:
-            raise ValueError(f"bad catalog entry kind {kind!r}")
-        out = np.asarray(out).ravel()
-        values[mid] = out
-        return out
-
-    for mid, forget in zip(entries, done):
-        try:
-            value_of(mid)
-        except IntegrityError as exc:
+    results = Evaluator(space).run(compiled(entries, mid) for mid in entries)
+    for mid, val in zip(entries, results):
+        if isinstance(val, IntegrityError):
             if collect_errors is None:
-                raise
-            collect_errors[mid] = str(exc)
-        ev.forget(forget)
+                raise val
+            collect_errors[mid] = str(val)
+        else:
+            values[mid] = np.asarray(val).ravel()
     return values
 
 

@@ -14,10 +14,8 @@ from hypothesis import example, given, settings
 from conftest import (complete_graph, cycle_graph, differential_hosts,
                       er_graph, petersen_graph, wheel_graph)
 from nbcensus.catalog import _SQR
-from nbcensus.cycle_census import (C_NAMES, CORRECTIONS,
-                                   CYCLE_CORRECTION_COEFFICIENTS,
-                                   F_NAMES, class_shape,
-                                   class_walk_multiplicity,
+from nbcensus.cycle_census import (C_NAMES, CORRECTIONS, F_NAMES,
+                                   class_shape, class_walk_multiplicity,
                                    eval_walk_corrections, full_census,
                                    printed_f15_value, walk_class_oracle)
 from nbcensus.edge_matrix import ATOMS, EdgeSpace, Evaluator
@@ -174,17 +172,14 @@ def test_class_multiplicities_match_walk_enumeration():
         for k in range(3, 10):
             got = walk_class_oracle(shape, k).get(name, 0)
             assert got == class_walk_multiplicity(name, k), (name, k)
-
-
-def test_coefficients_are_exactly_the_frozen_multiplicities():
-    for k, pairs in CYCLE_CORRECTION_COEFFICIENTS.items():
-        table = dict(pairs)
-        alive = {name: class_walk_multiplicity(name, k)
-                 for name in F_NAMES if class_walk_multiplicity(name, k)}
-        assert table == alive, k
-        # the plain k-cycle stays out of the corrections; its walks are
-        # the 2k the final division accounts for
-        assert class_walk_multiplicity(f"C{k}", k) == 2 * k
+    for k in range(3, 10):
+        cycle = {3: "F1", 4: "F8"}.get(k, f"C{k}")
+        # the plain k-cycle's walks are the 2k that eval_cycles divides by;
+        # it subtracts the F classes alone, so no other plain cycle of
+        # length 5..9 may feed tr(B^k)
+        assert class_walk_multiplicity(cycle, k) == 2 * k
+        assert not [c for c in C_NAMES[2:]
+                    if c != cycle and class_walk_multiplicity(c, k)], k
 
 
 def test_walk_class_oracle_on_triangle():
@@ -209,8 +204,9 @@ def test_trace_decomposes_into_class_walks():
     for k in (6, 7, 8, 9):
         by_class = walk_class_oracle(g, k)
         assert sum(by_class.values()) == space.trace(k), k
-        for name, coef in CYCLE_CORRECTION_COEFFICIENTS[k]:
-            assert by_class.get(name, 0) == coef * f[name], (k, name)
+        for name in F_NAMES:
+            assert by_class.get(name, 0) == (
+                class_walk_multiplicity(name, k) * f[name]), (k, name)
 
 
 @pytest.mark.parametrize("rim,printed,true", [

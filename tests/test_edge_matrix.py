@@ -15,11 +15,14 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import (complete_graph, cycle_graph, differential_hosts,
                       er_graph, petersen_graph)
-from nbcensus.edge_matrix import (ATOMS, MEETS, EdgeSpace, Evaluator,
-                                  IntegrityError, checked_binom,
+from nbcensus import catalog
+from nbcensus.cycle_census import CORRECTIONS
+from nbcensus.edge_matrix import (ATOMS, MEETS, TRACE_TERMS, EdgeSpace,
+                                  Evaluator, IntegrityError, checked_binom,
                                   checked_hadamard, checked_matmul,
                                   checked_scale, checked_total, exact_div)
 from nbcensus.graphs import DirectedEdgeIndex, Graph, path2_count
+from nbcensus.motifs import compiled
 
 
 def brute_B(g: Graph) -> np.ndarray:
@@ -316,14 +319,29 @@ def test_trace_matches_closed_form_on_cliques(n):
         assert space.trace(k) == complete_graph_trace(n, k), k
 
 
+def trace_blocks() -> list:
+    """The blocks P_0..P_5 as TRACE_TERMS writes them."""
+    P = ["I", "A"]
+    for k in range(2, 6):
+        P.append(("add", ("mm", P[k - 1], "A"), ("mm", P[k - 2], "C")))
+    return P
+
+
 def test_trace_on_k200_is_exact_or_refused():
     """tr(B^7) on K_200 is 1.19e16 and exact; tr(B^9) is 4.77e20, beyond
-    int64, so the guard must refuse it rather than wrap."""
+    int64, so the guard must refuse it rather than wrap. The refusal names
+    B^9 and then, as every guard does, the refused node: 2 c'H_7 1."""
     space = EdgeSpace(complete_graph(200))
     assert space.trace(7) == complete_graph_trace(200, 7)
     assert complete_graph_trace(200, 9) > 2 ** 63
-    with pytest.raises(IntegrityError, match="B\\^9"):
+    P = trace_blocks()
+    term = ("scale", ("total", ("mm", ("had", P[4], P[3]), "c")), 2, 1)
+    assert (9, term) in TRACE_TERMS
+    with pytest.raises(IntegrityError, match="B\\^9") as refused:
         space.trace(9)
+    assert str(refused.value) == (
+        f"trace:B^9: {repr(term)[:80]}: rescaled entry bound 4.77254e+18 "
+        "exceeds the int64 guard")
 
 
 class IharaBassSpace(EdgeSpace):
@@ -487,3 +505,54 @@ def test_evaluator_binom_node_refuses_instead_of_wrapping():
         comb(1_664_511, 3)}
     with pytest.raises(IntegrityError, match="binom"):
         ev.eval(("binom", ("scale", "B", 3_000_000, 1), 3))
+
+
+@settings(max_examples=40, deadline=None)
+@given(differential_hosts())
+@example(er_graph(9, 0.5, 61))
+@example(er_graph(12, 0.4, 62))
+def test_run_changes_no_value(g):
+    """Evaluator.run yields what plain eval computes, for the census mains,
+    each order's compiled catalog entries and the trace terms."""
+    space = EdgeSpace(g)
+    sequences = [(space, [main for _, main, _, _ in CORRECTIONS]),
+                 (space.vertex_host(), [term for _, term in TRACE_TERMS])]
+    for order in (3, 4, 5):
+        edge, vertex = catalog.entries_for_order(order)
+        entries = {**edge, **vertex}
+        sequences.append((space, [compiled(entries, mid) for mid in entries]))
+    for host, exprs in sequences:
+        plain = Evaluator(host)
+        for expr, got in zip(exprs, Evaluator(host).run(exprs)):
+            assert np.array_equal(got, plain.eval(expr)), expr
+
+
+def test_run_drops_each_node_after_its_last_reader():
+    """While the trace terms run, P_5's operands P_4 A and P_3 C are gone
+    once P_5 is built, and so are P_2 and P_3; the memo is empty after."""
+    P = trace_blocks()
+    at_p5 = {}
+
+    class Spy(Evaluator):
+        def eval(self, expr):
+            val = super().eval(expr)
+            if expr == P[5]:
+                at_p5.update(self._memo)
+            return val
+
+    ev = Spy(EdgeSpace(er_graph(12, 0.4, 62)).vertex_host())
+    list(ev.run(term for _, term in TRACE_TERMS))
+    assert P[5] in at_p5 and P[4] in at_p5
+    for gone in (("mm", P[4], "A"), ("mm", P[3], "C"), P[3], P[2]):
+        assert gone not in at_p5, gone
+    assert not ev._memo and not ev._readers
+
+
+def test_run_yields_a_refusal_and_goes_on():
+    ev = Evaluator(EdgeSpace(complete_graph(3)))
+    bad = ("div", ("rowsum", "B"), 7)
+    first, ok, again = ev.run([bad, ("rowsum", "B"), bad])
+    assert isinstance(first, IntegrityError) and str(first) == str(again)
+    assert str(first).startswith(repr(bad))
+    assert list(ok) == [1] * 6
+    assert not ev._memo

@@ -12,8 +12,8 @@ from nbcensus.connection import RootedGraph, ScaleGuardError, kappa_direct
 from nbcensus.cycle_census import CORRECTIONS
 from nbcensus.edge_matrix import ATOMS, EdgeSpace, Evaluator
 from nbcensus.graphs import Graph
-from nbcensus.motifs import (MotifId, eval_k6_edge, eval_order6_edge,
-                             evaluate_catalog)
+from nbcensus.motifs import (MotifId, compiled, eval_k6_edge,
+                             eval_order6_edge, evaluate_catalog)
 from nbcensus.oracle import edge_rooted_vector, vertex_rooted_vector
 
 
@@ -112,6 +112,21 @@ def test_evaluate_catalog_collects_bad_divisions():
     assert list(values["base"]) == [1] * 6
     assert "broken" not in values
     assert "broken" in errors and "divisible" in errors["broken"]
+    # the refused vertex link names its node, as every guard does
+    assert errors["broken"].startswith(repr(compiled(entries, "broken"))[:80])
+
+
+def test_a_refused_entrys_partners_are_refused_alike():
+    entries = {
+        "bad": {"kind": "expr", "expr": ("div", ("rowsum", "B"), 7)},
+        "rev": {"kind": "rowrev_of", "of": "bad"},
+        "vtx": {"kind": "gamma_of", "of": "rev", "num": 1, "den": 2},
+        "ok": {"kind": "expr", "expr": ("rowsum", "B")},
+    }
+    errors = {}
+    values = evaluate_catalog(EdgeSpace(complete_graph(3)), entries, errors)
+    assert set(values) == {"ok"}
+    assert errors["rev"] == errors["vtx"] == errors["bad"]
 
 
 def test_pair_connection_matrix_path_pairs():
