@@ -19,9 +19,10 @@ and ``generic:<pattern-file>`` (the constructive engine on an arbitrary
 rooted pattern). A pattern file is an ordinary edge list plus header
 lines ``r: ...`` and ``s: ...`` naming the root vertices.
 
-Exit status: 0 on success, 1 on input problems or a report file that
-cannot be written, 2 on any integrity failure (inexact division,
-overflow guard, oracle mismatch).
+Exit status: 0 on success, 1 on input problems, a report file that
+cannot be written or a run out of memory (one ``error:`` line on the
+error stream and no report), 2 on any integrity failure (inexact
+division, overflow guard, oracle mismatch).
 """
 
 from __future__ import annotations
@@ -370,13 +371,13 @@ def run(config: RunConfig) -> tuple[int, str]:
         g = _stage(timings, "parse", lambda: load_graph(config.input_path))
         if config.fmt == "csv" and "__total__" in g.labels:
             raise GraphError("vertex '__total__' reads as the CSV totals row")
-    except (OSError, GraphError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        space = _stage(timings, "edge-space", lambda: EdgeSpace(g))
+    except (OSError, GraphError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1, ""
 
     errors: dict[str, str] = {}
     computed: dict = {}
-    space = _stage(timings, "edge-space", lambda: EdgeSpace(g))
     index = space.index
     report: dict = {
         "meta": {"n": g.n, "m": g.m, "l": 2 * g.m},
@@ -397,8 +398,9 @@ def run(config: RunConfig) -> tuple[int, str]:
             else:
                 section = _stage(timings, counter, lambda c=counter: (
                     _generic_section(space, c, computed)))
-        except (OSError, GraphError) as exc:
-            print(f"error: {counter}: {exc}", file=sys.stderr)
+        except (OSError, GraphError, MemoryError) as exc:
+            print(f"error: {counter}: {str(exc) or 'out of memory'}",
+                  file=sys.stderr)
             return 1, ""
         except (IntegrityError, ScaleGuardError) as exc:
             errors[counter] = str(exc)

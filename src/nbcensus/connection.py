@@ -69,10 +69,11 @@ class CompositionError(ValueError):
     """Operands do not satisfy a composition rule's preconditions."""
 
 
-def _guard_cells(n: int, p: int, q: int, max_cells: int) -> None:
-    if n ** (p + q) > max_cells:
-        raise ScaleGuardError(
-            f"tuple matrix would need {n}^{p + q} cells, budget is {max_cells}")
+def _guard_cells(n: int, p: int, q: int) -> None:
+    """Refuse a tuple matrix above the budget, MAX_CELLS as read now."""
+    if n ** (p + q) > MAX_CELLS:
+        raise ScaleGuardError(f"tuple matrix would need {n}^{p + q} cells, "
+                              f"budget is {MAX_CELLS}")
 
 
 # ---------------------------------------------------------------------------
@@ -149,8 +150,7 @@ class TupleMatrix:
 # direct enumeration
 # ---------------------------------------------------------------------------
 
-def kappa_direct(F: RootedGraph, G: Graph, *,
-                 max_cells: int = MAX_CELLS) -> TupleMatrix:
+def kappa_direct(F: RootedGraph, G: Graph) -> TupleMatrix:
     """Connection matrix of ``F`` against ``G`` by embedding enumeration.
 
     Embeddings are tallied at the linearized images of the root tuples,
@@ -159,7 +159,7 @@ def kappa_direct(F: RootedGraph, G: Graph, *,
     copies come out exact everywhere or an ``IntegrityError`` is raised.
     """
     p, q = len(F.r), len(F.s)
-    _guard_cells(G.n, p, q, max_cells)
+    _guard_cells(G.n, p, q)
     if F.graph.n > MAX_PATTERN_ORDER:
         raise ScaleGuardError(
             f"pattern order {F.graph.n} exceeds limit {MAX_PATTERN_ORDER}")
@@ -298,17 +298,16 @@ def selection(n: int, p: int, q: int, eq=(), ne=()) -> np.ndarray:
     return out
 
 
-def eval_formula(expr: tuple, G: Graph, *,
-                 max_cells: int = MAX_CELLS) -> TupleMatrix:
+def eval_formula(expr: tuple, G: Graph) -> TupleMatrix:
     """Evaluate a formula on a host graph with exact integer arithmetic.
 
-    Every node's size is checked against ``max_cells`` before anything is
+    Every node's size is checked against ``MAX_CELLS`` before anything is
     evaluated; ``edge_matrix.Evaluator`` then evaluates the formula over the
     host's tuple space.
     """
     arities = _arities(expr)
     for p, q in arities.values():
-        _guard_cells(G.n, p, q, max_cells)
+        _guard_cells(G.n, p, q)
     p, q = arities[expr]
     adj = np.zeros((G.n, G.n), dtype=np.int64)
     for u, v in G.edges:

@@ -14,6 +14,8 @@ term in the expression language of edge_matrix.Evaluator, the integer
 multiples of earlier entries to subtract, and an exact divisor. The main
 terms go through one ``edge_matrix.Evaluator.run`` on the EdgeSpace host,
 so every product, sum and binomial goes through the shared int64 guards.
+The diagonals d3..d6 of B^3..B^6 (``DIAGONALS``) are subterms of those
+mains, shared and dropped after their last reader like any other node.
 Entries are evaluated strictly in index order because later entries
 subtract earlier ones. Every division must be exact and every count
 non-negative; a violation raises IntegrityError whose message starts with
@@ -62,53 +64,69 @@ def _form(v, M, w):
     return _inner(v, ("mm", M, w))
 
 
-_SQTT = ("had", ("colrev", "square"), "B3")
+# The diagonals d3..d6 of B^3..B^6, terms of the census like any other.
+# diag(B^(i+j)) pairs B^i with the transpose of B^j; powers above B^3 are
+# never held in memory, and B^3 is never transposed: d5 and d6 read B^3 and
+# B^4 at the mask (B^2)^T through the masked product.
+DIAGONALS = {
+    3: ("rowsum", "tri"),
+    4: ("rowsum", "square"),
+    5: ("rowsum", ("hadmm", ("T", "B2"), "B2")),
+    6: ("rowsum", ("hadmm", ("T", "B2"), "B3")),
+}
+D3, D4, D5, D6 = (DIAGONALS[k] for k in range(3, 7))
+
+# B^3 at the mask M is written ("hadmm", M, "B2"), so B^3 itself is read
+# only as the X of the masked products of d6, F23 and F29, which share one
+# B^3 H. A binomial is taken after its mask, which is exact because the
+# masks square, colrev(square) and (B^2)^T are 0/1, as B^2 of a simple
+# graph is.
+_SQTT = ("hadmm", ("colrev", "square"), "B2")
 # the transpose of B^2 o (B^3)^T o rowrev(B^2) o colrev(B^2), since
 # (B^k)^T = J B^k J for the reversal J and rowrev(B^2), colrev(B^2) are
 # symmetric. Like every main term below, it transposes or reverses B^2 or
-# smaller factors and reads B^3 as it is: a total is unchanged by
+# smaller factors and never copies B^3: a total is unchanged by
 # transposing, or reversing the rows or columns of, all of its factors.
-_PNT = ("had", ("had", ("had", "B3", ("T", "B2")), ("rowrev", "B2")),
+_PNT = ("had", ("had", ("hadmm", ("T", "B2"), "B2"), ("rowrev", "B2")),
         ("colrev", "B2"))
 # closed 4-walks from e landing on its own reversal, B^4[e, rev e]: the
 # "square over an edge" indicator that rank-one terms multiply against.
 # B[f, rev e] = B[e, rev f], so it is a row sum against colrev(B).
-_QLOOP = ("rowsum", ("had", "B3", ("colrev", "B")))
+_QLOOP = ("rowsum", ("hadmm", ("colrev", "B"), "B2"))
 
 # (name, main term, (coefficient, earlier entry) pairs, divisor): the entry
 # is (main - sum of coefficient * entry) / divisor.
 CORRECTIONS: tuple[tuple[str, tuple, tuple[tuple[int, str], ...], int], ...] = (
-    ("F1", ("total", "d3"), (), 6),
-    ("F2", ("total", ("binom", "d3", 2)), (), 2),
-    ("F3", _form("d3", "B", "d3"), ((12, "F2"), (6, "F1")), 8),
-    ("F4", _inner("d3", "d4"), ((8, "F2"),), 2),
-    ("F5", ("total", ("binom", "d3", 3)), (), 2),
-    ("F6", _form("d3", "B", "d4"), ((6, "F4"), (24, "F5"), (16, "F2")), 4),
+    ("F1", ("total", D3), (), 6),
+    ("F2", ("total", ("binom", D3, 2)), (), 2),
+    ("F3", _form(D3, "B", D3), ((12, "F2"), (6, "F1")), 8),
+    ("F4", _inner(D3, D4), ((8, "F2"),), 2),
+    ("F5", ("total", ("binom", D3, 3)), (), 2),
+    ("F6", _form(D3, "B", D4), ((6, "F4"), (24, "F5"), (16, "F2")), 4),
     # divisor repaired from the printed 6: the crossed-square total counts
     # each K4 once per directed edge and orientation pair, 24 in all
     ("F7", ("total", "crossed"), (), 24),
     ("F8", ("total", "square"), (), 8),
-    ("F9", ("total", ("had", _SQR, "B3")), (), 2),
+    ("F9", ("total", ("hadmm", _SQR, "B2")), (), 2),
     ("F10", ("total", _SQTT), (), 12),
-    ("F11", ("total", ("binom", "d4", 2)),
+    ("F11", ("total", ("binom", D4, 2)),
      ((2, "F9"), (12, "F10"), (12, "F7")), 2),
-    ("F12", ("total", ("had", ("colrev", "square"), ("binom", "B3", 2))),
-     (), 24),
-    ("F13", ("total", ("had", "square", ("binom", "B3", 2))), (), 2),
-    ("F14", _inner("d3", "d5"), ((4, "F4"), (2, "F9")), 2),
+    ("F12", ("total", ("binom", _SQTT, 2)), (), 24),
+    ("F13", ("total", ("binom", ("hadmm", "square", "B2"), 2)), (), 2),
+    ("F14", _inner(D3, D5), ((4, "F4"), (2, "F9")), 2),
     # the main term differs from its misprinted source: the printed table
     # repeats F3's main here, which the walk enumeration rejects; the
     # degree-four analogue is the term that balances (see CORRECTIONS.md)
-    ("F15", _form("d4", "B", "d4"),
+    ("F15", _form(D4, "B", D4),
      ((8, "F8"), (48, "F10"), (48, "F12"), (12, "F11"), (16, "F13"),
       (20, "F9"), (72, "F7")), 8),
-    ("F16", _form("d3", "wedge", "d3"),
+    ("F16", _form(D3, "wedge", D3),
      ((12, "F2"), (24, "F7"), (16, "F3"), (6, "F9")), 8),
-    ("F17", _form("d3", "B", "d5"),
+    ("F17", _form(D3, "B", D5),
      ((6, "F14"), (8, "F4"), (10, "F9"), (16, "F13")), 4),
     ("F18", ("total", _PNT), (), 4),
     ("F19", ("total", ("had", _PNT, "B2")), (), 4),
-    ("F20", ("total", ("had", ("T", "B2"), ("binom", "B3", 2))), (), 2),
+    ("F20", ("total", ("binom", ("hadmm", ("T", "B2"), "B2"), 2)), (), 2),
     ("F21", _inner(_QLOOP, ("rowsum", _SQR)),
      ((8, "F2"), (4, "F9"), (24, "F5")), 4),
     ("F22", _inner(_QLOOP, ("rowsum", _SQL)),
@@ -119,41 +137,41 @@ CORRECTIONS: tuple[tuple[str, tuple, tuple[tuple[int, str], ...], int], ...] = (
     # form drops; without it the entry matches no shape. The reversal sits
     # on the other, sparse factor: the total is unchanged by reversing
     # both factors' columns
-    ("F24", ("total", ("had", ("colrev", _SQTT), "B3")), ((4, "F18"),), 2),
-    ("F25", _inner("d3", ("rowsum", ("had", _SQL, "B3"))),
+    ("F24", ("total", ("hadmm", ("colrev", _SQTT), "B2")), ((4, "F18"),), 2),
+    ("F25", _inner(D3, ("rowsum", ("hadmm", _SQL, "B2"))),
      ((2, "F9"), (8, "F19")), 6),
-    ("F26", _inner("d3", "d6"),
+    ("F26", _inner(D3, D6),
      ((6, "F1"), (20, "F2"), (24, "F3"), (12, "F5"), (48, "F7"),
       (12, "F9"), (4, "F14"), (8, "F19"), (8, "F21"), (4, "F22"),
       (2, "F23")), 2),
-    ("F27", _inner("d4", "d5"),
+    ("F27", _inner(D4, D5),
      ((6, "F4"), (8, "F20"), (8, "F18"), (4, "F19"), (2, "F23"),
       (4, "F24")), 2),
-    ("F28", _form("d3", "wedge", "d4"),
+    ("F28", _form(D3, "wedge", D4),
      ((12, "F2"), (8, "F4"), (36, "F5"), (8, "F6"), (24, "F7"),
       (6, "F9"), (12, "F18"), (4, "F19"), (4, "F21"), (3, "F23"),
       (4, "F24")), 4),
     # the total of B o B^4 o rowrev(B^3) o colrev(B^3), with both
     # reversals moved onto the B-sized factors
-    ("F29", ("total", ("had", ("colrev", ("rowrev", ("had", (
-        "rowrev", ("hadmm", "B", "B3")), "B3"))), "B3")),
+    ("F29", ("total", ("hadmm", ("colrev", ("rowrev", ("hadmm", (
+        "rowrev", ("hadmm", "B", "B3")), "B2"))), "B2")),
      ((8, "F2"), (16, "F3"), (24, "F5"), (24, "F7"), (14, "F9"),
       (28, "F21")), 48),
-    ("F30", _inner(("binom", "d3", 2), "d5"),
+    ("F30", _inner(("binom", D3, 2), D5),
      ((4, "F18"), (8, "F19"), (2, "F23"), (6, "F25")), 2),
-    ("F31", _inner(("binom", "d4", 2), "d3"),
+    ("F31", _inner(("binom", D4, 2), D3),
      ((12, "F5"), (24, "F7"), (2, "F9"), (8, "F18"), (10, "F19"),
       (2, "F23"), (2, "F24"), (6, "F25")), 2),
-    ("F32", _form("d3", ("had", "B2", "B3"), "d3"),
+    ("F32", _form(D3, ("hadmm", "B2", "B2"), D3),
      ((4, "F2"), (12, "F5"), (72, "F7"), (14, "F9"), (24, "F19"),
       (8, "F21"), (8, "F22"), (24, "F25")), 8),
-    ("F33", ("total", ("had", ("T", "B2"), ("binom", "B3", 3))), (), 2),
-    ("F34", _form("d3", "B", "d6"),
+    ("F33", ("total", ("binom", ("hadmm", ("T", "B2"), "B2"), 3)), (), 2),
+    ("F34", _form(D3, "B", D6),
      ((6, "F1"), (36, "F2"), (48, "F3"), (36, "F5"), (144, "F7"),
       (44, "F9"), (8, "F14"), (48, "F19"), (48, "F21"), (16, "F22"),
       (10, "F23"), (6, "F26"), (48, "F29"), (16, "F30"), (8, "F31"),
       (16, "F32"), (60, "F25")), 4),
-    ("F35", _form("d4", "B", "d5"),
+    ("F35", _form(D4, "B", D5),
      ((10, "F4"), (16, "F20"), (24, "F18"), (28, "F19"), (10, "F23"),
       (20, "F24"), (6, "F27"), (8, "F30"), (16, "F31"), (24, "F33"),
       (36, "F25")), 4),
@@ -188,7 +206,7 @@ def printed_f15_value(space: EdgeSpace, corrections: dict[str, int]) -> Fraction
     fraction so callers can exhibit the failure.
     """
     f = corrections
-    main = Evaluator(space).eval(_form("d3", "B", "d3"))
+    main = Evaluator(space).eval(_form(D3, "B", D3))
     val = (main - 8 * f["F8"] - 48 * f["F10"] - 48 * f["F12"]
            - 12 * f["F11"] - 16 * f["F13"] - 20 * f["F9"] - 72 * f["F7"])
     return Fraction(val, 8)

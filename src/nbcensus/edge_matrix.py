@@ -21,11 +21,11 @@ of the first three is one ``Evaluator.run`` over a sequence:
   atoms (strings): "B" (the non-backtracking matrix), "I" (the identity
       over directed edges), "H" (the head incidence, directed edges by
       vertices: H[e, v] = 1 iff e ends at v), and every name of the ATOMS
-      table: the powers "B2".."B3", the step matrices "tri", "wedge",
-      "square", "crossed", "twin", "texit", "chordless3", "join", and
-      "d3".."d6" (the diagonals of B^3..B^6). Each ATOMS entry is itself a
+      table, the matrices several counts share: the powers "B2".."B3" and
+      the step matrices "tri", "wedge", "square", "crossed", "twin",
+      "texit", "chordless3", "join". Each ATOMS entry is itself a
       definition in this language, which ``EdgeSpace.atom`` evaluates once
-      and caches.
+      and caches; ``EdgeSpace.atom`` is the one accessor of a named matrix.
   ("T", X)            matrix transpose
   ("rowrev", X)       index reversal on rows (vectors: the whole index)
   ("colrev", X)       index reversal on columns
@@ -60,7 +60,6 @@ move or drop entries.
 from __future__ import annotations
 
 import time
-from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -190,11 +189,10 @@ def checked_binom(M, r: int, label: str):
 
 
 def exact_div(x, d: int, label: str):
-    """Integer division that must leave no remainder; arrays or scalars."""
+    """Integer division that must leave no remainder; dense arrays or
+    scalars."""
     if d <= 0:
         raise ValueError("divisor must be positive")
-    if sp.issparse(x):
-        x = np.asarray(x.todense())
     if isinstance(x, np.ndarray):
         if np.any(x % d):
             raise IntegrityError(f"{label}: value not divisible by {d}")
@@ -230,8 +228,9 @@ MEETS = ("add", ("add", ("add", ("T", "B"), ("colrev", "B")), ("rowrev", "B")),
          "I")
 
 # The named atoms of the expression language beyond "B", the identity "I"
-# over directed edges and the head incidence "H": name -> (EdgeSpace cache key, definition over
-# "B", "I" and earlier atoms). EdgeSpace.atom builds each one on first use.
+# over directed edges and the head incidence "H": the matrices several
+# counts share, name -> (EdgeSpace cache key, definition over "B", "I" and
+# earlier atoms). EdgeSpace.atom builds each one on first use and keeps it.
 ATOMS = {
     "B2": (("pow", 2), ("mm", "B", "B")),
     "B3": (("pow", 3), ("mm", "B2", "B")),
@@ -258,13 +257,6 @@ ATOMS = {
     # bowties: a triangle over e joined at one apex to a second triangle
     # whose far edge is f
     "join": ("triangle_join_step", ("mm", "texit", ("rowrev", "tri"))),
-    # diag(B^(i+j)) pairs B^i with the transpose of B^j; powers above B^3
-    # are never held in memory, and B^3 is never transposed: d5 and d6
-    # read B^3 and B^4 at the mask (B^2)^T through the masked product
-    "d3": ("diag3", ("rowsum", "tri")),
-    "d4": ("diag4", ("rowsum", "square")),
-    "d5": ("diag5", ("rowsum", ("hadmm", ("T", "B2"), "B2"))),
-    "d6": ("diag6", ("rowsum", ("hadmm", ("T", "B2"), "B3"))),
 }
 
 
@@ -311,9 +303,9 @@ class EdgeSpace:
     EdgeSpace per graph and lets the formulas pull what they need.
     """
 
-    def __init__(self, graph: Graph, index: DirectedEdgeIndex | None = None):
+    def __init__(self, graph: Graph):
         self.graph = graph
-        self.index = index if index is not None else DirectedEdgeIndex(graph)
+        self.index = DirectedEdgeIndex(graph)
         # the index's reversal permutation, applied by rowrev and colrev
         self.rev = self.index.rev
         self.stats: dict = {"peak_product_nnz": 0}
@@ -384,30 +376,6 @@ class EdgeSpace:
                  np.arange(self.size + 1)), shape=(self.size, self.graph.n))
         key, definition = ATOMS[name]
         return self._get(key, lambda: Evaluator(self).eval(definition))
-
-    def power(self, k: int) -> sp.csr_matrix:
-        """B^k for 1 <= k <= 3; higher powers are never materialized."""
-        if not 1 <= k <= 3:
-            raise ValueError("only powers 1..3 are materialized")
-        return self.atom("B" if k == 1 else f"B{k}")
-
-    def diag(self, k: int) -> np.ndarray:
-        """The diagonal of B^k, 3 <= k <= 6."""
-        if not 3 <= k <= 6:
-            raise ValueError("diagonals available for k in 3..6")
-        return self.atom(f"d{k}")
-
-    @property
-    def square_step(self) -> sp.csr_matrix:
-        return self.atom("square")
-
-    @property
-    def crossed_square_step(self) -> sp.csr_matrix:
-        return self.atom("crossed")
-
-    @property
-    def chordless_three_step(self) -> sp.csr_matrix:
-        return self.atom("chordless3")
 
     # -- traces of high powers -------------------------------------------
 
@@ -486,14 +454,16 @@ class _Label:
         return repr(self.node)[:80] + self.note
 
 
-def _reads(node) -> tuple:
+def _reads(node) -> list:
     """The memoized nodes that computing ``node`` reads: its tuple operands,
     and for ("hadmm", M, X) the product ("mm", X, "H") as well. A "sel"
     leaf reads nothing; its tuples are root pairs."""
     if node[0] == "sel":
-        return ()
-    kids = tuple(x for x in node[1:] if isinstance(x, tuple))
-    return kids + (("mm", node[2], "H"),) if node[0] == "hadmm" else kids
+        return []
+    kids = [x for x in node[1:] if isinstance(x, tuple)]
+    if node[0] == "hadmm":
+        kids.append(("mm", node[2], "H"))
+    return kids
 
 
 class Evaluator:
@@ -502,24 +472,21 @@ class Evaluator:
     the tuple-space host of ``connection.eval_formula`` (``adj`` and
     ``sel(p, q, eq, ne)``) or ``EdgeSpace.vertex_host`` (the atoms of
     TRACE_TERMS). Each host has ``stats``, None or the dict where products
-    record their peak nnz. ``eval`` keeps every node it memoizes; ``run``
-    drops each node after its last reader in a sequence.
+    record their peak nnz. ``run`` drops each node after its last reader
+    in a sequence; ``eval`` is a run of one expression.
     """
 
     def __init__(self, space):
         self.space = space
         self._memo: dict = {}
-        self._readers: Counter = Counter()
+        self._readers: dict = {}
 
     def eval(self, expr):
-        if isinstance(expr, str):
-            return self.space.atom(expr)
-        val = self._memo.get(expr)
-        if val is None:
-            val = self._memo[expr] = self._apply(expr)
-            if self._readers:  # counted only during a run
-                for node in _reads(expr):
-                    self._read(node)
+        """The value of ``expr``, from a run of it alone; a refusal is
+        raised."""
+        (val,) = self.run([expr])
+        if isinstance(val, IntegrityError):
+            raise val
         return val
 
     def run(self, exprs):
@@ -532,18 +499,16 @@ class Evaluator:
         change a value."""
         exprs = list(exprs)
         todo = [e for e in exprs if isinstance(e, tuple)]
-        self._readers.update(todo)
-        counted = set()
-        while todo:
+        while todo:  # a node is pushed once per reader, its reads once
             node = todo.pop()
-            if node not in counted:
-                counted.add(node)
-                self._readers.update(_reads(node))
+            left = self._readers.get(node, 0)
+            self._readers[node] = left + 1
+            if not left:
                 todo.extend(_reads(node))
         try:
             for expr in exprs:
                 try:
-                    val = self.eval(expr)
+                    val = self._eval(expr)
                     self._read(expr)
                 except IntegrityError as exc:
                     val = exc
@@ -551,6 +516,16 @@ class Evaluator:
         finally:
             self._memo.clear()
             self._readers.clear()
+
+    def _eval(self, expr):
+        if isinstance(expr, str):
+            return self.space.atom(expr)
+        val = self._memo.get(expr)
+        if val is None:
+            val = self._memo[expr] = self._apply(expr)
+            for node in _reads(expr):
+                self._read(node)
+        return val
 
     def _read(self, node) -> None:
         """Count off one computed reader of ``node``; drop the node after
@@ -570,51 +545,51 @@ class Evaluator:
         if op == "sel":
             return s.sel(*expr[1:])
         if op == "T":
-            x = self.eval(expr[1]).T
+            x = self._eval(expr[1]).T
             return x if isinstance(x, np.ndarray) else x.tocsr()
         if op == "vec":
-            return self.eval(expr[1]).reshape(-1, 1)
+            return self._eval(expr[1]).reshape(-1, 1)
         if op == "rowrev":
-            x = s.rowrev(self.eval(expr[1]))
+            x = s.rowrev(self._eval(expr[1]))
             return x if isinstance(x, np.ndarray) else x.tocsr()
         if op == "colrev":
-            return s.colrev(self.eval(expr[1])).tocsr()
+            return s.colrev(self._eval(expr[1])).tocsr()
         if op == "mm":
-            return checked_matmul(self.eval(expr[1]), self.eval(expr[2]),
+            return checked_matmul(self._eval(expr[1]), self._eval(expr[2]),
                                   label, s.stats)
         if op == "had":
-            return checked_hadamard(self.eval(expr[1]), self.eval(expr[2]),
+            return checked_hadamard(self._eval(expr[1]), self._eval(expr[2]),
                                     label)
         if op == "hadmm":
             _, m, x = expr
-            return s.masked_step(self.eval(m), self.eval(x),
-                                 self.eval(("mm", x, "H")), label)
+            return s.masked_step(self._eval(m), self._eval(x),
+                                 self._eval(("mm", x, "H")), label)
         if op == "hadnot":
-            a, m = self.eval(expr[1]), self.eval(expr[2])
+            a, m = self._eval(expr[1]), self._eval(expr[2])
             drop = a.multiply(m != 0)
             out = (a - drop).tocsr()
             out.eliminate_zeros()
             return out
         if op in ("add", "sub"):
-            return checked_add(self.eval(expr[1]), self.eval(expr[2]), label,
+            return checked_add(self._eval(expr[1]), self._eval(expr[2]), label,
                                1 if op == "add" else -1)
         if op == "sshift":
-            return checked_add(self.eval(expr[1]), int(expr[2]), label, -1)
+            return checked_add(self._eval(expr[1]), int(expr[2]), label, -1)
         if op == "scale":
             _, x, num, den = expr
-            out = checked_scale(self.eval(x), num, label)
+            out = checked_scale(self._eval(x), num, label)
             if den == 1:
                 return out
             return exact_div(out, den, _Label(
                 expr, f": rescale by 1/{den} is not exact"))
         if op == "binom":
-            return checked_binom(self.eval(expr[1]), int(expr[2]), label)
+            return checked_binom(self._eval(expr[1]), int(expr[2]), label)
         if op == "rowsum":
-            return checked_total(self.eval(expr[1]), label, axis=1)
+            return checked_total(self._eval(expr[1]), label, axis=1)
         if op == "colsum":
-            return checked_total(self.eval(expr[1]), label, axis=0)
+            return checked_total(self._eval(expr[1]), label, axis=0)
         if op == "total":
-            return checked_total(self.eval(expr[1]), label)
+            return checked_total(self._eval(expr[1]), label)
         if op == "div":
-            return exact_div(self.eval(expr[1]), int(expr[2]), label)
+            return exact_div(self._eval(expr[1]), int(expr[2]), label)
         raise ValueError(f"unknown op {op!r}")

@@ -12,9 +12,9 @@ fully rooted order-4 blocks, each a dense connection matrix from
 most 31 vertices), and the 6-clique shortcut.
 
 The trees are written in the expression language of
-``edge_matrix.Evaluator``, whose atoms (B, its powers, the step matrices
-and the diagonals) are edge_matrix's ATOMS table; every node that
-computes new values goes through edge_matrix's int64 guards.
+``edge_matrix.Evaluator``, whose atoms (B, its powers and the step
+matrices) are edge_matrix's ATOMS table; every node that computes new
+values goes through edge_matrix's int64 guards.
 """
 
 from __future__ import annotations
@@ -31,20 +31,8 @@ from .graphs import Graph
 from .oracle import automorphism_count_fixing
 
 
-@dataclass(frozen=True)
-class MotifId:
-    order: int
-    tag: str
-    rooting: str  # "edge" | "vertex"
-
-    def __post_init__(self):
-        if self.rooting not in ("edge", "vertex"):
-            raise ValueError("rooting must be 'edge' or 'vertex'")
-
-
 @dataclass
 class MotifResult:
-    motif: MotifId
     values: np.ndarray
     total: int = field(init=False)
 
@@ -133,8 +121,7 @@ def eval_order6_edge(space: EdgeSpace, F) -> MotifResult:
         checked_matmul(ka, kb, label), kc, label), label, axis=1)
     divisor = automorphism_count_fixing(pattern, (a1, a2))
     per_pair = exact_div(per_pair, divisor, "order6 root-fixing symmetry")
-    return MotifResult(MotifId(6, "order6", "edge"),
-                       per_pair[tuple_index((index.tail, index.head), G.n)])
+    return MotifResult(per_pair[tuple_index((index.tail, index.head), G.n)])
 
 
 def eval_k6_edge(space: EdgeSpace) -> MotifResult:
@@ -148,4 +135,4 @@ def eval_k6_edge(space: EdgeSpace) -> MotifResult:
     vec = Evaluator(space).eval(
         ("div", ("rowsum", ("had", ("mm", "crossed", "crossed"), "crossed")),
          24))
-    return MotifResult(MotifId(6, "K6", "edge"), vec)
+    return MotifResult(vec)

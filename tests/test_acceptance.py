@@ -21,10 +21,11 @@ from nbcensus.connection import (RootedFormula, RootedGraph, build_formula,
                                  eval_formula, kappa_direct, lemma1_inflate,
                                  lemma1_project, lemma1_transpose,
                                  lemma1_vectorize, prop1_chain)
-from nbcensus.cycle_census import (class_shape, eval_walk_corrections,
-                                   full_census, printed_f15_value)
-from nbcensus.edge_matrix import (EdgeSpace, IntegrityError, checked_hadamard,
-                                  checked_total)
+from nbcensus.cycle_census import (DIAGONALS, class_shape,
+                                   eval_walk_corrections, full_census,
+                                   printed_f15_value)
+from nbcensus.edge_matrix import (EdgeSpace, Evaluator, IntegrityError,
+                                  checked_hadamard, checked_total)
 from nbcensus.graphs import DirectedEdgeIndex, Graph
 from nbcensus.motifs import eval_k6_edge, eval_order6_edge, evaluate_catalog
 from nbcensus.oracle import (count_copies, edge_rooted_vector,
@@ -410,19 +411,20 @@ def test_criterion_8_corrections_ledger_is_demonstrated():
     # X031/X032: the printed mask chain never clears the diagonal, which
     # carries the closed three-step walks. Shipped matrix clears it.
     sp_k4 = EdgeSpace(complete_graph(4))
-    masked = sp_k4.power(3).copy()
+    masked = sp_k4.atom("B3").copy()
     for mask in (sp_k4.B.T.tocsr(), sp_k4.colrev(sp_k4.B).tocsr(),
                  sp_k4.rowrev(sp_k4.B).tocsr()):
         masked = (masked - masked.multiply(mask != 0)).tocsr()
-    assert np.array_equal(masked.diagonal(), sp_k4.diag(3))
+    assert np.array_equal(masked.diagonal(),
+                          Evaluator(sp_k4).eval(DIAGONALS[3]))
     assert masked.diagonal().any()
-    assert not sp_k4.chordless_three_step.diagonal().any()
+    assert not sp_k4.atom("chordless3").diagonal().any()
     demos.append("X031/X032 diagonal")
 
     # F7: the crossed-square total is 24 per K4, not 6. The printed /6
     # quadruples F7, and the first peel consuming it goes negative.
     for g in (complete_graph(4), complete_graph(6), er_graph(8, 0.7, 124)):
-        total = checked_total(EdgeSpace(g).crossed_square_step, "demo")
+        total = checked_total(EdgeSpace(g).atom("crossed"), "demo")
         assert total == 24 * count_copies(complete_graph(4), g)
     f5 = eval_walk_corrections(EdgeSpace(k5))
     # printed pipeline: F11 peel subtracts 12*(4*F7), i.e. 18*F7 more
@@ -445,8 +447,8 @@ def test_criterion_8_corrections_ledger_is_demonstrated():
     g = er_graph(8, 0.6, 125)
     space = EdgeSpace(g)
     f = eval_walk_corrections(space)
-    cube = space.power(3)
-    aux = checked_hadamard(space.colrev(space.square_step).tocsr(), cube,
+    cube = space.atom("B3")
+    aux = checked_hadamard(space.colrev(space.atom("square")).tocsr(), cube,
                            "demo")
     printed_main = checked_total(checked_hadamard(aux, cube, "demo"), "demo")
     printed = Fraction(printed_main - 4 * f["F18"], 2)

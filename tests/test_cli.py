@@ -421,15 +421,10 @@ def _bench_workloads():
     return module
 
 
-def _cap_address_space():
-    limit = int(4.5e9)
-    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-
-
-def test_degree_600_hub_census_fits_under_a_4_5_gb_cap(tmp_path):
-    """Four hubs of degree 600 over the benchmark's hub background (n=2000,
-    nnz(B^3) = 69.5M): the cycle census completes with the child's address
-    space capped at 4.5 GB, where whole copies of B^3 ran out of memory."""
+def _hub_census(tmp_path, cap: int):
+    """``--counts cycles`` on four hubs of degree 600 over the benchmark's
+    hub background, in a child whose address space is capped at ``cap``
+    bytes; the finished child and the graph's edges."""
     edges = _bench_workloads().hub_graph(2000, random.Random(7), p=0.30)
     graph = tmp_path / "hubs.txt"
     graph.write_text("".join(f"{u} {v}\n" for u, v in edges))
@@ -438,7 +433,15 @@ def test_degree_600_hub_census_fits_under_a_4_5_gb_cap(tmp_path):
         [sys.executable, "-m", "nbcensus.cli", "--input", str(graph),
          "--counts", "cycles", "--output", str(tmp_path / "report.json")],
         env=env, capture_output=True, text=True, timeout=600,
-        preexec_fn=_cap_address_space)
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+    return result, edges
+
+
+def test_degree_600_hub_census_fits_under_a_4_5_gb_cap(tmp_path):
+    """Four hubs of degree 600 over the benchmark's hub background (n=2000,
+    nnz(B^3) = 69.5M): the cycle census completes with the child's address
+    space capped at 4.5 GB, where whole copies of B^3 ran out of memory."""
+    result, edges = _hub_census(tmp_path, int(4.5e9))
     assert result.returncode == 0, result.stderr
     report = json.loads((tmp_path / "report.json").read_text())
     assert "errors" not in report
@@ -448,3 +451,16 @@ def test_degree_600_hub_census_fits_under_a_4_5_gb_cap(tmp_path):
                        (np.r_[u, v], np.r_[v, u])), shape=(n, n))
     triangles = int((A @ A).multiply(A).sum()) // 6
     assert report["counters"]["cycles"]["C3"] == triangles
+
+
+def test_census_out_of_memory_is_one_error_line(tmp_path):
+    """Under a 1 GB cap the degree-600 hub census runs out of memory (B^3
+    alone is 834 MB as CSR): the run ends with exit 1, one ``error:
+    cycles:`` line and no report, not a traceback."""
+    result, _ = _hub_census(tmp_path, int(1e9))
+    assert result.returncode == 1, result.stderr
+    assert "Traceback" not in result.stderr
+    errors = [line for line in result.stderr.splitlines()
+              if line.startswith("error:")]
+    assert len(errors) == 1 and errors[0].startswith("error: cycles: "), errors
+    assert not (tmp_path / "report.json").exists()

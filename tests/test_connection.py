@@ -81,13 +81,13 @@ def test_kappa_triangle_fixtures(k4):
     assert list(per_vertex.data.ravel()) == [3, 3, 3, 3]
 
 
-def test_kappa_guards():
+def test_kappa_guards(monkeypatch):
     with pytest.raises(ScaleGuardError):
         kappa_direct(RootedGraph(cycle_graph(MAX_PATTERN_ORDER + 1),
                                  (0,), ()), complete_graph(4))
+    monkeypatch.setattr(connection, "MAX_CELLS", 20)
     with pytest.raises(ScaleGuardError):
-        kappa_direct(RootedGraph(TRIANGLE, (0, 1), (2,)),
-                     complete_graph(5), max_cells=20)
+        kappa_direct(RootedGraph(TRIANGLE, (0, 1), (2,)), complete_graph(5))
 
 
 @pytest.mark.parametrize("F", [
@@ -182,22 +182,25 @@ def test_selection_cache_stays_within_its_cell_bound(monkeypatch):
                                                           ((0, 0),))
 
 
-def test_eval_formula_guards():
+def test_eval_formula_guards(monkeypatch):
     expr = ("mm", ("vec", ("adj",)), ("T", ("vec", ("adj",))))
-    with pytest.raises(ScaleGuardError):
-        eval_formula(expr, complete_graph(4), max_cells=10)
+    with monkeypatch.context() as patched:
+        patched.setattr(connection, "MAX_CELLS", 10)
+        with pytest.raises(ScaleGuardError):
+            eval_formula(expr, complete_graph(4))
     with pytest.raises(IntegrityError, match="not exact"):
         eval_formula(("scale", ("adj",), 1, 2), complete_graph(3))
 
 
-def test_eval_formula_guards_inner_nodes():
+def test_eval_formula_guards_inner_nodes(monkeypatch):
     """A 1x1 formula whose inner outer-product node needs 4^4 cells is
     refused."""
     K = ("mm", ("vec", ("adj",)), ("T", ("vec", ("adj",))))
     expr = ("mm", ("T", ("vec", K)), ("vec", K))
     assert formula_arity(expr) == (0, 0)
+    monkeypatch.setattr(connection, "MAX_CELLS", 100)
     with pytest.raises(ScaleGuardError):
-        eval_formula(expr, complete_graph(4), max_cells=100)
+        eval_formula(expr, complete_graph(4))
 
 
 def test_formula_arity_checks_composition():

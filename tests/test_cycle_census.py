@@ -13,9 +13,10 @@ from hypothesis import example, given, settings
 
 from conftest import (complete_graph, cycle_graph, differential_hosts,
                       er_graph, petersen_graph, wheel_graph)
-from nbcensus.catalog import _SQR
-from nbcensus.cycle_census import (C_NAMES, CORRECTIONS, F_NAMES,
-                                   class_shape, class_walk_multiplicity,
+from nbcensus.catalog import _SQL, _SQR
+from nbcensus.cycle_census import (C_NAMES, CORRECTIONS, DIAGONALS, F_NAMES,
+                                   _form, _inner, class_shape,
+                                   class_walk_multiplicity,
                                    eval_walk_corrections, full_census,
                                    printed_f15_value, walk_class_oracle)
 from nbcensus.edge_matrix import ATOMS, EdgeSpace, Evaluator
@@ -110,15 +111,35 @@ def test_masked_mains_match_the_b4_mains(g):
 _OLD_PNT = ("had", ("had", ("had", "B2", ("T", "B3")), ("rowrev", "B2")),
             ("colrev", "B2"))
 _OLD_SQTT = ("had", ("colrev", "square"), "B3")
-OLD_MAINS = {
-    "F12": ("total", ("had", "square", ("binom", ("colrev", "B3"), 2))),
-    "F18": ("total", _OLD_PNT),
-    "F19": ("total", ("had", _OLD_PNT, ("T", "B2"))),
-    "F20": ("total", ("had", "B2", ("binom", ("T", "B3"), 2))),
-    "F24": ("total", ("had", _OLD_SQTT, ("colrev", "B3"))),
-    "F29": ("total", ("had", ("had", ("hadmm", "B", "B3"), ("rowrev", "B3")),
-                      ("colrev", "B3"))),
-}
+# the main terms as they read B^3 at a mask before the masked products
+# ("hadmm", M, "B2") and the binomials taken after the mask
+_B3_PNT = ("had", ("had", ("had", "B3", ("T", "B2")), ("rowrev", "B2")),
+           ("colrev", "B2"))
+_B3_QLOOP = ("rowsum", ("had", "B3", ("colrev", "B")))
+OLD_MAINS = (
+    ("F12", ("total", ("had", "square", ("binom", ("colrev", "B3"), 2)))),
+    ("F18", ("total", _OLD_PNT)),
+    ("F19", ("total", ("had", _OLD_PNT, ("T", "B2")))),
+    ("F20", ("total", ("had", "B2", ("binom", ("T", "B3"), 2)))),
+    ("F24", ("total", ("had", _OLD_SQTT, ("colrev", "B3")))),
+    ("F29", ("total", ("had", ("had", ("hadmm", "B", "B3"),
+                               ("rowrev", "B3")), ("colrev", "B3")))),
+    ("F9", ("total", ("had", _SQR, "B3"))),
+    ("F10", ("total", _OLD_SQTT)),
+    ("F12", ("total", ("had", ("colrev", "square"), ("binom", "B3", 2)))),
+    ("F13", ("total", ("had", "square", ("binom", "B3", 2)))),
+    ("F18", ("total", _B3_PNT)),
+    ("F19", ("total", ("had", _B3_PNT, "B2"))),
+    ("F20", ("total", ("had", ("T", "B2"), ("binom", "B3", 2)))),
+    ("F21", _inner(_B3_QLOOP, ("rowsum", _SQR))),
+    ("F22", _inner(_B3_QLOOP, ("rowsum", _SQL))),
+    ("F24", ("total", ("had", ("colrev", _OLD_SQTT), "B3"))),
+    ("F25", _inner(DIAGONALS[3], ("rowsum", ("had", _SQL, "B3")))),
+    ("F29", ("total", ("had", ("colrev", ("rowrev", ("had", (
+        "rowrev", ("hadmm", "B", "B3")), "B3"))), "B3"))),
+    ("F32", _form(DIAGONALS[3], ("had", "B2", "B3"), DIAGONALS[3])),
+    ("F33", ("total", ("had", ("T", "B2"), ("binom", "B3", 3)))),
+)
 OLD_DIAGONALS = {
     5: ("rowsum", ("had", "B2", ("T", "B3"))),
     6: ("rowsum", ("had", "B3", ("T", "B3"))),
@@ -132,13 +153,25 @@ OLD_DIAGONALS = {
 @example(er_graph(12, 0.4, 62))
 @example(wheel_graph(6))
 def test_rewritten_mains_match_their_old_trees(g):
-    space = EdgeSpace(g)
-    ev = Evaluator(space)
+    ev = Evaluator(EdgeSpace(g))
     table = {name: main for name, main, _, _ in CORRECTIONS}
-    for name, old in OLD_MAINS.items():
+    for name, old in OLD_MAINS:
         assert ev.eval(table[name]) == ev.eval(old), name
     for k, old in OLD_DIAGONALS.items():
-        assert np.array_equal(space.diag(k), ev.eval(old)), k
+        assert np.array_equal(ev.eval(DIAGONALS[k]), ev.eval(old)), k
+
+
+@settings(max_examples=60, deadline=None)
+@given(differential_hosts())
+@example(Graph(0, []))
+@example(complete_graph(5))
+@example(wheel_graph(6))
+def test_binomial_masks_are_zero_one(g):
+    """square, colrev(square) and (B^2)^T hold only 0 and 1, so a binomial
+    of B^3 read at one of them equals the binomial of the masked product."""
+    ev = Evaluator(EdgeSpace(g))
+    for mask in ("square", ("colrev", "square"), ("T", "B2")):
+        assert set(ev.eval(mask).data) <= {1}, mask
 
 
 def _nodes(expr):
@@ -149,13 +182,20 @@ def _nodes(expr):
 
 
 def test_no_term_transposes_or_reverses_b3():
-    """B^3 is the largest matrix of the census: every main term and every
-    atom reads it as it is, and none copies it whole."""
-    trees = [main for _, main, _, _ in CORRECTIONS]
+    """B^3 is the largest matrix of the census: every main term, diagonal
+    and atom reads it as it is, and none copies it whole. The mains read it
+    only through masked products: no binomial of B^3 and no entrywise
+    product with it."""
+    mains = [main for _, main, _, _ in CORRECTIONS]
+    trees = mains + list(DIAGONALS.values())
     trees += [definition for _, definition in ATOMS.values()]
     whole_copies = {(op, "B3") for op in ("T", "rowrev", "colrev")}
     for tree in trees:
         assert not whole_copies & set(_nodes(tree)), tree
+    for main in mains:
+        for node in _nodes(main):
+            assert node[:2] != ("binom", "B3"), main
+            assert not (node[0] == "had" and "B3" in node[1:]), main
 
 
 def test_corrections_are_subgraph_counts():

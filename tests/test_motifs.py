@@ -9,11 +9,11 @@ from conftest import (complete_graph, cycle_graph, differential_hosts,
 from nbcensus import catalog, connection
 from nbcensus.catalog import _SQL
 from nbcensus.connection import RootedGraph, ScaleGuardError, kappa_direct
-from nbcensus.cycle_census import CORRECTIONS
+from nbcensus.cycle_census import CORRECTIONS, DIAGONALS
 from nbcensus.edge_matrix import ATOMS, EdgeSpace, Evaluator
 from nbcensus.graphs import Graph
-from nbcensus.motifs import (MotifId, compiled, eval_k6_edge,
-                             eval_order6_edge, evaluate_catalog)
+from nbcensus.motifs import (compiled, eval_k6_edge, eval_order6_edge,
+                             evaluate_catalog)
 from nbcensus.oracle import edge_rooted_vector, vertex_rooted_vector
 
 
@@ -31,11 +31,6 @@ def assert_against_oracle(values, g):
         else:
             want = vertex_rooted_vector(pattern, root[0], g)
         assert list(got) == list(want), mid
-
-
-def test_motif_id_validates_rooting():
-    with pytest.raises(ValueError):
-        MotifId(3, "C3", "face")
 
 
 def test_order3_on_triangle():
@@ -237,9 +232,9 @@ def test_masked_entries_match_the_b3_trees(g):
 @example(er_graph(9, 0.6, 96))
 def test_x061_is_the_fifth_diagonal(g):
     """X061 and d5 are one masked product: B^3 read at the mask (B^2)^T."""
-    space = EdgeSpace(g)
-    got = Evaluator(space).eval(catalog.EDGE_ORDER5["X061"]["expr"])
-    assert np.array_equal(got, space.diag(5))
+    ev = Evaluator(EdgeSpace(g))
+    got = ev.eval(catalog.EDGE_ORDER5["X061"]["expr"])
+    assert np.array_equal(got, ev.eval(DIAGONALS[5]))
 
 
 def atoms_read(tree):

@@ -25,7 +25,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 import numpy as np
 
 from nbcensus import cycle_census, oracle
-from nbcensus.edge_matrix import EdgeSpace
+from nbcensus.edge_matrix import EdgeSpace, Evaluator
 from nbcensus.graphs import Graph
 
 OUT = Path(__file__).resolve().parent.parent / "src" / "nbcensus" / "data" / "walk_classes.json"
@@ -171,7 +171,9 @@ def main(argv: list[str]) -> int:
         printed_misses = 0
         for gi, g in enumerate(graphs):
             space = EdgeSpace(g)
-            d3, d4 = space.diag(3), space.diag(4)
+            ev = Evaluator(space)
+            d3, d4 = (ev.eval(cycle_census.DIAGONALS[k])
+                      for k in (3, 4))
             required = 8 * copies[key15][gi] + sum(
                 c * f_values[dep][gi] for c, dep in deps)
             repaired = int(d4 @ (space.B @ d4))
