@@ -35,9 +35,9 @@ _SQR = ("had", "square", ("colrev", "B2"))
 _B1 = ("rowsum", "B")
 _TRI1 = ("rowsum", "tri")
 # B^3 and the chordless three-step (B^3 less MEETS) are read only through
-# masks, so the entries read them as masked products over B^2
-_B3T = ("hadmm", ("T", "B"), "B2")                   # B^3 masked by B^T
-_C3TWIN = ("hadnot", ("hadmm", ("colrev", "B2"), "B2"),
+# masks, so the entries read them as masked powers of B
+_B3T = ("bpow", ("T", "B"), 3)                       # B^3 masked by B^T
+_C3TWIN = ("hadnot", ("bpow", ("colrev", "B2"), 3),
            MEETS)                                    # chordless3 by colrev B^2
 
 
@@ -115,7 +115,7 @@ EDGE_ORDER5 = {
     "X026": _rev("X025"),
     # 03
     "X031": _expr(("sub", ("mm", "B2", _B1),
-                   ("rowsum", ("hadmm", MEETS, "B2")))),
+                   ("rowsum", ("bpow", MEETS, 3)))),
     "X032": _rev("X031"),
     "X033": _expr(("sub", ("sub", ("had", ("rowsum", "wedge"), ("rowrev", _B1)),
                            ("rowsum", "square")), ("rowsum", "texit"))),
@@ -138,8 +138,8 @@ EDGE_ORDER5 = {
     "X054": _rev("X053"),
     "X055": _expr(("div", ("rowsum", ("sub", ("mm", "texit", ("rowrev", "B")),
                                       ("scale", "texit", 2, 1))), 2)),
-    # 06
-    "X061": _expr(("rowsum", ("hadmm", ("T", "B2"), "B2"))),
+    # 06: the diagonal of B^5
+    "X061": _expr(("rowsum", ("bpow", "I", 5))),
     # 07
     "X071": _expr(("div", ("rowsum", ("had", "crossed", "join")), 6)),
     # 08
@@ -172,8 +172,8 @@ EDGE_ORDER5 = {
                    ("scale", ("colsum", "crossed"), 2, 1))),
     # 12
     "X121": _expr(("colsum", ("sub",
-                   ("hadmm", ("had", ("mm", "tri", ("rowrev", "tri")),
-                              ("T", "B")), "B2"),
+                   ("bpow", ("had", ("mm", "tri", ("rowrev", "tri")),
+                             ("T", "B")), 3),
                    ("had", ("mm", "tri", ("rowrev", "tri")), ("T", "B"))))),
     "X122": _rev("X121"),
     "X123": _expr(("div", ("colsum", ("had", ("mm", "square", "tri"), "B2")), 2)),
@@ -189,8 +189,8 @@ EDGE_ORDER5 = {
                               "crossed"))),
     "X136": _rev("X135"),
     "X137": _expr(("rowsum", ("sub",
-                   ("sub", ("mm", ("hadmm", "tri", "B2"), "tri"),
-                    ("hadmm", "tri", "B2")),
+                   ("sub", ("mm", ("bpow", "tri", 3), "tri"),
+                    ("bpow", "tri", 3)),
                    "crossed"))),
     # 14
     "X141": _expr(("binom", _TRI1, 3)),

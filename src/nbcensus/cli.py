@@ -357,6 +357,13 @@ def _to_csv(report: dict, config: RunConfig, index: DirectedEdgeIndex) -> str:
 # the run itself
 # ---------------------------------------------------------------------------
 
+def _stage_error(stage: str, exc: Exception) -> tuple[int, str]:
+    """One ``error:`` line for a stage that failed on its input or ran out
+    of memory; exit 1 and no report."""
+    print(f"error: {stage}: {str(exc) or 'out of memory'}", file=sys.stderr)
+    return 1, ""
+
+
 def _stage(timings: list, name: str, fn):
     start = time.perf_counter()
     out = fn()
@@ -399,9 +406,7 @@ def run(config: RunConfig) -> tuple[int, str]:
                 section = _stage(timings, counter, lambda c=counter: (
                     _generic_section(space, c, computed)))
         except (OSError, GraphError, MemoryError) as exc:
-            print(f"error: {counter}: {str(exc) or 'out of memory'}",
-                  file=sys.stderr)
-            return 1, ""
+            return _stage_error(counter, exc)
         except (IntegrityError, ScaleGuardError) as exc:
             errors[counter] = str(exc)
             section = {"error": str(exc)}
@@ -421,6 +426,8 @@ def run(config: RunConfig) -> tuple[int, str]:
             except IntegrityError as exc:
                 errors[f"check:{counter}"] = str(exc)
                 checks[counter] = {"verified": False}
+            except MemoryError as exc:
+                return _stage_error(f"check:{counter}", exc)
         report["oracle_check"] = checks
         for counter, outcome in checks.items():
             if outcome.get("verified") is False:
@@ -432,10 +439,12 @@ def run(config: RunConfig) -> tuple[int, str]:
     if errors:
         report["errors"] = errors
 
-    if config.fmt == "json":
-        text = _to_json(report)
-    else:
-        text = _to_csv(report, config, index)
+    try:
+        text = (_to_json(report) if config.fmt == "json"
+                else _to_csv(report, config, index))
+    except MemoryError as exc:
+        return _stage_error("report", exc)
+    if config.fmt == "csv":
         for key, msg in errors.items():
             print(f"error: {key}: {msg}", file=sys.stderr)
 

@@ -65,34 +65,31 @@ def _form(v, M, w):
 
 
 # The diagonals d3..d6 of B^3..B^6, terms of the census like any other.
-# diag(B^(i+j)) pairs B^i with the transpose of B^j; powers above B^3 are
-# never held in memory, and B^3 is never transposed: d5 and d6 read B^3 and
-# B^4 at the mask (B^2)^T through the masked product.
+# d3 and d4 are row sums of the step matrices; d5 and d6 are masked powers
+# at the identity, 2m-long gathers from vertex space, so no power of B
+# above B^2 is ever built.
 DIAGONALS = {
     3: ("rowsum", "tri"),
     4: ("rowsum", "square"),
-    5: ("rowsum", ("hadmm", ("T", "B2"), "B2")),
-    6: ("rowsum", ("hadmm", ("T", "B2"), "B3")),
+    5: ("rowsum", ("bpow", "I", 5)),
+    6: ("rowsum", ("bpow", "I", 6)),
 }
 D3, D4, D5, D6 = (DIAGONALS[k] for k in range(3, 7))
 
-# B^3 at the mask M is written ("hadmm", M, "B2"), so B^3 itself is read
-# only as the X of the masked products of d6, F23 and F29, which share one
-# B^3 H. A binomial is taken after its mask, which is exact because the
-# masks square, colrev(square) and (B^2)^T are 0/1, as B^2 of a simple
-# graph is.
-_SQTT = ("hadmm", ("colrev", "square"), "B2")
+# B^3 and B^4 at a mask M are the masked powers ("bpow", M, 3) and
+# ("bpow", M, 4), so no main term reads B^3 or B^4 as a matrix. A binomial
+# is taken after its mask, which is exact because the masks square,
+# colrev(square) and (B^2)^T are 0/1, as B^2 of a simple graph is.
+_SQTT = ("bpow", ("colrev", "square"), 3)
 # the transpose of B^2 o (B^3)^T o rowrev(B^2) o colrev(B^2), since
 # (B^k)^T = J B^k J for the reversal J and rowrev(B^2), colrev(B^2) are
-# symmetric. Like every main term below, it transposes or reverses B^2 or
-# smaller factors and never copies B^3: a total is unchanged by
-# transposing, or reversing the rows or columns of, all of its factors.
-_PNT = ("had", ("had", ("hadmm", ("T", "B2"), "B2"), ("rowrev", "B2")),
+# symmetric: a total is unchanged by transposing, or reversing the rows or
+# columns of, all of its factors.
+_PNT = ("had", ("had", ("bpow", ("T", "B2"), 3), ("rowrev", "B2")),
         ("colrev", "B2"))
 # closed 4-walks from e landing on its own reversal, B^4[e, rev e]: the
 # "square over an edge" indicator that rank-one terms multiply against.
-# B[f, rev e] = B[e, rev f], so it is a row sum against colrev(B).
-_QLOOP = ("rowsum", ("hadmm", ("colrev", "B"), "B2"))
+_QLOOP = ("rowsum", ("bpow", ("colrev", "I"), 4))
 
 # (name, main term, (coefficient, earlier entry) pairs, divisor): the entry
 # is (main - sum of coefficient * entry) / divisor.
@@ -107,12 +104,12 @@ CORRECTIONS: tuple[tuple[str, tuple, tuple[tuple[int, str], ...], int], ...] = (
     # each K4 once per directed edge and orientation pair, 24 in all
     ("F7", ("total", "crossed"), (), 24),
     ("F8", ("total", "square"), (), 8),
-    ("F9", ("total", ("hadmm", _SQR, "B2")), (), 2),
+    ("F9", ("total", ("bpow", _SQR, 3)), (), 2),
     ("F10", ("total", _SQTT), (), 12),
     ("F11", ("total", ("binom", D4, 2)),
      ((2, "F9"), (12, "F10"), (12, "F7")), 2),
     ("F12", ("total", ("binom", _SQTT, 2)), (), 24),
-    ("F13", ("total", ("binom", ("hadmm", "square", "B2"), 2)), (), 2),
+    ("F13", ("total", ("binom", ("bpow", "square", 3), 2)), (), 2),
     ("F14", _inner(D3, D5), ((4, "F4"), (2, "F9")), 2),
     # the main term differs from its misprinted source: the printed table
     # repeats F3's main here, which the walk enumeration rejects; the
@@ -126,19 +123,19 @@ CORRECTIONS: tuple[tuple[str, tuple, tuple[tuple[int, str], ...], int], ...] = (
      ((6, "F14"), (8, "F4"), (10, "F9"), (16, "F13")), 4),
     ("F18", ("total", _PNT), (), 4),
     ("F19", ("total", ("had", _PNT, "B2")), (), 4),
-    ("F20", ("total", ("binom", ("hadmm", ("T", "B2"), "B2"), 2)), (), 2),
+    ("F20", ("total", ("binom", ("bpow", ("T", "B2"), 3), 2)), (), 2),
     ("F21", _inner(_QLOOP, ("rowsum", _SQR)),
      ((8, "F2"), (4, "F9"), (24, "F5")), 4),
     ("F22", _inner(_QLOOP, ("rowsum", _SQL)),
      ((48, "F7"), (4, "F9"), (8, "F19")), 4),
-    ("F23", ("total", ("hadmm", _SQR, "B3")),
+    ("F23", ("total", ("bpow", _SQR, 4)),
      ((24, "F7"), (2, "F9"), (4, "F19")), 1),
     # the trailing three-step here carries a column reversal the printed
     # form drops; without it the entry matches no shape. The reversal sits
     # on the other, sparse factor: the total is unchanged by reversing
     # both factors' columns
-    ("F24", ("total", ("hadmm", ("colrev", _SQTT), "B2")), ((4, "F18"),), 2),
-    ("F25", _inner(D3, ("rowsum", ("hadmm", _SQL, "B2"))),
+    ("F24", ("total", ("bpow", ("colrev", _SQTT), 3)), ((4, "F18"),), 2),
+    ("F25", _inner(D3, ("rowsum", ("bpow", _SQL, 3))),
      ((2, "F9"), (8, "F19")), 6),
     ("F26", _inner(D3, D6),
      ((6, "F1"), (20, "F2"), (24, "F3"), (12, "F5"), (48, "F7"),
@@ -153,8 +150,8 @@ CORRECTIONS: tuple[tuple[str, tuple, tuple[tuple[int, str], ...], int], ...] = (
       (4, "F24")), 4),
     # the total of B o B^4 o rowrev(B^3) o colrev(B^3), with both
     # reversals moved onto the B-sized factors
-    ("F29", ("total", ("hadmm", ("colrev", ("rowrev", ("hadmm", (
-        "rowrev", ("hadmm", "B", "B3")), "B2"))), "B2")),
+    ("F29", ("total", ("bpow", ("colrev", ("rowrev", ("bpow", (
+        "rowrev", ("bpow", "B", 4)), 3))), 3)),
      ((8, "F2"), (16, "F3"), (24, "F5"), (24, "F7"), (14, "F9"),
       (28, "F21")), 48),
     ("F30", _inner(("binom", D3, 2), D5),
@@ -162,10 +159,10 @@ CORRECTIONS: tuple[tuple[str, tuple, tuple[tuple[int, str], ...], int], ...] = (
     ("F31", _inner(("binom", D4, 2), D3),
      ((12, "F5"), (24, "F7"), (2, "F9"), (8, "F18"), (10, "F19"),
       (2, "F23"), (2, "F24"), (6, "F25")), 2),
-    ("F32", _form(D3, ("hadmm", "B2", "B2"), D3),
+    ("F32", _form(D3, ("bpow", "B2", 3), D3),
      ((4, "F2"), (12, "F5"), (72, "F7"), (14, "F9"), (24, "F19"),
       (8, "F21"), (8, "F22"), (24, "F25")), 8),
-    ("F33", ("total", ("binom", ("hadmm", ("T", "B2"), "B2"), 3)), (), 2),
+    ("F33", ("total", ("binom", ("bpow", ("T", "B2"), 3), 3)), (), 2),
     ("F34", _form(D3, "B", D6),
      ((6, "F1"), (36, "F2"), (48, "F3"), (36, "F5"), (144, "F7"),
       (44, "F9"), (8, "F14"), (48, "F19"), (48, "F21"), (16, "F22"),
@@ -238,8 +235,11 @@ def eval_cycles(traces: dict[int, int],
 def full_census(space: EdgeSpace) -> CensusReport:
     """Corrections and cycle totals for one graph, sharing the power cache.
 
-    The traces come first, so the vertex-space powers behind them are
-    freed before B^3 and the correction evaluator's memo are resident.
+    The traces come first, so the n x n blocks behind them, P_4 the
+    largest, are freed before the correction evaluator's memo is resident.
+    The mains build no power of B above B^2: B^3..B^6 are read only at
+    masks, as masked powers gathered from the blocks P_0..P_3, which the
+    space keeps for them (``EdgeSpace.bpow``).
     """
     traces = {k: space.trace(k) for k in range(3, 10)}
     f = eval_walk_corrections(space)

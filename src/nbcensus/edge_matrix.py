@@ -20,7 +20,8 @@ constructive engine alike, over the three hosts ``Evaluator`` names; each
 of the first three is one ``Evaluator.run`` over a sequence:
   atoms (strings): "B" (the non-backtracking matrix), "I" (the identity
       over directed edges), "H" (the head incidence, directed edges by
-      vertices: H[e, v] = 1 iff e ends at v), and every name of the ATOMS
+      vertices: H[e, v] = 1 iff e ends at v; the catalog's gamma links read
+      it), and every name of the ATOMS
       table, the matrices several counts share: the powers "B2".."B3" and
       the step matrices "tri", "wedge", "square", "crossed", "twin",
       "texit", "chordless3", "join". Each ATOMS entry is itself a
@@ -31,12 +32,27 @@ of the first three is one ``Evaluator.run`` over a sequence:
   ("colrev", X)       index reversal on columns
   ("mm", X, Y)        matrix product (or matrix-vector when Y is a vector)
   ("had", X, Y)       entrywise product of like-shaped operands
-  ("hadmm", M, X)     ("had", M, ("mm", X, "B")), computed only at the
-                      stored entries of M (a masked product: X·B is never
-                      built). From B = H·T^T - J, with T the tail incidence
-                      and J the reversal, its value at (e, f) is
-                      M[e, f] * ((X·H)[e, tail f] - X[e, rev f]); X·H is
-                      the memoized node ("mm", X, "H").
+  ("bpow", M, k)      ("had", M, B^k), k = 1..6, computed only at the
+                      stored entries of M (a masked power: no power of B
+                      beyond the mask is built), from vertex space. With H
+                      and T the head and tail incidences, J the reversal
+                      and Q_j = P_j + P_(j-2) + ... over the walk blocks
+                      P_j of TRACE_TERMS (Q_j = 0 for j < 0),
+                      B^k = H Q_(k-1) T' - T Q_(k-2) T' - H Q_(k-2) H'
+                          + T Q_(k-3) H' + (I for even k, -J for odd k),
+                      so the value at e = (a->b), f = (c->d) is M[e, f] times
+                      Q_(k-1)[b,c] - Q_(k-2)[a,c] - Q_(k-2)[b,d]
+                      + Q_(k-3)[a,d] + [f = e] (even k) or - [f = rev e]
+                      (odd k). Q_0..Q_3 are read as dense blocks of rows of
+                      at most BLOCK_CELLS cells, Q_4 and Q_5 as row dot
+                      products; no Q_j is held whole (``EdgeSpace.bpow``).
+                      ("bpow", "I", k) is the diagonal of B^k and
+                      ("bpow", ("colrev", "I"), k) the entries
+                      B^k[e, rev e]: 2m-long gathers.
+  ("hadtotal", X, Y)  ("total", ("had", X, Y)) for X a product or a sum or
+                      difference of two products, summed over blocks of
+                      rows: each product is its left factor's rows times
+                      its right factor, so X is never held whole
   ("hadnot", X, M)    zero out entries of X wherever M is nonzero
   ("add", X, Y), ("sub", X, Y)
   ("sshift", X, c)    subtract the integer c from every vector entry
@@ -68,6 +84,9 @@ import scipy.sparse as sp
 from .graphs import DirectedEdgeIndex, Graph
 
 INT64_GUARD = 2 ** 62
+# cells of one dense int64 block (4 MB): the row blocks of bpow's gathers and
+# of hadtotal hold at most this many, with as many rows as that allows
+BLOCK_CELLS = 2 ** 19
 
 
 class IntegrityError(RuntimeError):
@@ -203,6 +222,39 @@ def exact_div(x, d: int, label: str):
     return x // d
 
 
+def _blocks(size: int, width: int, weights=None):
+    """The ranges (lo, hi) covering range(size), each of at most
+    BLOCK_CELLS // width items, so that a block of rows of a width-column
+    matrix holds at most BLOCK_CELLS cells; given a weight per item, each
+    also weighs at most BLOCK_CELLS in all, unless one item alone does."""
+    step = max(1, BLOCK_CELLS // max(width, 1))
+    if weights is not None:
+        cum = np.concatenate(([0], np.cumsum(weights)))
+    lo = 0
+    while lo < size:
+        hi = min(lo + step, size)
+        if weights is not None:
+            fits = int(np.searchsorted(cum, cum[lo] + BLOCK_CELLS, "right"))
+            hi = max(lo + 1, min(hi, fits - 1))
+        yield lo, hi
+        lo = hi
+
+
+def _dot_bound(X, Y) -> float:
+    """A bound on |<X[x], Y[y]>| over every pair of rows (x, y)."""
+    return min(_max_abs(X) * _abs_sums(Y, 1), _max_abs(Y) * _abs_sums(X, 1))
+
+
+def _row_entries(indptr: np.ndarray, rows: np.ndarray):
+    """The positions of the stored entries of ``rows`` in a CSR matrix with
+    ``indptr``, and the row of each."""
+    starts = indptr[rows].astype(np.int64)
+    lens = indptr[rows + 1] - starts
+    ends = np.cumsum(lens)
+    pos = np.arange(ends[-1] if ends.size else 0, dtype=np.int64)
+    return pos + np.repeat(starts - ends + lens, lens), np.repeat(rows, lens)
+
+
 def nonbacktracking_matrix(tail: np.ndarray, head: np.ndarray,
                            n: int) -> sp.csr_matrix:
     """B[e, f] = 1 iff f starts where e ends and f is not e reversed, from
@@ -233,6 +285,7 @@ MEETS = ("add", ("add", ("add", ("T", "B"), ("colrev", "B")), ("rowrev", "B")),
 # earlier atoms). EdgeSpace.atom builds each one on first use and keeps it.
 ATOMS = {
     "B2": (("pow", 2), ("mm", "B", "B")),
+    # read by chordless3 alone: the counts read B^3 as masked powers
     "B3": (("pow", 3), ("mm", "B2", "B")),
     # two-steps closed into a triangle by the reverse single step
     "tri": ("triangle_step", ("had", "B2", ("T", "B"))),
@@ -274,16 +327,31 @@ ATOMS = {
 # (entrywise; H_(-1) = 0) and the vector c = 1 - d,
 # tr(B~^k) = 1'H_k 1 + 2 c'H_(k-2) 1 + c'H_(k-4) c.
 #
-# TRACE_TERMS: (k, term) pairs, over the atoms of EdgeSpace.vertex_host,
-# whose terms sum to tr(B~^k), k = 3..9. Listed by h, the readers of each
-# pairing H_h (and of H_h c) are consecutive, so it is dropped after them.
-def _trace_terms() -> tuple:
+# WALKS: the blocks P_0..P_5 over the atoms of EdgeSpace.vertex_host.
+# TRACE_TERMS: (k, term) pairs over the same atoms whose terms sum to
+# tr(B~^k), k = 3..9. Listed by h, the readers of each pairing H_h (and of
+# H_h c) are consecutive, so it is dropped after them. P_5 is read only by
+# the total of H_9, which is summed over row blocks of P_5 = P_4 A + P_3 C
+# ("hadtotal"), so P_5 is never held whole.
+def _walks() -> tuple:
     P = ["I", "A"]
     for k in range(2, 6):
         P.append(("add", ("mm", P[k - 1], "A"), ("mm", P[k - 2], "C")))
+    return tuple(P)
+
+
+WALKS = _walks()
+
+
+def _trace_terms() -> tuple:
+    P = WALKS
     terms = []
     for h in range(10):
-        H = ("had", P[h - h // 2], P[h // 2])
+        pair = (P[h - h // 2], P[h // 2])
+        if h == 9:
+            terms.append((h, ("hadtotal", *pair)))
+            continue
+        H = ("had", *pair)
         Hc = ("mm", H, "c")
         for k, term in ((h, ("total", H)),
                         (h + 2, ("scale", ("total", Hc), 2, 1)),
@@ -297,7 +365,8 @@ TRACE_TERMS = _trace_terms()
 
 
 class EdgeSpace:
-    """Shared home of B and the ATOMS built from it, plus the traces.
+    """Shared home of B and the ATOMS built from it, plus the traces and
+    the vertex-space blocks that the masked powers read.
 
     Everything is computed lazily and cached; the caller usually keeps one
     EdgeSpace per graph and lets the formulas pull what they need.
@@ -326,26 +395,114 @@ class EdgeSpace:
         """Column reversal: entry (e, f) becomes (e, rev f)."""
         return M[:, self.rev]
 
-    def masked_step(self, M, X, XH, label):
-        """M times X·B entrywise, read only at the stored entries of M, from
-        X and XH = X·H: (X·B)[e, f] = XH[e, tail f] - X[e, rev f]."""
+    # -- masked powers of B, from vertex space -----------------------------
+
+    def bpow(self, M, k: int, label) -> sp.csr_matrix:
+        """M times B^k entrywise, k = 1..6, read only at the stored entries
+        of M, as four gathers from Q blocks (module docstring, "bpow").
+
+        The rows of M are grouped by head vertex for the two [b, .] terms
+        and by tail vertex for the two [a, .] terms, and each block of
+        vertices (``_blocks``: at most BLOCK_CELLS cells of rows of Q, and
+        BLOCK_CELLS entries of M unless one vertex has more) reads a dense
+        block of rows of each Q_j it needs (``_gather``), so neither Q_j nor
+        the whole of M's row and endpoint arrays is ever held. The four
+        max|Q_j| plus 1 bound every value, and are checked before any
+        gather: each gather, and their sum, is then exact in int64.
+        """
+        if not 1 <= k <= 6:
+            raise ValueError("bpow takes k in 1..6")
+        walks = self._get("walks", self._walk_blocks)
+        _refuse_beyond(sum(walks.qmax[j] for j in (k - 1, k - 2, k - 2, k - 3)
+                           if j >= 0) + 1, label, "power value")
         M = M.tocsr()
-        if not M.nnz:
-            return sp.csr_matrix(M.shape, dtype=np.int64)
-        rows = np.repeat(np.arange(M.shape[0]), np.diff(M.indptr))
-        # sorted in place, values unchanged: a gather from a matrix without
-        # sorted indices scans whole rows
-        X.sum_duplicates()
-        XH.sum_duplicates()
-        # both gathers are guarded values below 2**62, so their difference
-        # is exact in int64; only the difference itself is bounded
-        steps = (np.asarray(XH[rows, self.index.tail[M.indices]]).ravel()
-                 - np.asarray(X[rows, self.rev[M.indices]]).ravel())
-        _refuse_beyond(_max_abs(steps), label, "step value")
-        out = sp.csr_matrix((checked_hadamard(M.data, steps, label),
+        n, head, tail = self.graph.n, self.index.head, self.index.tail
+        buf = np.zeros(min(n, max(1, BLOCK_CELLS // max(n, 1))) * n,
+                       dtype=np.int64)
+        vals = np.zeros(M.nnz, dtype=np.int64)
+        for by_tail, (ends, (order, ptr), terms) in enumerate((
+                (head, walks.by_head, ((k - 1, tail, 1), (k - 2, head, -1))),
+                (tail, walks.by_tail, ((k - 2, tail, -1), (k - 3, head, 1))))):
+            # each vertex weighs the stored entries of its edges' rows
+            weights = np.bincount(ends, weights=np.diff(M.indptr),
+                                  minlength=n)
+            for lo, hi in _blocks(n, n, weights):
+                pos, e = _row_entries(M.indptr, order[ptr[lo]:ptr[hi]])
+                f, x = M.indices[pos], ends[e]
+                acc = np.zeros(pos.size, dtype=np.int64)
+                if not by_tail:  # the I or J term, once per entry
+                    if k % 2:
+                        acc -= f == self.rev[e]
+                    else:
+                        acc += f == e
+                for j, other, sign in terms:
+                    if j >= 0 and pos.size:
+                        acc += sign * self._gather(walks, j, lo, hi, x,
+                                                   other[f], buf)
+                vals[pos] += acc
+        out = sp.csr_matrix((checked_hadamard(M.data, vals, label),
                              M.indices.copy(), M.indptr.copy()), shape=M.shape)
         out.eliminate_zeros()
         return out
+
+    def _gather(self, walks, j: int, lo: int, hi: int, xs, ys,
+                buf) -> np.ndarray:
+        """Q_j[xs, ys] for vertices xs in lo:hi. The blocks P_i, i <= 3, of
+        Q_j are added into ``buf`` (zero, and zeroed again after) as dense
+        rows lo:hi; the P_4 of Q_4 = P_4 + Q_2 and the P_5 of Q_5 = P_5 +
+        Q_3 are row dot products (``walks.dots``)."""
+        n = self.graph.n
+        written = []
+        for i in range(j % 2, min(j, 3) + 1, 2):
+            P = walks.P[i]
+            s, t = P.indptr[lo], P.indptr[hi]
+            flat = (np.repeat(np.arange(hi - lo, dtype=np.int64) * n,
+                              np.diff(P.indptr[lo:hi + 1])) + P.indices[s:t])
+            buf[flat] += P.data[s:t]
+            written.append(flat)
+        out = buf[(xs - lo) * n + ys]
+        for flat in written:
+            buf[flat] = 0
+        if j >= 4:
+            for blo, bhi in _blocks(xs.size, n):
+                for X, Y in walks.dots[j]:
+                    out[blo:bhi] += np.asarray(X[xs[blo:bhi]].multiply(
+                        Y[ys[blo:bhi]]).sum(axis=1), dtype=np.int64).ravel()
+        return out
+
+    def _walk_blocks(self) -> SimpleNamespace:
+        """What ``bpow`` reads of vertex space: the blocks P_0..P_3 of
+        WALKS (CSR), the row-dot factors of P_4 = P_2 P_2 + A C A and
+        P_5 = P_3 P_2 + P_2 C A (P_(i+j) = P_i P_j + P_(i-1) C P_(j-1);
+        each P_j is symmetric, so <X[x], Y[y]> is (X Y')[x, y]), the bound
+        on max|Q_j| for j = 0..5, and the directed edges grouped by head
+        and by tail vertex (order, offsets)."""
+        host = self.vertex_host()
+        P = [host.atom("I"), host.atom("A")]
+        for val in Evaluator(host).run(WALKS[2:4]):
+            if isinstance(val, IntegrityError):
+                raise val
+            val.sum_duplicates()  # the gathers scatter each entry once
+            P.append(val)
+        A, P2, P3 = P[1], P[2], P[3]
+        AC = checked_matmul(A, host.atom("C"), "A C")
+        dots = {4: ((P2, P2), (A, AC)), 5: ((P3, P2), (P2, AC))}
+        qmax = []
+        for j in range(6):
+            qmax.append(_max_abs(P[j]) if j < 4 else
+                        sum(_dot_bound(X, Y) for X, Y in dots[j]))
+            if j >= 2:
+                qmax[j] += qmax[j - 2]
+        n = self.graph.n
+
+        def grouped(ends):
+            ptr = np.zeros(n + 1, dtype=np.int64)
+            np.cumsum(np.bincount(ends, minlength=n), out=ptr[1:])
+            return np.argsort(ends, kind="stable"), ptr
+
+        return SimpleNamespace(P=P, dots=dots, qmax=qmax,
+                               by_head=grouped(self.index.head),
+                               by_tail=grouped(self.index.tail))
 
     # -- atoms -----------------------------------------------------------
 
@@ -454,16 +611,22 @@ class _Label:
         return repr(self.node)[:80] + self.note
 
 
+def _products(x) -> tuple:
+    """The products of the X of ("hadtotal", X, Y): X itself, or the two
+    terms of a sum or difference of products."""
+    return (x,) if x[0] == "mm" else x[1:]
+
+
 def _reads(node) -> list:
     """The memoized nodes that computing ``node`` reads: its tuple operands,
-    and for ("hadmm", M, X) the product ("mm", X, "H") as well. A "sel"
+    or for ("hadtotal", X, Y) the factors of X's products and Y. A "sel"
     leaf reads nothing; its tuples are root pairs."""
     if node[0] == "sel":
         return []
-    kids = [x for x in node[1:] if isinstance(x, tuple)]
-    if node[0] == "hadmm":
-        kids.append(("mm", node[2], "H"))
-    return kids
+    kids = node[1:]
+    if node[0] == "hadtotal":
+        kids = [f for p in _products(node[1]) for f in p[1:]] + [node[2]]
+    return [x for x in kids if isinstance(x, tuple)]
 
 
 class Evaluator:
@@ -536,6 +699,16 @@ class Evaluator:
         elif left:
             self._readers[node] = left - 1
 
+    def _rows(self, x, lo: int, hi: int):
+        """Rows lo:hi of the X of ("hadtotal", X, Y): each product is its
+        left factor's rows times its right factor (see ``_products``)."""
+        rows = [checked_matmul(self._eval(p[1])[lo:hi], self._eval(p[2]),
+                               _Label(p), self.space.stats)
+                for p in _products(x)]
+        if x[0] == "mm":
+            return rows[0]
+        return checked_add(*rows, _Label(x), 1 if x[0] == "add" else -1)
+
     def _apply(self, expr):
         op = expr[0]
         s = self.space
@@ -560,10 +733,16 @@ class Evaluator:
         if op == "had":
             return checked_hadamard(self._eval(expr[1]), self._eval(expr[2]),
                                     label)
-        if op == "hadmm":
-            _, m, x = expr
-            return s.masked_step(self._eval(m), self._eval(x),
-                                 self._eval(("mm", x, "H")), label)
+        if op == "bpow":
+            return s.bpow(self._eval(expr[1]), expr[2], label)
+        if op == "hadtotal":
+            _, x, y = expr
+            y = self._eval(y)
+            total = 0
+            for lo, hi in _blocks(*y.shape):
+                total = checked_add(total, checked_total(checked_hadamard(
+                    self._rows(x, lo, hi), y[lo:hi], label), label), label, 1)
+            return int(total)
         if op == "hadnot":
             a, m = self._eval(expr[1]), self._eval(expr[2])
             drop = a.multiply(m != 0)

@@ -123,6 +123,32 @@ def test_trace_table_timing_goes_to_stderr(runner, k4_file):
     assert "[timing]" not in result.stdout
 
 
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError()
+
+
+@pytest.mark.parametrize("patched, args, stage", [
+    ("_to_json", [], "report"),
+    ("simple_cycle_census", ["--oracle-check"], "check:cycles"),
+])
+def test_out_of_memory_after_the_counters_is_one_error_line(
+        runner, triangle_file, tmp_path, monkeypatch, patched, args, stage):
+    """A MemoryError in the oracle check or in writing the report ends the
+    run as one in a counter stage does: exit 1, one ``error:`` line naming
+    the stage, and no report."""
+    monkeypatch.setattr(cli, patched, _out_of_memory)
+    report = tmp_path / "report.json"
+    result = runner.invoke(main, ["--input", triangle_file, "--counts",
+                                  "cycles", *args, "--output", str(report)])
+    assert result.exit_code == 1, result.stderr
+    assert isinstance(result.exception, SystemExit)
+    errors = [line for line in result.stderr.splitlines()
+              if line.startswith("error:")]
+    assert errors == [f"error: {stage}: out of memory"]
+    assert "Traceback" not in result.stderr
+    assert not result.stdout and not report.exists()
+
+
 def test_oracle_check_reuses_the_computed_counts(runner, k4_file,
                                                  monkeypatch):
     calls = []
@@ -438,9 +464,10 @@ def _hub_census(tmp_path, cap: int):
 
 
 def test_degree_600_hub_census_fits_under_a_4_5_gb_cap(tmp_path):
-    """Four hubs of degree 600 over the benchmark's hub background (n=2000,
-    nnz(B^3) = 69.5M): the cycle census completes with the child's address
-    space capped at 4.5 GB, where whole copies of B^3 ran out of memory."""
+    """Four hubs of degree 600 over the benchmark's hub background (n=1991,
+    nnz(B^2) = 14.2M; B^3, which the census no longer builds, has 69.5M):
+    the cycle census completes with the child's address space capped at
+    4.5 GB, where whole copies of B^3 ran out of memory."""
     result, edges = _hub_census(tmp_path, int(4.5e9))
     assert result.returncode == 0, result.stderr
     report = json.loads((tmp_path / "report.json").read_text())
@@ -454,9 +481,10 @@ def test_degree_600_hub_census_fits_under_a_4_5_gb_cap(tmp_path):
 
 
 def test_census_out_of_memory_is_one_error_line(tmp_path):
-    """Under a 1 GB cap the degree-600 hub census runs out of memory (B^3
-    alone is 834 MB as CSR): the run ends with exit 1, one ``error:
-    cycles:`` line and no report, not a traceback."""
+    """Under a 1 GB cap the degree-600 hub census runs out of memory (it
+    peaks at about 1.1 GB uncapped, with B^2 alone 171 MB as CSR and every
+    masked power at (B^2)^T as large): the run ends with exit 1, one
+    ``error: cycles:`` line and no report, not a traceback."""
     result, _ = _hub_census(tmp_path, int(1e9))
     assert result.returncode == 1, result.stderr
     assert "Traceback" not in result.stderr

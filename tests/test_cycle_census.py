@@ -14,12 +14,13 @@ from hypothesis import example, given, settings
 from conftest import (complete_graph, cycle_graph, differential_hosts,
                       er_graph, petersen_graph, wheel_graph)
 from nbcensus.catalog import _SQL, _SQR
-from nbcensus.cycle_census import (C_NAMES, CORRECTIONS, DIAGONALS, F_NAMES,
-                                   _form, _inner, class_shape,
+from nbcensus.cycle_census import (_QLOOP, C_NAMES, CORRECTIONS, DIAGONALS,
+                                   F_NAMES, _form, _inner, class_shape,
                                    class_walk_multiplicity,
                                    eval_walk_corrections, full_census,
                                    printed_f15_value, walk_class_oracle)
 from nbcensus.edge_matrix import ATOMS, EdgeSpace, Evaluator
+from test_motifs import hub_graph
 from nbcensus.graphs import Graph
 from nbcensus.oracle import count_copies, simple_cycle_census
 
@@ -77,12 +78,14 @@ def test_census_matches_brute_force_on_degenerate_hosts(g):
     assert full_census(EdgeSpace(g)).cycle_counts == census_dict(g)
 
 
-class DenseB4Space(EdgeSpace):
-    """An EdgeSpace that also answers "B4", from a dense fourth power."""
+class DensePowerSpace(EdgeSpace):
+    """An EdgeSpace that also answers "B4", "B5" and "B6", from dense
+    powers."""
 
     def atom(self, name):
-        if name == "B4":
-            return sp.csr_matrix(np.linalg.matrix_power(self.B.toarray(), 4))
+        if name in ("B4", "B5", "B6"):
+            return sp.csr_matrix(np.linalg.matrix_power(self.B.toarray(),
+                                                        int(name[1])))
         return super().atom(name)
 
 
@@ -92,6 +95,13 @@ B4_MAINS = {
     "F29": ("total", ("had", ("had", ("had", "B", "B4"), ("rowrev", "B3")),
                       ("colrev", "B3"))),
 }
+# the 2m-long gathers as entries of whole powers: the diagonals of B^5 and
+# B^6, and B^4[e, rev e], which F21 and F22 read
+POWER_GATHERS = (
+    (DIAGONALS[5], ("rowsum", ("had", "I", "B5"))),
+    (DIAGONALS[6], ("rowsum", ("had", "I", "B6"))),
+    (_QLOOP, ("rowsum", ("had", ("colrev", "I"), "B4"))),
+)
 
 
 @settings(max_examples=60, deadline=None)
@@ -100,10 +110,12 @@ B4_MAINS = {
 @example(er_graph(9, 0.5, 61))
 @example(wheel_graph(6))
 def test_masked_mains_match_the_b4_mains(g):
-    ev = Evaluator(DenseB4Space(g))
+    ev = Evaluator(DensePowerSpace(g))
     table = {name: main for name, main, _, _ in CORRECTIONS}
     for name, old in B4_MAINS.items():
         assert ev.eval(table[name]) == ev.eval(old), name
+    for new, old in POWER_GATHERS:
+        assert np.array_equal(ev.eval(new), ev.eval(old)), new
 
 
 # the main terms, and the d5 and d6 definitions, as they read before every
@@ -111,19 +123,22 @@ def test_masked_mains_match_the_b4_mains(g):
 _OLD_PNT = ("had", ("had", ("had", "B2", ("T", "B3")), ("rowrev", "B2")),
             ("colrev", "B2"))
 _OLD_SQTT = ("had", ("colrev", "square"), "B3")
-# the main terms as they read B^3 at a mask before the masked products
-# ("hadmm", M, "B2") and the binomials taken after the mask
+# the main terms as they read B^3 at a mask before the masked products,
+# now masked powers ("bpow", M, 3), and the binomials taken after the mask
 _B3_PNT = ("had", ("had", ("had", "B3", ("T", "B2")), ("rowrev", "B2")),
            ("colrev", "B2"))
 _B3_QLOOP = ("rowsum", ("had", "B3", ("colrev", "B")))
+# B o B^4, which the mains read before the masked powers as the masked
+# product of B and B^3 B
+_B_B4 = ("had", "B", ("mm", "B3", "B"))
 OLD_MAINS = (
     ("F12", ("total", ("had", "square", ("binom", ("colrev", "B3"), 2)))),
     ("F18", ("total", _OLD_PNT)),
     ("F19", ("total", ("had", _OLD_PNT, ("T", "B2")))),
     ("F20", ("total", ("had", "B2", ("binom", ("T", "B3"), 2)))),
     ("F24", ("total", ("had", _OLD_SQTT, ("colrev", "B3")))),
-    ("F29", ("total", ("had", ("had", ("hadmm", "B", "B3"),
-                               ("rowrev", "B3")), ("colrev", "B3")))),
+    ("F29", ("total", ("had", ("had", _B_B4, ("rowrev", "B3")),
+                       ("colrev", "B3")))),
     ("F9", ("total", ("had", _SQR, "B3"))),
     ("F10", ("total", _OLD_SQTT)),
     ("F12", ("total", ("had", ("colrev", "square"), ("binom", "B3", 2)))),
@@ -136,7 +151,8 @@ OLD_MAINS = (
     ("F24", ("total", ("had", ("colrev", _OLD_SQTT), "B3"))),
     ("F25", _inner(DIAGONALS[3], ("rowsum", ("had", _SQL, "B3")))),
     ("F29", ("total", ("had", ("colrev", ("rowrev", ("had", (
-        "rowrev", ("hadmm", "B", "B3")), "B3"))), "B3"))),
+        "rowrev", _B_B4), "B3"))), "B3"))),
+    ("F23", ("total", ("had", _SQR, ("mm", "B3", "B")))),
     ("F32", _form(DIAGONALS[3], ("had", "B2", "B3"), DIAGONALS[3])),
     ("F33", ("total", ("had", ("T", "B2"), ("binom", "B3", 3)))),
 )
@@ -182,20 +198,22 @@ def _nodes(expr):
 
 
 def test_no_term_transposes_or_reverses_b3():
-    """B^3 is the largest matrix of the census: every main term, diagonal
-    and atom reads it as it is, and none copies it whole. The mains read it
-    only through masked products: no binomial of B^3 and no entrywise
-    product with it."""
-    mains = [main for _, main, _, _ in CORRECTIONS]
-    trees = mains + list(DIAGONALS.values())
-    trees += [definition for _, definition in ATOMS.values()]
+    """The one atom that reads B^3, chordless3, reads it as it is and no
+    atom copies it whole (no count reads B^3: see
+    test_motifs.py::test_no_count_reads_b3_or_h)."""
     whole_copies = {(op, "B3") for op in ("T", "rowrev", "colrev")}
-    for tree in trees:
-        assert not whole_copies & set(_nodes(tree)), tree
-    for main in mains:
-        for node in _nodes(main):
-            assert node[:2] != ("binom", "B3"), main
-            assert not (node[0] == "had" and "B3" in node[1:]), main
+    for _, definition in ATOMS.values():
+        assert not whole_copies & set(_nodes(definition)), definition
+
+
+def test_census_builds_no_cube_on_a_hub_graph():
+    """The census builds neither B^3 nor any product larger than B^2 or an
+    n x n block: on a hub graph, P_4 can exceed B^2."""
+    space = EdgeSpace(hub_graph())
+    full_census(space)
+    assert ("pow", 3) not in space._cache
+    n, b2 = space.graph.n, space.atom("B2").nnz
+    assert 0 < space.stats["peak_product_nnz"] <= max(b2, n * n)
 
 
 def test_corrections_are_subgraph_counts():

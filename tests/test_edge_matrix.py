@@ -6,6 +6,7 @@ are certified elsewhere against the embedding oracle.
 """
 
 import itertools
+import re
 from math import comb
 
 import numpy as np
@@ -17,10 +18,11 @@ from conftest import (complete_graph, cycle_graph, differential_hosts,
                       er_graph, petersen_graph)
 from nbcensus import catalog
 from nbcensus.cycle_census import CORRECTIONS, DIAGONALS
-from nbcensus.edge_matrix import (ATOMS, MEETS, TRACE_TERMS, EdgeSpace,
-                                  Evaluator, IntegrityError, checked_binom,
-                                  checked_hadamard, checked_matmul,
-                                  checked_scale, checked_total, exact_div)
+from nbcensus.edge_matrix import (ATOMS, INT64_GUARD, MEETS, TRACE_TERMS,
+                                  EdgeSpace, Evaluator, IntegrityError,
+                                  checked_binom, checked_hadamard,
+                                  checked_matmul, checked_scale, checked_total,
+                                  exact_div)
 from nbcensus.graphs import DirectedEdgeIndex, Graph, path2_count
 from nbcensus.motifs import compiled
 
@@ -166,81 +168,156 @@ def test_chordless3_union_mask_matches_mask_chain(g):
                           chain.toarray())
 
 
-# masks of the masked product: 0/1 ones, one with larger entries (the
-# X121 mask) and an empty one
+# masks of the masked power: 0/1 ones, one with larger entries (the X121
+# mask) and an empty one; and the two masks of the 2m-long gathers, the
+# diagonal and the entries (e, rev e)
 MASKS = ["B", ("T", "B"), ("colrev", "B2"), "square", MEETS,
          ("had", ("mm", "tri", ("rowrev", "tri")), ("T", "B")),
-         ("sub", "B", "B")]
+         ("sub", "B", "B"), "I", ("colrev", "I")]
+
+
+def dense_powers(g: Graph) -> list[np.ndarray]:
+    """B^0..B^6 on dense arrays, from brute_B."""
+    B = brute_B(g)
+    powers = [np.eye(B.shape[0], dtype=np.int64)]
+    for _ in range(6):
+        powers.append(powers[-1] @ B)
+    return powers
+
+
+def dense_q(g: Graph) -> list[np.ndarray]:
+    """Q_j = P_j + P_(j-2) + ..., j = 0..5, on dense arrays from the walk
+    recurrence P_k = P_(k-1) A + P_(k-2) (I - D)."""
+    A = np.zeros((g.n, g.n), dtype=np.int64)
+    for u, v in g.edges:
+        A[u, v] = A[v, u] = 1
+    C = np.diag(1 - A.sum(axis=1))
+    P = [np.eye(g.n, dtype=np.int64), A]
+    for k in range(2, 6):
+        P.append(P[k - 1] @ A + P[k - 2] @ C)
+    return [sum(P[j::-2]) for j in range(6)]
 
 
 @settings(max_examples=60, deadline=None)
 @given(differential_hosts())
 @example(Graph(0, []))
+@example(Graph(4, []))
+@example(Graph(8, [(0, 1), (1, 2), (1, 3), (3, 4), (5, 6)]))
 @example(petersen_graph())
 @example(er_graph(9, 0.5, 84))
 def test_masked_product_matches_dense_product(g):
-    """("hadmm", M, X) is M * (X @ B) entrywise, stored without zeros."""
-    ev = Evaluator(EdgeSpace(g))
-    B = brute_B(g)
+    """("bpow", M, k) is M * B^k entrywise, k = 1..6, int64 and stored
+    without zeros, on hosts without vertices or edges and with isolated
+    vertices too; the bounds it checks hold every Q_j."""
+    space = EdgeSpace(g)
+    ev = Evaluator(space)
+    powers = dense_powers(g)
     for m in MASKS:
         M = ev.eval(m).toarray()
-        for x in ("B", "B2", "B3"):
-            got = ev.eval(("hadmm", m, x))
-            assert got.dtype == np.int64 and got.shape == M.shape
-            assert np.all(got.data != 0), (m, x)
-            assert np.array_equal(got.toarray(), M * (ev.eval(x).toarray() @ B)), (m, x)
+        for k in range(1, 7):
+            got = ev.eval(("bpow", m, k))
+            assert got.dtype == np.int64 and got.shape == M.shape, (m, k)
+            assert np.all(got.data != 0), (m, k)
+            assert np.array_equal(got.toarray(), M * powers[k]), (m, k)
+    qmax = space._get("walks", space._walk_blocks).qmax
+    for j, Q in enumerate(dense_q(g)):
+        assert np.abs(Q).max(initial=0) <= qmax[j], j
 
 
-BIG = ("scale", "B2", 2 ** 61, 1)
+def big(m):
+    return ("scale", m, 2 ** 61, 1)
 
 
 @settings(max_examples=60, deadline=None)
 @given(differential_hosts())
 @example(complete_graph(4))
 def test_masked_product_refuses_where_the_full_product_does(g):
-    """Entries of 2**61 make X·B wrap on hosts with branching rows of B^2;
-    the masked product must refuse there too, and agree elsewhere."""
+    """Mask entries of 2**61 make M * B^k wrap wherever B^k reaches 2 at one
+    of them; the masked power must refuse there, naming its node, and
+    elsewhere agree with the exact product (it may refuse earlier: its
+    bound pairs max|M| with the largest value of B^k at any entry)."""
     space = EdgeSpace(g)
+    powers = dense_powers(g)
     for m in MASKS:
         try:
-            want = Evaluator(space).eval(("had", m, ("mm", BIG, "B")))
-        except IntegrityError:
-            with pytest.raises(IntegrityError):
-                Evaluator(space).eval(("hadmm", m, BIG))
+            M = Evaluator(space).eval(big(m)).toarray().astype(object)
+        except IntegrityError:  # the mask itself would wrap
+            for k in range(1, 7):
+                with pytest.raises(IntegrityError):
+                    Evaluator(space).eval(("bpow", big(m), k))
             continue
-        try:
-            got = Evaluator(space).eval(("hadmm", m, BIG))
-        except IntegrityError:
-            continue            # the masked bounds may refuse earlier
-        assert np.array_equal(got.toarray(), want.toarray()), m
+        for k in range(1, 7):
+            node = ("bpow", big(m), k)
+            want = M * powers[k].astype(object)
+            try:
+                got = Evaluator(space).eval(node)
+            except IntegrityError as exc:
+                assert str(exc).startswith(repr(node)[:80]), exc
+                continue
+            assert all(abs(x) < 2 ** 62 for x in want.flat), (m, k)
+            assert np.array_equal(got.toarray().astype(object), want), (m, k)
 
 
-# At X = BIG the bound max|X·H| + max|X| on the two terms of
-# X·B = X·H·T^T - X·J reaches the guard on some of these hosts, while
-# every value of X·B stays below it.
+# B^k as a matrix, for the full products M * B^k
+POWERS = {1: "B", 2: "B2", 3: "B3", 4: ("mm", "B3", "B"),
+          5: ("mm", "B3", "B2"), 6: ("mm", "B3", "B3")}
 STEP_CORPUS = [complete_graph(3), cycle_graph(5), petersen_graph()] + [
     er_graph(n, 0.3, seed) for n in range(5, 9) for seed in range(20)]
 
 
 def test_masked_product_computes_wherever_the_full_product_does():
+    """The masked power's guard reads B^k only at the mask's entries, so it
+    computes wherever the product with the whole of B^k does."""
     computed = 0
     for g in STEP_CORPUS:
         space = EdgeSpace(g)
         for m in MASKS:
-            try:
-                want = Evaluator(space).eval(("had", m, ("mm", BIG, "B")))
-            except IntegrityError:
-                continue
-            got = Evaluator(space).eval(("hadmm", m, BIG))
-            assert np.array_equal(got.toarray(), want.toarray()), (g.edges, m)
-            computed += 1
-    assert computed == 231
+            for k, power in POWERS.items():
+                try:
+                    want = Evaluator(space).eval(("had", big(m), power))
+                except IntegrityError:
+                    continue
+                got = Evaluator(space).eval(("bpow", big(m), k))
+                assert np.array_equal(got.toarray(), want.toarray()), (
+                    g.edges, m, k)
+                computed += 1
+    assert computed == 3461
+
+
+class WideQSpace(EdgeSpace):
+    """An EdgeSpace whose bounds on max|Q_j|, j >= 2, reach the guard, and
+    which counts the gathers of its masked powers."""
+
+    gathers = 0
+
+    def _walk_blocks(self):
+        walks = super()._walk_blocks()
+        walks.qmax[2:] = [INT64_GUARD] * 4
+        return walks
+
+    def _gather(self, *args):
+        self.gathers += 1
+        return super()._gather(*args)
 
 
 def test_masked_product_refusal_names_the_node():
-    ev = Evaluator(EdgeSpace(complete_graph(4)))
-    with pytest.raises(IntegrityError, match="'mm', \\('scale', 'B2'"):
-        ev.eval(("hadmm", "B", BIG))
+    """Where a Q_j bound reaches 2**62, the masked power refuses before any
+    gather and names its node: every k >= 3 reads Q_2 or above, while
+    k <= 2 reads Q_1 and Q_0 alone and computes."""
+    g = complete_graph(4)
+    space = WideQSpace(g)
+    powers = dense_powers(g)
+    for k in range(1, 7):
+        node = ("bpow", "B", k)
+        if k <= 2:
+            got = Evaluator(space).eval(node)
+            assert np.array_equal(got.toarray(), powers[1] * powers[k])
+            continue
+        before = space.gathers
+        with pytest.raises(IntegrityError, match=re.escape(
+                f"{node!r}: power value bound")):
+            Evaluator(space).eval(node)
+        assert space.gathers == before, k
 
 
 def assert_traces_match_dense_power(g: Graph) -> None:
@@ -527,23 +604,32 @@ def test_run_changes_no_value(g):
 
 
 def test_run_drops_each_node_after_its_last_reader():
-    """While the trace terms run, P_5's operands P_4 A and P_3 C are gone
-    once P_5 is built, and so are P_2 and P_3; the memo is empty after."""
+    """While the trace terms run, P_5 and its products P_4 A and P_3 C are
+    never held whole: the row blocks of H_9 = P_5 o P_4 read P_4 and P_3,
+    by then the last nodes left but the pairings' totals, and P_2 is gone;
+    the memo is empty after."""
     P = trace_blocks()
-    at_p5 = {}
+    held, at_blocks = set(), set()
 
     class Spy(Evaluator):
         def _eval(self, expr):
             val = super()._eval(expr)
-            if expr == P[5]:
-                at_p5.update(self._memo)
+            held.update(self._memo)
             return val
+
+        def _rows(self, x, lo, hi):
+            at_blocks.update(self._memo)
+            return super()._rows(x, lo, hi)
 
     ev = Spy(EdgeSpace(er_graph(12, 0.4, 62)).vertex_host())
     list(ev.run(term for _, term in TRACE_TERMS))
-    assert P[5] in at_p5 and P[4] in at_p5
-    for gone in (("mm", P[4], "A"), ("mm", P[3], "C"), P[3], P[2]):
-        assert gone not in at_p5, gone
+    assert ("hadtotal", P[5], P[4]) in {term for _, term in TRACE_TERMS}
+    for never in (P[5], ("mm", P[4], "A"), ("mm", P[3], "C")):
+        assert never not in held, never
+    assert P[4] in at_blocks and P[3] in at_blocks
+    assert P[2] not in at_blocks
+    assert all(node[0] == "total" or node in (P[3], P[4])
+               for node in at_blocks), at_blocks
     assert not ev._memo and not ev._readers
 
 

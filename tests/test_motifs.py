@@ -258,6 +258,34 @@ def test_no_tree_reads_b4_and_the_catalog_reads_no_cube():
             assert not read & {"B3", "B4", "chordless3"}, mid
 
 
+# the gamma link: rowrev(H)^T sums an edge vector over each vertex's
+# outgoing edges
+GAMMA_LINK = ("T", ("rowrev", "H"))
+
+
+def _without_gamma_links(tree):
+    if tree == GAMMA_LINK:
+        return "gamma"
+    if isinstance(tree, tuple):
+        return tuple(_without_gamma_links(x) for x in tree)
+    return tree
+
+
+def test_no_count_reads_b3_or_h():
+    """No census main, diagonal or compiled catalog expression reads B^3
+    (through the ATOMS too) or the head incidence H, but for the catalog's
+    gamma links: powers of B above B^2 are read as masked powers, and no
+    node multiplies by H behind its reads."""
+    trees = [main for _, main, _, _ in CORRECTIONS] + list(DIAGONALS.values())
+    for order in (3, 4, 5):
+        entries = {**catalog.entries_for_order(order)[0],
+                   **catalog.entries_for_order(order)[1]}
+        trees += [_without_gamma_links(compiled(entries, mid))
+                  for mid in entries]
+    for tree in trees:
+        assert not {"B3", "H"} & set(atoms_read(tree)), tree
+
+
 def hub_graph(hubs: int = 3, n: int = 60, reach: int = 25) -> Graph:
     """A few high-degree hubs over a sparse random background."""
     background = er_graph(n, 0.06, 97)
