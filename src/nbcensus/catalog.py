@@ -17,6 +17,11 @@ The association id -> concrete pattern (shape + root) is not derivable
 from the formulas alone; it was established once by matching every
 formula against the embedding oracle over a corpus of small graphs and is
 frozen in data/motif_patterns.json.
+
+Sums come before products and masks replace copies: a row or column sum is
+pushed through the products and differences it sums (rowsum(X Y) =
+X rowsum(Y), colsum(X Y) = Y^T colsum(X)), and a B^2-sized matrix read only
+at a sparse mask is a masked power at that mask.
 """
 
 from __future__ import annotations
@@ -30,10 +35,18 @@ from .graphs import Graph
 
 # shared subtrees -----------------------------------------------------------
 
-_SQL = ("had", "square", ("rowrev", "B2"))
-_SQR = ("had", "square", ("colrev", "B2"))
+# square o rowrev(B^2) and square o colrev(B^2), as masked powers at the
+# reversals of square (J M o X = J (M o J X)): neither reversal of B^2 is built
+_SQL = ("rowrev", ("bpow", ("rowrev", "square"), 2))
+_SQR = ("colrev", ("bpow", ("colrev", "square"), 2))
 _B1 = ("rowsum", "B")
 _TRI1 = ("rowsum", "tri")
+# the row sums of wedge = B^2 - tri, without the wedge step
+_WEDGE1 = ("sub", ("mm", "B", _B1), _TRI1)
+# closed 4-walks from e landing on its own reversal, B^4[e, rev e]: the
+# "square over an edge" indicator, a 2m-long gather
+_QLOOP = ("rowsum", ("bpow", ("colrev", "I"), 4))
+_PAIRED = ("had", ("mm", "tri", ("rowrev", "tri")), ("T", "B"))
 # B^3 and the chordless three-step (B^3 less MEETS) are read only through
 # masks, so the entries read them as masked powers of B
 _B3T = ("bpow", ("T", "B"), 3)                       # B^3 masked by B^T
@@ -67,7 +80,7 @@ VERTEX_ORDER3 = {
 
 EDGE_ORDER4 = {
     "X11": _expr(("rowsum", "square")),
-    "X21": _expr(("rowsum", "wedge")),
+    "X21": _expr(_WEDGE1),
     "X22": _rev("X21"),
     "X23": _expr(("sub", ("had", _B1, ("colsum", "B")), _TRI1)),
     "X31": _expr(("binom", _B1, 2)),
@@ -105,7 +118,7 @@ EDGE_ORDER5 = {
     "X011": _expr(("binom", ("rowrev", _B1), 3)),
     "X012": _rev("X011"),
     # 02
-    "X021": _expr(("sub", ("had", ("rowsum", "wedge"), ("sshift", _B1, 1)),
+    "X021": _expr(("sub", ("had", _WEDGE1, ("sshift", _B1, 1)),
                    ("rowsum", "twin"))),
     "X022": _rev("X021"),
     "X023": _expr(("sub", ("had", ("binom", _B1, 2), ("rowrev", _B1)),
@@ -114,10 +127,13 @@ EDGE_ORDER5 = {
     "X025": _expr(("sub", ("mm", "B", ("binom", _B1, 2)), ("rowsum", "texit"))),
     "X026": _rev("X025"),
     # 03
-    "X031": _expr(("sub", ("mm", "B2", _B1),
-                   ("rowsum", ("bpow", MEETS, 3)))),
+    # B^3 o MEETS summed part by part: the row sums of B^3 o B^T, B^3 o I
+    # and B^3 o colrev(B) are B^4[e, e], B^3[e, e] and B^4[e, rev e]
+    "X031": _expr(("sub", ("mm", "B", ("mm", "B", _B1)),
+                   ("add", ("add", ("add", ("rowsum", "square"), _TRI1), _QLOOP),
+                    ("rowsum", ("bpow", ("rowrev", "B"), 3))))),
     "X032": _rev("X031"),
-    "X033": _expr(("sub", ("sub", ("had", ("rowsum", "wedge"), ("rowrev", _B1)),
+    "X033": _expr(("sub", ("sub", ("had", _WEDGE1, ("rowrev", _B1)),
                            ("rowsum", "square")), ("rowsum", "texit"))),
     "X034": _rev("X033"),
     # 04
@@ -136,8 +152,8 @@ EDGE_ORDER5 = {
     "X052": _rev("X051"),
     "X053": _expr(("had", _TRI1, ("binom", ("sshift", _B1, 1), 2))),
     "X054": _rev("X053"),
-    "X055": _expr(("div", ("rowsum", ("sub", ("mm", "texit", ("rowrev", "B")),
-                                      ("scale", "texit", 2, 1))), 2)),
+    "X055": _expr(("div", ("sub", ("mm", "texit", ("rowrev", _B1)),
+                           ("scale", ("rowsum", "texit"), 2, 1)), 2)),
     # 06: the diagonal of B^5
     "X061": _expr(("rowsum", ("bpow", "I", 5))),
     # 07
@@ -147,34 +163,30 @@ EDGE_ORDER5 = {
     "X082": _expr(("div", ("colsum", ("had", "crossed", ("mm", "texit", "B"))), 2)),
     "X083": _rev("X082"),
     # 09
-    "X091": _expr(("div", ("rowsum", ("sub", ("mm", "crossed", "tri"),
-                                      ("scale", "crossed", 2, 1))), 2)),
+    "X091": _expr(("div", ("sub", ("mm", "crossed", _TRI1),
+                           ("scale", ("rowsum", "crossed"), 2, 1)), 2)),
     "X092": _expr(("rowsum", ("had", ("mm", "crossed", "square"), "B"))),
     "X093": _rev("X092"),
     "X094": _expr(("div", ("had", ("rowsum", "crossed"),
                            ("sshift", _TRI1, 2)), 2)),
-    "X095": _expr(("div", ("sub", ("colsum", ("mm", "crossed", "tri")),
+    "X095": _expr(("div", ("sub", ("mm", ("T", "tri"), ("colsum", "crossed")),
                            ("scale", ("rowsum", "crossed"), 2, 1)), 2)),
     "X096": _rev("X095"),
     # 10
     "X101": _expr(("rowsum", ("had", "square", "join"))),
-    "X102": _expr(("rowsum", ("binom", ("had", ("mm", "tri", ("rowrev", "tri")),
-                                        ("T", "B")), 2))),
+    "X102": _expr(("rowsum", ("binom", _PAIRED, 2))),
     "X103": _rev("X102"),
     # 11
     "X111": _expr(("div", ("had", ("rowsum", "crossed"),
                            ("sshift", ("rowrev", _B1), 2)), 2)),
     "X112": _rev("X111"),
-    "X113": _expr(("div", ("colsum", ("sub", ("mm", "crossed", "B"),
-                                      ("scale", "crossed", 2, 1))), 6)),
+    "X113": _expr(("div", ("sub", ("mm", ("T", "B"), ("colsum", "crossed")),
+                           ("scale", ("colsum", "crossed"), 2, 1)), 6)),
     "X114": _rev("X113"),
-    "X115": _expr(("sub", ("rowsum", ("mm", "crossed", "B")),
+    "X115": _expr(("sub", ("mm", "crossed", _B1),
                    ("scale", ("colsum", "crossed"), 2, 1))),
     # 12
-    "X121": _expr(("colsum", ("sub",
-                   ("bpow", ("had", ("mm", "tri", ("rowrev", "tri")),
-                             ("T", "B")), 3),
-                   ("had", ("mm", "tri", ("rowrev", "tri")), ("T", "B"))))),
+    "X121": _expr(("sub", ("colsum", ("bpow", _PAIRED, 3)), ("colsum", _PAIRED))),
     "X122": _rev("X121"),
     "X123": _expr(("div", ("colsum", ("had", ("mm", "square", "tri"), "B2")), 2)),
     "X124": _expr(("div", ("colsum", ("had", "square", ("mm", "texit", "B"))), 2)),
@@ -185,13 +197,13 @@ EDGE_ORDER5 = {
     "X133": _expr(("sub", ("had", ("rowsum", _SQL), ("sshift", _TRI1, 1)),
                    ("rowsum", "crossed"))),
     "X134": _rev("X133"),
-    "X135": _expr(("rowsum", ("sub", ("sub", ("mm", _SQL, "tri"), _SQL),
-                              "crossed"))),
+    "X135": _expr(("sub", ("sub", ("mm", _SQL, _TRI1), ("rowsum", _SQL)),
+                   ("rowsum", "crossed"))),
     "X136": _rev("X135"),
-    "X137": _expr(("rowsum", ("sub",
-                   ("sub", ("mm", ("bpow", "tri", 3), "tri"),
-                    ("bpow", "tri", 3)),
-                   "crossed"))),
+    "X137": _expr(("sub",
+                   ("sub", ("mm", ("bpow", "tri", 3), _TRI1),
+                    ("rowsum", ("bpow", "tri", 3))),
+                   ("rowsum", "crossed"))),
     # 14
     "X141": _expr(("binom", _TRI1, 3)),
     "X142": _expr(("mm", "tri", ("binom", ("sshift", _TRI1, 1), 2))),
@@ -203,14 +215,15 @@ EDGE_ORDER5 = {
     "X153": _expr(("div", ("rowsum", ("hadnot", ("hadnot", ("mm", "texit", "tri"),
                                                  "B"), ("rowrev", "B"))), 2)),
     # 16
-    "X161": _expr(("div", ("colsum", ("sub", ("sub", ("mm", _SQR, ("rowrev", "B")),
-                                              "crossed"), _SQR)), 2)),
+    # rowrev(B) is symmetric (B^T = J B J), so it carries colsum(_SQR)
+    "X161": _expr(("div", ("sub", ("sub", ("mm", ("rowrev", "B"), ("colsum", _SQR)),
+                                   ("colsum", "crossed")), ("colsum", _SQR)), 2)),
     "X162": _rev("X161"),
     "X163": _expr(("sub", ("had", ("rowsum", _SQL), ("sshift", _B1, 1)),
                    ("rowsum", "crossed"))),
     "X164": _rev("X163"),
-    "X165": _expr(("rowsum", ("sub", ("hadnot", ("mm", _SQR, ("rowrev", "B")),
-                                      ("colrev", "B")), "crossed"))),
+    "X165": _expr(("sub", ("rowsum", ("hadnot", ("mm", _SQR, ("rowrev", "B")),
+                                         ("colrev", "B"))), ("rowsum", "crossed"))),
     "X166": _rev("X165"),
     "X167": _expr(("sub", ("had", ("sshift", _TRI1, 1), ("rowsum", "texit")),
                    ("rowsum", "crossed"))),
@@ -228,14 +241,13 @@ EDGE_ORDER5 = {
     "X181": _expr(("rowsum", ("hadnot", ("hadnot", ("mm", "tri", "square"),
                                          ("colrev", "B")), "B"))),
     "X182": _rev("X181"),
-    "X183": _expr(("rowsum", ("sub", ("hadnot", ("mm", _B3T, "tri"), "B"),
-                              _SQL))),
+    "X183": _expr(("sub", ("rowsum", ("hadnot", ("mm", _B3T, "tri"), "B")),
+                   ("rowsum", _SQL))),
     "X184": _rev("X183"),
     "X185": _expr(("colsum", ("hadnot", ("hadnot", ("mm", "tri", "square"),
                                          ("colrev", "B")), "B"))),
     "X186": _expr(("sub", ("had", _TRI1, ("rowsum", "square")),
-                   ("rowsum", ("had", "square",
-                               ("add", ("colrev", "B2"), ("rowrev", "B2")))))),
+                   ("add", ("rowsum", _SQR), ("rowsum", _SQL)))),
     # 19
     "X191": _expr(("colsum", ("binom", _B3T, 2))),
     "X192": _rev("X191"),
@@ -249,8 +261,8 @@ EDGE_ORDER5 = {
     "X204": _rev("X203"),
     # Both collapse corrections subtract; the printed difference form
     # undercorrects the chorded-square collapse.
-    "X205": _expr(("sub", ("had", _TRI1, ("rowsum", "wedge")),
-                   ("rowsum", ("add", "texit", _SQR)))),
+    "X205": _expr(("sub", ("had", _TRI1, _WEDGE1),
+                   ("add", ("rowsum", "texit"), ("rowsum", _SQR)))),
     "X206": _rev("X205"),
     "X207": _expr(("rowsum",
                    ("hadnot", ("hadnot", ("hadnot", ("hadnot", ("mm", "texit", "B"),

@@ -34,7 +34,7 @@ from functools import lru_cache
 from importlib import resources
 
 from . import oracle
-from .catalog import _SQL, _SQR
+from .catalog import _QLOOP, _SQL, _SQR
 from .edge_matrix import EdgeSpace, Evaluator, IntegrityError, exact_div
 from .graphs import Graph
 
@@ -64,6 +64,11 @@ def _form(v, M, w):
     return _inner(v, ("mm", M, w))
 
 
+def _wedge_form(v, w):
+    """v^T wedge w, with wedge w = B (B w) - tri w: wedge = B^2 - tri."""
+    return _inner(v, ("sub", ("mm", "B", ("mm", "B", w)), ("mm", "tri", w)))
+
+
 # The diagonals d3..d6 of B^3..B^6, terms of the census like any other.
 # d3 and d4 are row sums of the step matrices; d5 and d6 are masked powers
 # at the identity, 2m-long gathers from vertex space, so no power of B
@@ -84,12 +89,10 @@ _SQTT = ("bpow", ("colrev", "square"), 3)
 # the transpose of B^2 o (B^3)^T o rowrev(B^2) o colrev(B^2), since
 # (B^k)^T = J B^k J for the reversal J and rowrev(B^2), colrev(B^2) are
 # symmetric: a total is unchanged by transposing, or reversing the rows or
-# columns of, all of its factors.
-_PNT = ("had", ("had", ("bpow", ("T", "B2"), 3), ("rowrev", "B2")),
-        ("colrev", "B2"))
-# closed 4-walks from e landing on its own reversal, B^4[e, rev e]: the
-# "square over an edge" indicator that rank-one terms multiply against.
-_QLOOP = ("rowsum", ("bpow", ("colrev", "I"), 4))
+# columns of, all of its factors. Its mask (B^2)^T o rowrev(B^2) o
+# colrev(B^2) is rowrev(_SQR): rowrev(B^2) o colrev(B^2) = rowrev(square)
+# and (B^2)^T o J M = J (B^2 J o M), so it is square-sized.
+_PNT = ("bpow", ("rowrev", _SQR), 3)
 
 # (name, main term, (coefficient, earlier entry) pairs, divisor): the entry
 # is (main - sum of coefficient * entry) / divisor.
@@ -117,7 +120,7 @@ CORRECTIONS: tuple[tuple[str, tuple, tuple[tuple[int, str], ...], int], ...] = (
     ("F15", _form(D4, "B", D4),
      ((8, "F8"), (48, "F10"), (48, "F12"), (12, "F11"), (16, "F13"),
       (20, "F9"), (72, "F7")), 8),
-    ("F16", _form(D3, "wedge", D3),
+    ("F16", _wedge_form(D3, D3),
      ((12, "F2"), (24, "F7"), (16, "F3"), (6, "F9")), 8),
     ("F17", _form(D3, "B", D5),
      ((6, "F14"), (8, "F4"), (10, "F9"), (16, "F13")), 4),
@@ -144,7 +147,7 @@ CORRECTIONS: tuple[tuple[str, tuple, tuple[tuple[int, str], ...], int], ...] = (
     ("F27", _inner(D4, D5),
      ((6, "F4"), (8, "F20"), (8, "F18"), (4, "F19"), (2, "F23"),
       (4, "F24")), 2),
-    ("F28", _form(D3, "wedge", D4),
+    ("F28", _wedge_form(D3, D4),
      ((12, "F2"), (8, "F4"), (36, "F5"), (8, "F6"), (24, "F7"),
       (6, "F9"), (12, "F18"), (4, "F19"), (4, "F21"), (3, "F23"),
       (4, "F24")), 4),

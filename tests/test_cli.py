@@ -447,11 +447,12 @@ def _bench_workloads():
     return module
 
 
-def _hub_census(tmp_path, cap: int):
-    """``--counts cycles`` on four hubs of degree 600 over the benchmark's
-    hub background, in a child whose address space is capped at ``cap``
-    bytes; the finished child and the graph's edges."""
-    edges = _bench_workloads().hub_graph(2000, random.Random(7), p=0.30)
+def _hub_census(tmp_path, cap: int, p: float = 0.30):
+    """``--counts cycles`` on four hubs of degree round(1999 p), 600 by
+    default, over the benchmark's hub background, in a child whose address
+    space is capped at ``cap`` bytes; the finished child and the graph's
+    edges."""
+    edges = _bench_workloads().hub_graph(2000, random.Random(7), p=p)
     graph = tmp_path / "hubs.txt"
     graph.write_text("".join(f"{u} {v}\n" for u, v in edges))
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OMP_NUM_THREADS="1")
@@ -481,11 +482,11 @@ def test_degree_600_hub_census_fits_under_a_4_5_gb_cap(tmp_path):
 
 
 def test_census_out_of_memory_is_one_error_line(tmp_path):
-    """Under a 1 GB cap the degree-600 hub census runs out of memory (it
-    peaks at about 1.1 GB uncapped, with B^2 alone 171 MB as CSR and every
-    masked power at (B^2)^T as large): the run ends with exit 1, one
-    ``error: cycles:`` line and no report, not a traceback."""
-    result, _ = _hub_census(tmp_path, int(1e9))
+    """Under a 1 GB cap the census of four degree-800 hubs runs out of
+    memory (nnz(B^2) = 26.8M; it peaks at about 1.4 GB uncapped, and the
+    degree-600 census, at about 0.8 GB, now fits): the run ends with exit
+    1, one ``error: cycles:`` line and no report, not a traceback."""
+    result, _ = _hub_census(tmp_path, int(1e9), p=0.40)
     assert result.returncode == 1, result.stderr
     assert "Traceback" not in result.stderr
     errors = [line for line in result.stderr.splitlines()

@@ -20,7 +20,7 @@ from nbcensus.cycle_census import (_QLOOP, C_NAMES, CORRECTIONS, DIAGONALS,
                                    eval_walk_corrections, full_census,
                                    printed_f15_value, walk_class_oracle)
 from nbcensus.edge_matrix import ATOMS, EdgeSpace, Evaluator
-from test_motifs import hub_graph
+from test_motifs import _COPY_SQL, _COPY_SQR, hub_graph, nodes
 from nbcensus.graphs import Graph
 from nbcensus.oracle import count_copies, simple_cycle_census
 
@@ -156,6 +156,21 @@ OLD_MAINS = (
     ("F32", _form(DIAGONALS[3], ("had", "B2", "B3"), DIAGONALS[3])),
     ("F33", ("total", ("had", ("T", "B2"), ("binom", "B3", 3)))),
 )
+# the main terms as they read before F16 and F28 went round the wedge step
+# and the masks of _SQL, _SQR and _PNT stopped copying reversals of B^2
+_COPY_PNT = ("had", ("had", ("bpow", ("T", "B2"), 3), ("rowrev", "B2")),
+             ("colrev", "B2"))
+OLD_MAINS += (
+    ("F9", ("total", ("bpow", _COPY_SQR, 3))),
+    ("F16", _form(DIAGONALS[3], "wedge", DIAGONALS[3])),
+    ("F18", ("total", _COPY_PNT)),
+    ("F19", ("total", ("had", _COPY_PNT, "B2"))),
+    ("F21", _inner(_QLOOP, ("rowsum", _COPY_SQR))),
+    ("F22", _inner(_QLOOP, ("rowsum", _COPY_SQL))),
+    ("F23", ("total", ("bpow", _COPY_SQR, 4))),
+    ("F25", _inner(DIAGONALS[3], ("rowsum", ("bpow", _COPY_SQL, 3)))),
+    ("F28", _form(DIAGONALS[3], "wedge", DIAGONALS[4])),
+)
 OLD_DIAGONALS = {
     5: ("rowsum", ("had", "B2", ("T", "B3"))),
     6: ("rowsum", ("had", "B3", ("T", "B3"))),
@@ -168,6 +183,7 @@ OLD_DIAGONALS = {
 @example(er_graph(9, 0.5, 61))
 @example(er_graph(12, 0.4, 62))
 @example(wheel_graph(6))
+@example(hub_graph())
 def test_rewritten_mains_match_their_old_trees(g):
     ev = Evaluator(EdgeSpace(g))
     table = {name: main for name, main, _, _ in CORRECTIONS}
@@ -190,20 +206,13 @@ def test_binomial_masks_are_zero_one(g):
         assert set(ev.eval(mask).data) <= {1}, mask
 
 
-def _nodes(expr):
-    if isinstance(expr, tuple):
-        yield expr
-        for child in expr[1:]:
-            yield from _nodes(child)
-
-
 def test_no_term_transposes_or_reverses_b3():
     """The one atom that reads B^3, chordless3, reads it as it is and no
     atom copies it whole (no count reads B^3: see
     test_motifs.py::test_no_count_reads_b3_or_h)."""
     whole_copies = {(op, "B3") for op in ("T", "rowrev", "colrev")}
     for _, definition in ATOMS.values():
-        assert not whole_copies & set(_nodes(definition)), definition
+        assert not whole_copies & set(nodes(definition)), definition
 
 
 def test_census_builds_no_cube_on_a_hub_graph():

@@ -7,10 +7,10 @@ from hypothesis import example, given, settings
 from conftest import (complete_graph, cycle_graph, differential_hosts,
                       er_graph, wheel_graph)
 from nbcensus import catalog, connection
-from nbcensus.catalog import _SQL
+from nbcensus.catalog import _B1, _C3TWIN, _SQL, _SQR, _TRI1, _WEDGE1
 from nbcensus.connection import RootedGraph, ScaleGuardError, kappa_direct
 from nbcensus.cycle_census import CORRECTIONS, DIAGONALS
-from nbcensus.edge_matrix import ATOMS, EdgeSpace, Evaluator
+from nbcensus.edge_matrix import ATOMS, MEETS, EdgeSpace, Evaluator
 from nbcensus.graphs import Graph
 from nbcensus.motifs import (compiled, eval_k6_edge, eval_order6_edge,
                              evaluate_catalog)
@@ -271,19 +271,49 @@ def _without_gamma_links(tree):
     return tree
 
 
+def count_trees() -> list:
+    """Every census main, diagonal and compiled catalog expression."""
+    trees = [main for _, main, _, _ in CORRECTIONS] + list(DIAGONALS.values())
+    for order in (3, 4, 5):
+        entries = {**catalog.entries_for_order(order)[0],
+                   **catalog.entries_for_order(order)[1]}
+        trees += [compiled(entries, mid) for mid in entries]
+    return trees
+
+
+def nodes(expr):
+    """``expr`` and every tuple node below it."""
+    if isinstance(expr, tuple):
+        yield expr
+        for child in expr[1:]:
+            yield from nodes(child)
+
+
 def test_no_count_reads_b3_or_h():
     """No census main, diagonal or compiled catalog expression reads B^3
     (through the ATOMS too) or the head incidence H, but for the catalog's
     gamma links: powers of B above B^2 are read as masked powers, and no
     node multiplies by H behind its reads."""
-    trees = [main for _, main, _, _ in CORRECTIONS] + list(DIAGONALS.values())
-    for order in (3, 4, 5):
-        entries = {**catalog.entries_for_order(order)[0],
-                   **catalog.entries_for_order(order)[1]}
-        trees += [_without_gamma_links(compiled(entries, mid))
-                  for mid in entries]
-    for tree in trees:
+    for tree in map(_without_gamma_links, count_trees()):
         assert not {"B3", "H"} & set(atoms_read(tree)), tree
+
+
+def test_counts_sum_before_products_and_mask_instead_of_copying():
+    """No count takes the row or column sums of a product, sum or
+    difference (the sum goes through it), reads the wedge step, masks a
+    power by MEETS (its four disjoint parts are summed apart) or reads a
+    whole reversal of B^2 at a mask, but for the chordless three-step's
+    colrev(B^2) in _C3TWIN; the ATOMS definitions build theirs once."""
+    copies = {(op, "B2") for op in ("rowrev", "colrev")}
+    for tree in count_trees():
+        assert "wedge" not in set(atoms_read(tree)), tree
+        for node in nodes(tree):
+            if node[0] in ("rowsum", "colsum") and isinstance(node[1], tuple):
+                assert node[1][0] not in ("mm", "add", "sub"), node
+            if node[0] == "bpow":
+                assert node[1] != MEETS, node
+            if node[0] in ("had", "hadnot", "bpow") and node != _C3TWIN[1]:
+                assert not copies & set(node[1:3]), node
 
 
 def hub_graph(hubs: int = 3, n: int = 60, reach: int = 25) -> Graph:
@@ -293,6 +323,66 @@ def hub_graph(hubs: int = 3, n: int = 60, reach: int = 25) -> Graph:
     for h in range(hubs):
         edges += [(h, v) for v in range(hubs + h, n, 2)][:reach]
     return Graph(n, edges)
+
+
+# The entries that summed a product, sum or difference, read the wedge
+# step, masked B^3 by MEETS or read a whole reversal of B^2 at a mask, as
+# they read before each sum went through and each mask replaced a copy;
+# the shared subtrees are compared too, as every entry reading them changed.
+_COPY_SQL = ("had", "square", ("rowrev", "B2"))
+_COPY_SQR = ("had", "square", ("colrev", "B2"))
+COPY_TREES = {
+    "X21": ("rowsum", "wedge"),
+    "X021": ("sub", ("had", ("rowsum", "wedge"), ("sshift", _B1, 1)),
+             ("rowsum", "twin")),
+    "X031": ("sub", ("mm", "B2", _B1), ("rowsum", ("bpow", MEETS, 3))),
+    "X033": ("sub", ("sub", ("had", ("rowsum", "wedge"), ("rowrev", _B1)),
+                     ("rowsum", "square")), ("rowsum", "texit")),
+    "X055": ("div", ("rowsum", ("sub", ("mm", "texit", ("rowrev", "B")),
+                                ("scale", "texit", 2, 1))), 2),
+    "X091": ("div", ("rowsum", ("sub", ("mm", "crossed", "tri"),
+                                ("scale", "crossed", 2, 1))), 2),
+    "X095": ("div", ("sub", ("colsum", ("mm", "crossed", "tri")),
+                     ("scale", ("rowsum", "crossed"), 2, 1)), 2),
+    "X113": ("div", ("colsum", ("sub", ("mm", "crossed", "B"),
+                                ("scale", "crossed", 2, 1))), 6),
+    "X115": ("sub", ("rowsum", ("mm", "crossed", "B")),
+             ("scale", ("colsum", "crossed"), 2, 1)),
+    "X121": ("colsum", ("sub", ("bpow", _PAIRED, 3), _PAIRED)),
+    "X135": ("rowsum", ("sub", ("sub", ("mm", _COPY_SQL, "tri"), _COPY_SQL),
+                        "crossed")),
+    "X137": ("rowsum", ("sub", ("sub", ("mm", ("bpow", "tri", 3), "tri"),
+                                ("bpow", "tri", 3)), "crossed")),
+    "X161": ("div", ("colsum", ("sub", ("sub", ("mm", _COPY_SQR,
+                                                ("rowrev", "B")),
+                                        "crossed"), _COPY_SQR)), 2),
+    "X165": ("rowsum", ("sub", ("hadnot", ("mm", _COPY_SQR, ("rowrev", "B")),
+                                ("colrev", "B")), "crossed")),
+    "X183": ("rowsum", ("sub", ("hadnot", ("mm", ("bpow", ("T", "B"), 3),
+                                           "tri"), "B"), _COPY_SQL)),
+    "X186": ("sub", ("had", _TRI1, ("rowsum", "square")),
+             ("rowsum", ("had", "square",
+                         ("add", ("colrev", "B2"), ("rowrev", "B2"))))),
+    "X205": ("sub", ("had", _TRI1, ("rowsum", "wedge")),
+             ("rowsum", ("add", "texit", _COPY_SQR))),
+}
+
+
+@settings(max_examples=60, deadline=None)
+@given(differential_hosts())
+@example(Graph(0, []))
+@example(wheel_graph(6))
+@example(er_graph(9, 0.6, 96))
+@example(hub_graph())
+def test_rewritten_entries_match_their_old_trees(g):
+    ev = Evaluator(EdgeSpace(g))
+    entries = {**catalog.EDGE_ORDER4, **catalog.EDGE_ORDER5}
+    for mid, old in COPY_TREES.items():
+        got = ev.eval(entries[mid]["expr"])
+        assert np.array_equal(got, ev.eval(old)), mid
+    for new, old in ((_SQL, _COPY_SQL), (_SQR, _COPY_SQR)):
+        assert (ev.eval(new) != ev.eval(old)).nnz == 0, old
+    assert np.array_equal(ev.eval(_WEDGE1), ev.eval(("rowsum", "wedge")))
 
 
 def test_catalog_builds_no_cube_on_a_hub_graph():
