@@ -30,7 +30,6 @@ import json
 from functools import lru_cache
 from importlib import resources
 
-from .edge_matrix import MEETS
 from .graphs import Graph
 
 # shared subtrees -----------------------------------------------------------
@@ -47,11 +46,9 @@ _WEDGE1 = ("sub", ("mm", "B", _B1), _TRI1)
 # "square over an edge" indicator, a 2m-long gather
 _QLOOP = ("rowsum", ("bpow", ("colrev", "I"), 4))
 _PAIRED = ("had", ("mm", "tri", ("rowrev", "tri")), ("T", "B"))
-# B^3 and the chordless three-step (B^3 less MEETS) are read only through
-# masks, so the entries read them as masked powers of B
+# B^3 is read only through masks, so the entries read it as masked powers
 _B3T = ("bpow", ("T", "B"), 3)                       # B^3 masked by B^T
-_C3TWIN = ("hadnot", ("bpow", ("colrev", "B2"), 3),
-           MEETS)                                    # chordless3 by colrev B^2
+_X11 = ("rowsum", "square")
 
 
 def _expr(tree):
@@ -79,7 +76,7 @@ VERTEX_ORDER3 = {
 }
 
 EDGE_ORDER4 = {
-    "X11": _expr(("rowsum", "square")),
+    "X11": _expr(_X11),
     "X21": _expr(_WEDGE1),
     "X22": _rev("X21"),
     "X23": _expr(("sub", ("had", _B1, ("colsum", "B")), _TRI1)),
@@ -136,13 +133,29 @@ EDGE_ORDER5 = {
     "X033": _expr(("sub", ("sub", ("had", _WEDGE1, ("rowrev", _B1)),
                            ("rowsum", "square")), ("rowsum", "texit"))),
     "X034": _rev("X033"),
-    # 04
-    "X041": _expr(("div", ("rowsum", _C3TWIN), 2)),
+    # 04: both from counts of 4-cycles and triangles through an edge (as
+    # in Alon, Yuster and Zwick, Algorithmica 17, 1997), from no matrix
+    # larger than square.
+    # X041[e = a->b] counts the 4-cycles through b that avoid a. X11[f]
+    # (the diagonal of B^4) counts the 4-cycles through the edge of f, so
+    # summing it over the edges leaving b, (B X11 + rowrev X11)[e], counts
+    # each 4-cycle through b twice, C4(b). Less those through the edge ab,
+    # X11[e], and those through a but not ab, b-x-a-y-b for two common
+    # neighbours x, y of a and b, C(rowsum(tri)[e], 2).
+    "X041": _expr(("sub", ("sub", ("div", ("add", ("mm", "B", _X11),
+                                             ("rowrev", _X11)), 2), _X11),
+                   ("binom", _TRI1, 2))),
     "X042": _rev("X041"),
     "X043": _expr(("sub", ("had", ("rowsum", "square"),
                            ("sshift", ("rowrev", _B1), 1)), ("rowsum", _SQL))),
     "X044": _rev("X043"),
-    "X045": _expr(("colsum", _C3TWIN)),
+    # X045[e = a->b] counts the 4-cycles a-b-c-d with a vertex u hanging
+    # off c, u not on the cycle. square[e, f] marks f = c->d, the far side
+    # of such a cycle, and deg(c) - 2 the neighbours of c besides b and d;
+    # less u = a, the 4-cycles with the chord ac: tri[e, g] marks g = c->a
+    # closing the triangle abc, and rowsum(tri)[g] - 1 the d besides b.
+    "X045": _expr(("sub", ("mm", "square", ("sshift", ("rowrev", _B1), 1)),
+                   ("mm", "tri", ("sshift", _TRI1, 1)))),
     "X046": _rev("X045"),
     # 05
     # The degree factor here reads off the far endpoint of the reversed
@@ -188,7 +201,7 @@ EDGE_ORDER5 = {
     # 12
     "X121": _expr(("sub", ("colsum", ("bpow", _PAIRED, 3)), ("colsum", _PAIRED))),
     "X122": _rev("X121"),
-    "X123": _expr(("div", ("colsum", ("had", ("mm", "square", "tri"), "B2")), 2)),
+    "X123": _expr(("div", ("colsum", ("bpow", ("mm", "square", "tri"), 2)), 2)),
     "X124": _expr(("div", ("colsum", ("had", "square", ("mm", "texit", "B"))), 2)),
     "X125": _rev("X124"),
     # 13

@@ -297,8 +297,9 @@ def _write_json(obj, pad: str, out: list[str], layouts: dict) -> None:
 
 def _per_location_json(block: PerLocation, pad: str, layouts: dict) -> str:
     """The object ``{label: count}`` with sorted keys, its entries indented
-    under ``pad``; the key order and key text are computed once per label
-    tuple and indentation."""
+    under ``pad``; the key order and a ``%``-template of the object (key
+    text, with each ``%`` doubled, and a ``%d`` per count) are computed once
+    per label tuple and indentation."""
     if not block.labels:
         return "{}"
     key = (id(block.labels), pad)
@@ -306,13 +307,13 @@ def _per_location_json(block: PerLocation, pad: str, layouts: dict) -> str:
         labels = block.labels
         order = sorted(range(len(labels)), key=labels.__getitem__)
         inner = pad + "  "
-        layouts[key] = (
-            [inner + encode_basestring_ascii(labels[k]) + ": " for k in order],
-            np.array(order, dtype=np.intp))
-    prefixes, order = layouts[key]
-    counts = map(str, block.values[order].tolist())
-    return ("{\n" + ",\n".join(map(str.__add__, prefixes, counts))
-            + "\n" + pad + "}")
+        entries = ",\n".join(
+            inner + encode_basestring_ascii(labels[k]).replace("%", "%%")
+            + ": %d" for k in order)
+        layouts[key] = ("{\n" + entries + "\n" + pad + "}",
+                        np.array(order, dtype=np.intp))
+    template, order = layouts[key]
+    return template % tuple(block.values[order].tolist())
 
 
 def _to_csv(report: dict, config: RunConfig, index: DirectedEdgeIndex) -> str:

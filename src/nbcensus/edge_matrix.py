@@ -27,6 +27,10 @@ of the first three is one ``Evaluator.run`` over a sequence:
       "texit", "chordless3", "join". Each ATOMS entry is itself a
       definition in this language, which ``EdgeSpace.atom`` evaluates once
       and caches; ``EdgeSpace.atom`` is the one accessor of a named matrix.
+      The step matrices "tri" and "square" are B^2 at a mask, built by
+      blocks of rows ("hadrows"), and "twin" and "texit" products of "tri"
+      with B, so no catalog entry reads a B^2-sized matrix; of the counts,
+      only the census masks read "B2".
   ("T", X)            matrix transpose
   ("rowrev", X)       index reversal on rows (vectors: the whole index)
   ("colrev", X)       index reversal on columns
@@ -53,6 +57,13 @@ of the first three is one ``Evaluator.run`` over a sequence:
                       difference of two products, summed over blocks of
                       rows: each product is its left factor's rows times
                       its right factor, so X is never held whole
+  ("hadrows", X, Y)   ("had", X, Y) built one block of rows at a time: an
+                      operand that is a product is its left factor's rows
+                      times its right factor, any other is sliced, so no
+                      product is held whole. The operands' rows in a block
+                      hold at most BLOCK_CELLS stored entries in all, by
+                      the bound rownnz(L R) <= |L| rownnz(R) for a
+                      product, unless one row alone has more
   ("hadnot", X, M)    zero out entries of X wherever M is nonzero
   ("add", X, Y), ("sub", X, Y)
   ("sshift", X, c)    subtract the integer c from every vector entry
@@ -85,7 +96,8 @@ from .graphs import DirectedEdgeIndex, Graph
 
 INT64_GUARD = 2 ** 62
 # cells of one dense int64 block (4 MB): the row blocks of bpow's gathers and
-# of hadtotal hold at most this many, with as many rows as that allows
+# of hadtotal hold at most this many, with as many rows as that allows, and
+# those of hadrows at most this many stored entries of their operands
 BLOCK_CELLS = 2 ** 19
 
 
@@ -104,17 +116,28 @@ def _max_abs(M) -> int:
     return max(int(data.max()), -int(data.min())) if data.size else 0
 
 
+def _row_sums(indptr: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """The sums of ``vals``, one per stored entry of a CSR matrix with
+    ``indptr``, over each row."""
+    out = np.zeros(indptr.size - 1, dtype=vals.dtype)
+    full = np.flatnonzero(np.diff(indptr))
+    if full.size:  # reduceat would give an empty row the next row's entry
+        out[full] = np.add.reduceat(vals[:indptr[-1]], indptr[full])
+    return out
+
+
 def _abs_sums(M, axis) -> float:
     """Largest sum of |entries| along ``axis`` (None: over everything)."""
     if not sp.issparse(M):
         sums = np.abs(np.asarray(M)).sum(axis=axis, dtype=np.float64)
         return float(np.max(sums, initial=0.0))
     # from the stored entries directly: abs(M) would first sort the indices
-    M = M.tocoo(copy=False)
-    weights = np.abs(M.data).astype(np.float64)
+    M = M.tocsr()
+    weights = np.abs(M.data[:M.nnz]).astype(np.float64)
     if axis is None:
         return float(weights.sum())
-    sums = np.bincount(M.col if axis == 0 else M.row, weights=weights)
+    sums = (np.bincount(M.indices[:M.nnz], weights=weights) if axis == 0
+            else _row_sums(M.indptr, weights))
     return float(sums.max(initial=0.0))
 
 
@@ -284,24 +307,36 @@ MEETS = ("add", ("add", ("add", ("T", "B"), ("colrev", "B")), ("rowrev", "B")),
 # counts share, name -> (EdgeSpace cache key, definition over "B", "I" and
 # earlier atoms). EdgeSpace.atom builds each one on first use and keeps it.
 ATOMS = {
+    # read by the census masks, B3 and wedge alone
     "B2": (("pow", 2), ("mm", "B", "B")),
     # read by chordless3 alone: the counts read B^3 as masked powers
     "B3": (("pow", 3), ("mm", "B2", "B")),
+    # tri and square are B^2 at the stored entries of B^T and (B^2)^T, built
+    # one block of rows at a time ("hadrows"): rows lo:hi of B^2 are
+    # B[lo:hi] B and those of (B^2)^T = (B^T)^2 are B^T[lo:hi] B^T; twin and
+    # texit follow from tri. So no step matrix builds a B^2-sized matrix.
     # two-steps closed into a triangle by the reverse single step
-    "tri": ("triangle_step", ("had", "B2", ("T", "B"))),
+    "tri": ("triangle_step", ("hadrows", ("mm", "B", "B"), ("T", "B"))),
     # two-steps whose endpoints do not bound a triangle
     "wedge": ("wedge_step", ("sub", "B2", "tri")),
     # two-steps matched by a reverse two-step: opposite sides of a square
-    "square": ("square_step", ("had", "B2", ("T", "B2"))),
+    "square": ("square_step", ("hadrows", ("mm", "B", "B"),
+                               ("mm", ("T", "B"), ("T", "B")))),
     # square steps whose reversed exit also closes a square (K4 marker)
     "crossed": ("crossed_square_step",
                 ("had", "square", ("colrev", "square"))),
     # [e, f] set when both endpoints of f neighbor the head of e while
-    # avoiding its tail: f spans a triangle hanging off the head of e
-    "twin": ("twin_wedge_step", ("had", "B2", ("colrev", "B2"))),
+    # avoiding its tail: f spans a triangle hanging off the head of e. It is
+    # B^2 o colrev(B^2); for e = a->b, (B tri^T)[e, f] marks f = c->d on a
+    # triangle bcd with c != a, and tri the ones with d = a
+    "twin": ("twin_wedge_step", ("sub", ("mm", "B", ("T", "tri")), "tri")),
     # [e, f] set when the tail of f neighbors both endpoints of e (a
-    # triangle over e) and the head of f lies outside e
-    "texit": ("triangle_exit_step", ("had", "B2", ("rowrev", "B2"))),
+    # triangle over e) and the head of f lies outside e. It is
+    # B^2 o rowrev(B^2); for e = a->b, colrev(tri)[e, a->c] marks the
+    # triangles abc, so colrev(tri) B marks each f = c->d with d != a, and
+    # rowrev(tri)[e, c->b] = tri[b->a, c->b] the ones with d = b
+    "texit": ("triangle_exit_step", ("sub", ("mm", ("colrev", "tri"), "B"),
+                                     ("rowrev", "tri"))),
     # three-steps visiting five distinct vertices: B^3 with every entry
     # dropped where the far edge meets the starting one (the reverse step
     # or either reversal-conjugate of B) and on the diagonal (the closed
@@ -612,20 +647,35 @@ class _Label:
 
 
 def _products(x) -> tuple:
-    """The products of the X of ("hadtotal", X, Y): X itself, or the two
-    terms of a sum or difference of products."""
+    """The products an operand's rows are computed from: the operand
+    itself, or the two terms of a sum or difference of products."""
     return (x,) if x[0] == "mm" else x[1:]
+
+
+def _row_operands(node) -> tuple:
+    """The operands of a node built by blocks of rows ("hadtotal" or
+    "hadrows"), each with whether its rows are computed from its products
+    (``_products``) rather than sliced from its value: the X of ("hadtotal",
+    X, Y) is a product or a sum or difference of two, and its Y is sliced;
+    each operand of ("hadrows", X, Y) is a product, or else sliced."""
+    op, x, y = node
+    if op == "hadtotal":
+        return (x, True), (y, False)
+    return tuple((z, isinstance(z, tuple) and z[0] == "mm") for z in (x, y))
 
 
 def _reads(node) -> list:
     """The memoized nodes that computing ``node`` reads: its tuple operands,
-    or for ("hadtotal", X, Y) the factors of X's products and Y. A "sel"
-    leaf reads nothing; its tuples are root pairs."""
+    or for a node built by blocks of rows the factors of its operands'
+    products and its sliced operands. A "sel" leaf reads nothing; its tuples
+    are root pairs."""
     if node[0] == "sel":
         return []
     kids = node[1:]
-    if node[0] == "hadtotal":
-        kids = [f for p in _products(node[1]) for f in p[1:]] + [node[2]]
+    if node[0] in ("hadtotal", "hadrows"):
+        kids = [f for x, computed in _row_operands(node)
+                for f in ([f for p in _products(x) for f in p[1:]]
+                          if computed else [x])]
     return [x for x in kids if isinstance(x, tuple)]
 
 
@@ -700,14 +750,36 @@ class Evaluator:
             self._readers[node] = left - 1
 
     def _rows(self, x, lo: int, hi: int):
-        """Rows lo:hi of the X of ("hadtotal", X, Y): each product is its
-        left factor's rows times its right factor (see ``_products``)."""
+        """Rows lo:hi of an operand computed by rows (``_row_operands``):
+        each product is its left factor's rows times its right factor."""
         rows = [checked_matmul(self._eval(p[1])[lo:hi], self._eval(p[2]),
                                _Label(p), self.space.stats)
                 for p in _products(x)]
         if x[0] == "mm":
             return rows[0]
         return checked_add(*rows, _Label(x), 1 if x[0] == "add" else -1)
+
+    def _row_block(self, operands, lo: int, hi: int, label):
+        """Rows lo:hi of the entrywise product of ``operands``
+        (``_row_operands``)."""
+        return checked_hadamard(*(
+            self._rows(x, lo, hi) if computed else self._eval(x)[lo:hi]
+            for x, computed in operands), label)
+
+    def _row_weights(self, operands) -> np.ndarray:
+        """Per row, a bound on the stored entries of the operands' rows: a
+        sliced operand's own, and for a product the stored entries of the
+        right factor's rows that the left factor's row reaches."""
+        weights = 0
+        for x, computed in operands:
+            if not computed:
+                weights = weights + np.diff(self._eval(x).indptr)
+                continue
+            for p in _products(x):
+                left, right = self._eval(p[1]), self._eval(p[2])
+                weights = weights + _row_sums(
+                    left.indptr, np.diff(right.indptr)[left.indices])
+        return weights
 
     def _apply(self, expr):
         op = expr[0]
@@ -735,13 +807,19 @@ class Evaluator:
                                     label)
         if op == "bpow":
             return s.bpow(self._eval(expr[1]), expr[2], label)
+        if op == "hadrows":
+            operands = _row_operands(expr)
+            weights = self._row_weights(operands)
+            blocks = list(_blocks(weights.size, 1, weights)) or [(0, 0)]
+            return sp.vstack([self._row_block(operands, lo, hi, label)
+                              for lo, hi in blocks], format="csr")
         if op == "hadtotal":
-            _, x, y = expr
-            y = self._eval(y)
+            operands = _row_operands(expr)
             total = 0
-            for lo, hi in _blocks(*y.shape):
-                total = checked_add(total, checked_total(checked_hadamard(
-                    self._rows(x, lo, hi), y[lo:hi], label), label), label, 1)
+            for lo, hi in _blocks(*self._eval(expr[2]).shape):
+                # no block outlives its total
+                total = checked_add(total, checked_total(self._row_block(
+                    operands, lo, hi, label), label), label, 1)
             return int(total)
         if op == "hadnot":
             a, m = self._eval(expr[1]), self._eval(expr[2])

@@ -124,6 +124,10 @@ def eval_order6_edge(space: EdgeSpace, F) -> MotifResult:
     return MotifResult(per_pair[tuple_index((index.tail, index.head), G.n)])
 
 
+# the edge-rooted 6-clique count (``eval_k6_edge``)
+K6 = ("div", ("rowsum", ("had", ("mm", "crossed", "crossed"), "crossed")), 24)
+
+
 def eval_k6_edge(space: EdgeSpace) -> MotifResult:
     """Edge-rooted 6-clique count straight from the derived step matrices.
 
@@ -132,7 +136,4 @@ def eval_k6_edge(space: EdgeSpace) -> MotifResult:
     double-edge-rooted 4-clique connection matrix, and the composition
     overcounts each 6-clique 4! times per root edge.
     """
-    vec = Evaluator(space).eval(
-        ("div", ("rowsum", ("had", ("mm", "crossed", "crossed"), "crossed")),
-         24))
-    return MotifResult(vec)
+    return MotifResult(Evaluator(space).eval(K6))

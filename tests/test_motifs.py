@@ -1,18 +1,20 @@
 """Catalog evaluation: rooted motif counts from edge-step matrices."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 
 from conftest import (complete_graph, cycle_graph, differential_hosts,
                       er_graph, wheel_graph)
-from nbcensus import catalog, connection
-from nbcensus.catalog import _B1, _C3TWIN, _SQL, _SQR, _TRI1, _WEDGE1
+from nbcensus import catalog, connection, edge_matrix
+from nbcensus.catalog import _B1, _SQL, _SQR, _TRI1, _WEDGE1
 from nbcensus.connection import RootedGraph, ScaleGuardError, kappa_direct
 from nbcensus.cycle_census import CORRECTIONS, DIAGONALS
 from nbcensus.edge_matrix import ATOMS, MEETS, EdgeSpace, Evaluator
 from nbcensus.graphs import Graph
-from nbcensus.motifs import (compiled, eval_k6_edge, eval_order6_edge,
+from nbcensus.motifs import (K6, compiled, eval_k6_edge, eval_order6_edge,
                              evaluate_catalog)
 from nbcensus.oracle import edge_rooted_vector, vertex_rooted_vector
 
@@ -302,8 +304,7 @@ def test_counts_sum_before_products_and_mask_instead_of_copying():
     """No count takes the row or column sums of a product, sum or
     difference (the sum goes through it), reads the wedge step, masks a
     power by MEETS (its four disjoint parts are summed apart) or reads a
-    whole reversal of B^2 at a mask, but for the chordless three-step's
-    colrev(B^2) in _C3TWIN; the ATOMS definitions build theirs once."""
+    whole reversal of B^2 at a mask."""
     copies = {(op, "B2") for op in ("rowrev", "colrev")}
     for tree in count_trees():
         assert "wedge" not in set(atoms_read(tree)), tree
@@ -312,7 +313,7 @@ def test_counts_sum_before_products_and_mask_instead_of_copying():
                 assert node[1][0] not in ("mm", "add", "sub"), node
             if node[0] == "bpow":
                 assert node[1] != MEETS, node
-            if node[0] in ("had", "hadnot", "bpow") and node != _C3TWIN[1]:
+            if node[0] in ("had", "hadnot", "bpow"):
                 assert not copies & set(node[1:3]), node
 
 
@@ -326,11 +327,13 @@ def hub_graph(hubs: int = 3, n: int = 60, reach: int = 25) -> Graph:
 
 
 # The entries that summed a product, sum or difference, read the wedge
-# step, masked B^3 by MEETS or read a whole reversal of B^2 at a mask, as
-# they read before each sum went through and each mask replaced a copy;
-# the shared subtrees are compared too, as every entry reading them changed.
+# step, masked B^3 by MEETS or read a whole reversal of B^2 or B^2 itself at
+# a mask, as they read before each sum went through and each mask replaced
+# a copy; the shared subtrees are compared too, as every entry reading them
+# changed. X041 and X045 read the chordless three-step masked by colrev(B^2).
 _COPY_SQL = ("had", "square", ("rowrev", "B2"))
 _COPY_SQR = ("had", "square", ("colrev", "B2"))
+_COPY_C3TWIN = ("hadnot", ("bpow", ("colrev", "B2"), 3), MEETS)
 COPY_TREES = {
     "X21": ("rowsum", "wedge"),
     "X021": ("sub", ("had", ("rowsum", "wedge"), ("sshift", _B1, 1)),
@@ -338,6 +341,8 @@ COPY_TREES = {
     "X031": ("sub", ("mm", "B2", _B1), ("rowsum", ("bpow", MEETS, 3))),
     "X033": ("sub", ("sub", ("had", ("rowsum", "wedge"), ("rowrev", _B1)),
                      ("rowsum", "square")), ("rowsum", "texit")),
+    "X041": ("div", ("rowsum", _COPY_C3TWIN), 2),
+    "X045": ("colsum", _COPY_C3TWIN),
     "X055": ("div", ("rowsum", ("sub", ("mm", "texit", ("rowrev", "B")),
                                 ("scale", "texit", 2, 1))), 2),
     "X091": ("div", ("rowsum", ("sub", ("mm", "crossed", "tri"),
@@ -349,6 +354,7 @@ COPY_TREES = {
     "X115": ("sub", ("rowsum", ("mm", "crossed", "B")),
              ("scale", ("colsum", "crossed"), 2, 1)),
     "X121": ("colsum", ("sub", ("bpow", _PAIRED, 3), _PAIRED)),
+    "X123": ("div", ("colsum", ("had", ("mm", "square", "tri"), "B2")), 2),
     "X135": ("rowsum", ("sub", ("sub", ("mm", _COPY_SQL, "tri"), _COPY_SQL),
                         "crossed")),
     "X137": ("rowsum", ("sub", ("sub", ("mm", ("bpow", "tri", 3), "tri"),
@@ -390,6 +396,45 @@ def test_catalog_builds_no_cube_on_a_hub_graph():
     for order in (3, 4, 5):
         order_values(space, order)
     eval_k6_edge(space)
-    assert ("pow", 2) in space._cache
+    assert ("pow", 2) not in space._cache
     assert ("pow", 3) not in space._cache
     assert "chordless_three_step" not in space._cache
+
+
+def test_catalog_and_k6_read_no_b2():
+    """No order 3..5 entry and not k6 reads B^2, through the ATOMS too: tri
+    and square are built by blocks of rows, and twin and texit from tri."""
+    for order in (3, 4, 5):
+        entries = {**catalog.entries_for_order(order)[0],
+                   **catalog.entries_for_order(order)[1]}
+        for mid in entries:
+            assert "B2" not in set(atoms_read(compiled(entries, mid))), mid
+    assert "B2" not in set(atoms_read(K6))
+
+
+# The step matrices as they were built from the whole of B^2 and a whole
+# transpose or reversal of it, before tri and square were built by blocks
+# of rows and twin and texit from tri.
+WHOLE_STEPS = {
+    "tri": ("had", "B2", ("T", "B")),
+    "square": ("had", "B2", ("T", "B2")),
+    "twin": ("had", "B2", ("colrev", "B2")),
+    "texit": ("had", "B2", ("rowrev", "B2")),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(differential_hosts())
+@example(Graph(0, []))
+@example(wheel_graph(6))
+@example(er_graph(9, 0.6, 96))
+@example(hub_graph())
+def test_step_matrices_match_their_whole_definitions(g):
+    """With blocks of a few cells, so many blocks of rows, the step
+    matrices equal their definitions from the whole of B^2."""
+    with mock.patch.object(edge_matrix, "BLOCK_CELLS", 7):
+        space = EdgeSpace(g)
+        for name, whole in WHOLE_STEPS.items():
+            got = space.atom(name)
+            assert got.dtype == np.int64, name
+            assert (got != Evaluator(space).eval(whole)).nnz == 0, name

@@ -113,7 +113,7 @@ _char = st.characters(blacklist_categories=("Cs",)).filter(
 _label = st.one_of(
     st.sampled_from(['"', '\\', ',', 'a,b', '"q"', '\x01', '\x1b', '\x7f',
                      'é', 'Ω', '漢', '😀', '\U00010000', '10', '9', '-1',
-                     '01', '1e3', 'a->', '->b']),
+                     '01', '1e3', 'a->', '->b', '%', '%d', '5%%']),
     st.text(_char, min_size=1, max_size=4))
 
 
