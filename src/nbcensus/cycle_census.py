@@ -125,7 +125,7 @@ CORRECTIONS: tuple[tuple[str, tuple, tuple[tuple[int, str], ...], int], ...] = (
     ("F17", _form(D3, "B", D5),
      ((6, "F14"), (8, "F4"), (10, "F9"), (16, "F13")), 4),
     ("F18", ("total", _PNT), (), 4),
-    ("F19", ("total", ("had", _PNT, "B2")), (), 4),
+    ("F19", ("total", ("bpow", _PNT, 2)), (), 4),
     ("F20", ("total", ("binom", ("bpow", ("T", "B2"), 3), 2)), (), 2),
     ("F21", _inner(_QLOOP, ("rowsum", _SQR)),
      ((8, "F2"), (4, "F9"), (24, "F5")), 4),
@@ -241,8 +241,9 @@ def full_census(space: EdgeSpace) -> CensusReport:
     The traces come first, so the n x n blocks behind them, P_4 the
     largest, are freed before the correction evaluator's memo is resident.
     The mains build no power of B above B^2: B^3..B^6 are read only at
-    masks, as masked powers gathered from the blocks P_0..P_3, which the
-    space keeps for them (``EdgeSpace.bpow``).
+    masks, as masked powers gathered from the blocks P_0..P_3, of which
+    the space keeps the atoms P_2 and P_3 from the traces
+    (``EdgeSpace.bpow``).
     """
     traces = {k: space.trace(k) for k in range(3, 10)}
     f = eval_walk_corrections(space)

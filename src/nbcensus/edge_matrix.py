@@ -16,17 +16,19 @@ float64 still proves the int64 result exact.
 
 Expression language of ``Evaluator`` (nested tuples, first element is the
 op name), used by the catalog, the F1..F35 census, the trace table and the
-constructive engine alike, over the three hosts ``Evaluator`` names; each
+constructive engine alike, over the two hosts ``Evaluator`` names; each
 of the first three is one ``Evaluator.run`` over a sequence:
   atoms (strings): "B" (the non-backtracking matrix), "I" (the identity
       over directed edges), "H" (the head incidence, directed edges by
       vertices: H[e, v] = 1 iff e ends at v; the catalog's gamma links read
-      it), and every name of the ATOMS
-      table, the matrices several counts share: the powers "B2".."B3" and
-      the step matrices "tri", "wedge", "square", "crossed", "twin",
-      "texit", "chordless3", "join". Each ATOMS entry is itself a
-      definition in this language, which ``EdgeSpace.atom`` evaluates once
-      and caches; ``EdgeSpace.atom`` is the one accessor of a named matrix.
+      it), the vertex atoms of the walk blocks, n x n: "A" (adjacency),
+      "C" (I - D, D the degrees), "c" (its diagonal 1 - d, a vector) and
+      "V" (the identity over vertices), and every name of the ATOMS table,
+      the matrices several counts share: the powers "B2".."B3", the walk
+      blocks "P2" and "P3" and the step matrices "tri", "wedge", "square",
+      "crossed", "twin", "texit", "chordless3", "join". Each ATOMS entry
+      is itself a definition in this language, which ``EdgeSpace.atom``
+      evaluates once and caches; it is the one accessor of a named matrix.
       The step matrices "tri" and "square" are B^2 at a mask, built by
       blocks of rows ("hadrows"), and "twin" and "texit" products of "tri"
       with B, so no catalog entry reads a B^2-sized matrix; of the counts,
@@ -41,7 +43,7 @@ of the first three is one ``Evaluator.run`` over a sequence:
                       beyond the mask is built), from vertex space. With H
                       and T the head and tail incidences, J the reversal
                       and Q_j = P_j + P_(j-2) + ... over the walk blocks
-                      P_j of TRACE_TERMS (Q_j = 0 for j < 0),
+                      P_j of WALKS (Q_j = 0 for j < 0),
                       B^k = H Q_(k-1) T' - T Q_(k-2) T' - H Q_(k-2) H'
                           + T Q_(k-3) H' + (I for even k, -J for odd k),
                       so the value at e = (a->b), f = (c->d) is M[e, f] times
@@ -303,10 +305,14 @@ MEETS = ("add", ("add", ("add", ("T", "B"), ("colrev", "B")), ("rowrev", "B")),
          "I")
 
 # The named atoms of the expression language beyond "B", the identity "I"
-# over directed edges and the head incidence "H": the matrices several
-# counts share, name -> (EdgeSpace cache key, definition over "B", "I" and
-# earlier atoms). EdgeSpace.atom builds each one on first use and keeps it.
+# over directed edges, the head incidence "H" and the vertex atoms "A",
+# "C", "c" and "V": the matrices several counts share, name -> (EdgeSpace
+# cache key, definition over those and earlier atoms). EdgeSpace.atom
+# builds each one on first use and keeps it.
 ATOMS = {
+    # the walk blocks P_2 and P_3 of WALKS, read by TRACE_TERMS and bpow
+    "P2": (("walk", 2), ("add", ("mm", "A", "A"), "C")),
+    "P3": (("walk", 3), ("add", ("mm", "P2", "A"), ("mm", "A", "C"))),
     # read by the census masks, B3 and wedge alone
     "B2": (("pow", 2), ("mm", "B", "B")),
     # read by chordless3 alone: the counts read B^3 as masked powers
@@ -362,20 +368,16 @@ ATOMS = {
 # (entrywise; H_(-1) = 0) and the vector c = 1 - d,
 # tr(B~^k) = 1'H_k 1 + 2 c'H_(k-2) 1 + c'H_(k-4) c.
 #
-# WALKS: the blocks P_0..P_5 over the atoms of EdgeSpace.vertex_host.
+# WALKS: the blocks P_0..P_5 over the vertex atoms, P_2 and P_3 the ATOMS
+# that the masked powers read too.
 # TRACE_TERMS: (k, term) pairs over the same atoms whose terms sum to
 # tr(B~^k), k = 3..9. Listed by h, the readers of each pairing H_h (and of
 # H_h c) are consecutive, so it is dropped after them. P_5 is read only by
 # the total of H_9, which is summed over row blocks of P_5 = P_4 A + P_3 C
 # ("hadtotal"), so P_5 is never held whole.
-def _walks() -> tuple:
-    P = ["I", "A"]
-    for k in range(2, 6):
-        P.append(("add", ("mm", P[k - 1], "A"), ("mm", P[k - 2], "C")))
-    return tuple(P)
-
-
-WALKS = _walks()
+_P4 = ("add", ("mm", "P3", "A"), ("mm", "P2", "C"))
+WALKS = ("V", "A", "P2", "P3", _P4,
+         ("add", ("mm", _P4, "A"), ("mm", "P3", "C")))
 
 
 def _trace_terms() -> tuple:
@@ -511,16 +513,11 @@ class EdgeSpace:
         P_5 = P_3 P_2 + P_2 C A (P_(i+j) = P_i P_j + P_(i-1) C P_(j-1);
         each P_j is symmetric, so <X[x], Y[y]> is (X Y')[x, y]), the bound
         on max|Q_j| for j = 0..5, and the directed edges grouped by head
-        and by tail vertex (order, offsets)."""
-        host = self.vertex_host()
-        P = [host.atom("I"), host.atom("A")]
-        for val in Evaluator(host).run(WALKS[2:4]):
-            if isinstance(val, IntegrityError):
-                raise val
-            val.sum_duplicates()  # the gathers scatter each entry once
-            P.append(val)
+        and by tail vertex (order, offsets). P_2 and P_3 are the ATOMS, sums
+        and so free of duplicate entries: the gathers scatter each once."""
+        P = [self.atom(x) for x in WALKS[:4]]
         A, P2, P3 = P[1], P[2], P[3]
-        AC = checked_matmul(A, host.atom("C"), "A C")
+        AC = checked_matmul(A, self.atom("C"), "A C")
         dots = {4: ((P2, P2), (A, AC)), 5: ((P3, P2), (P2, AC))}
         qmax = []
         for j in range(6):
@@ -554,35 +551,32 @@ class EdgeSpace:
             self.index.tail, self.index.head, self.graph.n))
 
     def atom(self, name: str):
-        """B, the uncached identity I and head incidence H, or an ATOMS
-        entry evaluated from its definition (each by its own Evaluator, so
-        the intermediates die with the build) and cached under the entry's
-        key."""
+        """B; the uncached identity I, head incidence H and vertex atoms A,
+        C, c and V; or an ATOMS entry evaluated from its definition (each
+        by its own Evaluator, so the intermediates die with the build) and
+        cached under the entry's key."""
+        n = self.graph.n
         if name == "B":
             return self.B
-        if name == "I":
-            return sp.identity(self.size, dtype=np.int64, format="csr")
+        if name in ("I", "V"):
+            return sp.identity(self.size if name == "I" else n,
+                               dtype=np.int64, format="csr")
         if name == "H":
             return sp.csr_matrix(
                 (np.ones(self.size, dtype=np.int64), self.index.head,
-                 np.arange(self.size + 1)), shape=(self.size, self.graph.n))
+                 np.arange(self.size + 1)), shape=(self.size, n))
+        if name == "A":
+            return sp.csr_matrix((np.ones(self.size, dtype=np.int64),
+                                  (self.index.tail, self.index.head)),
+                                 shape=(n, n))
+        if name in ("C", "c"):
+            c = 1 - np.bincount(self.index.tail, minlength=n).astype(np.int64)
+            return c if name == "c" else sp.diags(c, format="csr",
+                                                  dtype=np.int64)
         key, definition = ATOMS[name]
         return self._get(key, lambda: Evaluator(self).eval(definition))
 
     # -- traces of high powers -------------------------------------------
-
-    def vertex_host(self) -> SimpleNamespace:
-        """The vertex-space host of TRACE_TERMS: the adjacency matrix "A",
-        C = I - D as "C", its diagonal c = 1 - d as "c", and the identity
-        "I", all n x n; its products count in this space's stats."""
-        n = self.graph.n
-        c = 1 - np.bincount(self.index.tail, minlength=n).astype(np.int64)
-        atoms = {"A": sp.csr_matrix((np.ones(self.size, dtype=np.int64),
-                                     (self.index.tail, self.index.head)),
-                                    shape=(n, n)),
-                 "C": sp.diags(c, format="csr", dtype=np.int64), "c": c,
-                 "I": sp.identity(n, dtype=np.int64, format="csr")}
-        return SimpleNamespace(atom=atoms.__getitem__, stats=self.stats)
 
     def trace(self, k: int) -> int:
         """tr(B^k) for 3 <= k <= 9, read from a table built once in vertex
@@ -597,11 +591,11 @@ class EdgeSpace:
     def _trace_table(self) -> dict:
         """tr(B^k), k = 3..9, or the IntegrityError that refused it, which
         starts "trace:B^k:" and names the refused node: TRACE_TERMS run over
-        the vertex host, each term added to its k with the int64 guard."""
+        this space, each term added to its k with the int64 guard."""
         start = time.perf_counter()
         n, m = self.graph.n, self.graph.m
         table = {k: (1 + (-1) ** k) * (m - n) for k in range(3, 10)}
-        values = Evaluator(self.vertex_host()).run(t for _, t in TRACE_TERMS)
+        values = Evaluator(self).run(t for _, t in TRACE_TERMS)
         for (k, term), val in zip(TRACE_TERMS, values):
             if not isinstance(table[k], IntegrityError):  # first one stands
                 try:
@@ -680,13 +674,13 @@ def _reads(node) -> list:
 
 
 class Evaluator:
-    """Evaluates expression trees against one of three hosts, memoizing
-    subtrees: an EdgeSpace (the string atoms of the catalog and the census),
-    the tuple-space host of ``connection.eval_formula`` (``adj`` and
-    ``sel(p, q, eq, ne)``) or ``EdgeSpace.vertex_host`` (the atoms of
-    TRACE_TERMS). Each host has ``stats``, None or the dict where products
-    record their peak nnz. ``run`` drops each node after its last reader
-    in a sequence; ``eval`` is a run of one expression.
+    """Evaluates expression trees against one of two hosts, memoizing
+    subtrees: an EdgeSpace (the string atoms of the catalog, the census
+    and TRACE_TERMS, over directed edges and over vertices) or the
+    tuple-space host of ``connection.eval_formula`` (``adj`` and
+    ``sel(p, q, eq, ne)``). Each host has ``stats``, None or the dict where
+    products record their peak nnz. ``run`` drops each node after its last
+    reader in a sequence; ``eval`` is a run of one expression.
     """
 
     def __init__(self, space):

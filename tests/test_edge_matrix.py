@@ -8,6 +8,7 @@ are certified elsewhere against the embedding oracle.
 import itertools
 import re
 from math import comb
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,8 +17,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import (complete_graph, cycle_graph, differential_hosts,
                       er_graph, petersen_graph)
-from nbcensus import catalog
-from nbcensus.cycle_census import CORRECTIONS, DIAGONALS
+from nbcensus import catalog, edge_matrix
+from nbcensus.cycle_census import CORRECTIONS, DIAGONALS, full_census
 from nbcensus.edge_matrix import (ATOMS, INT64_GUARD, MEETS, TRACE_TERMS,
                                   EdgeSpace, Evaluator, IntegrityError,
                                   checked_binom, checked_hadamard,
@@ -121,16 +122,27 @@ def five_vertex_three_steps(g: Graph) -> np.ndarray:
     return out
 
 
+def dense_vertex_atoms(g: Graph) -> tuple[np.ndarray, np.ndarray]:
+    """The adjacency matrix A and C = I - D on dense arrays."""
+    A = np.zeros((g.n, g.n), dtype=np.int64)
+    for u, v in g.edges:
+        A[u, v] = A[v, u] = 1
+    return A, np.diag(1 - A.sum(axis=1))
+
+
 def dense_atoms(g: Graph) -> dict[str, np.ndarray]:
-    """Every ATOMS entry on dense arrays, from brute_B and, for chordless3,
-    from walk enumeration."""
+    """Every ATOMS entry on dense arrays, from brute_B, the walk blocks P_2
+    and P_3 from the walk recurrence P_k = P_(k-1) A + P_(k-2) (I - D) and,
+    for chordless3, from walk enumeration."""
     B = brute_B(g)
     rev = np.arange(B.shape[0]) ^ 1
     B2 = B @ B
     B3 = B2 @ B
     tri, square, texit = B2 * B.T, B2 * B2.T, B2 * B2[rev]
+    A, C = dense_vertex_atoms(g)
+    P2 = A @ A + C
     return {
-        "B2": B2, "B3": B3,
+        "B2": B2, "B3": B3, "P2": P2, "P3": P2 @ A + A @ C,
         "tri": tri, "wedge": B2 - tri, "square": square,
         "crossed": square * square[:, rev], "twin": B2 * B2[:, rev],
         "texit": texit, "chordless3": five_vertex_three_steps(g),
@@ -188,10 +200,7 @@ def dense_powers(g: Graph) -> list[np.ndarray]:
 def dense_q(g: Graph) -> list[np.ndarray]:
     """Q_j = P_j + P_(j-2) + ..., j = 0..5, on dense arrays from the walk
     recurrence P_k = P_(k-1) A + P_(k-2) (I - D)."""
-    A = np.zeros((g.n, g.n), dtype=np.int64)
-    for u, v in g.edges:
-        A[u, v] = A[v, u] = 1
-    C = np.diag(1 - A.sum(axis=1))
+    A, C = dense_vertex_atoms(g)
     P = [np.eye(g.n, dtype=np.int64), A]
     for k in range(2, 6):
         P.append(P[k - 1] @ A + P[k - 2] @ C)
@@ -396,9 +405,10 @@ def test_trace_matches_closed_form_on_cliques(n):
 
 
 def trace_blocks() -> list:
-    """The blocks P_0..P_5 as TRACE_TERMS writes them."""
-    P = ["I", "A"]
-    for k in range(2, 6):
+    """The blocks P_0..P_5 as TRACE_TERMS writes them: the vertex identity,
+    the adjacency matrix and the atoms P_2 and P_3 by name."""
+    P = ["V", "A", "P2", "P3"]
+    for k in range(4, 6):
         P.append(("add", ("mm", P[k - 1], "A"), ("mm", P[k - 2], "C")))
     return P
 
@@ -591,23 +601,24 @@ def test_run_changes_no_value(g):
     """Evaluator.run yields what plain eval computes, for the census mains,
     each order's compiled catalog entries and the trace terms."""
     space = EdgeSpace(g)
-    sequences = [(space, [main for _, main, _, _ in CORRECTIONS]),
-                 (space.vertex_host(), [term for _, term in TRACE_TERMS])]
+    sequences = [[main for _, main, _, _ in CORRECTIONS],
+                 [term for _, term in TRACE_TERMS]]
     for order in (3, 4, 5):
         edge, vertex = catalog.entries_for_order(order)
         entries = {**edge, **vertex}
-        sequences.append((space, [compiled(entries, mid) for mid in entries]))
-    for host, exprs in sequences:
-        plain = Evaluator(host)
-        for expr, got in zip(exprs, Evaluator(host).run(exprs)):
+        sequences.append([compiled(entries, mid) for mid in entries])
+    for exprs in sequences:
+        plain = Evaluator(space)
+        for expr, got in zip(exprs, Evaluator(space).run(exprs)):
             assert np.array_equal(got, plain.eval(expr)), expr
 
 
 def test_run_drops_each_node_after_its_last_reader():
     """While the trace terms run, P_5 and its products P_4 A and P_3 C are
-    never held whole: the row blocks of H_9 = P_5 o P_4 read P_4 and P_3,
-    by then the last nodes left but the pairings' totals, and P_2 is gone;
-    the memo is empty after."""
+    never held whole: the row blocks of H_9 = P_5 o P_4 read P_4, by then
+    the last node left but the pairings' totals; P_2 and P_3 are atoms,
+    which the space keeps and the run never holds; the memo is empty
+    after."""
     P = trace_blocks()
     held, at_blocks = set(), set()
 
@@ -621,16 +632,34 @@ def test_run_drops_each_node_after_its_last_reader():
             at_blocks.update(self._memo)
             return super()._rows(x, lo, hi)
 
-    ev = Spy(EdgeSpace(er_graph(12, 0.4, 62)).vertex_host())
+    space = EdgeSpace(er_graph(12, 0.4, 62))
+    ev = Spy(space)
     list(ev.run(term for _, term in TRACE_TERMS))
     assert ("hadtotal", P[5], P[4]) in {term for _, term in TRACE_TERMS}
     for never in (P[5], ("mm", P[4], "A"), ("mm", P[3], "C")):
         assert never not in held, never
-    assert P[4] in at_blocks and P[3] in at_blocks
-    assert P[2] not in at_blocks
-    assert all(node[0] == "total" or node in (P[3], P[4])
+    assert P[4] in at_blocks
+    assert all(node[0] == "total" or node == P[4]
                for node in at_blocks), at_blocks
+    assert {ATOMS[p][0] for p in P[2:4]} <= set(space._cache)
     assert not ev._memo and not ev._readers
+
+
+def test_each_walk_block_is_formed_once_per_census():
+    """The trace table and the masked powers read the same P_2 and P_3, the
+    atoms: a census forms the product A A once."""
+    space = EdgeSpace(er_graph(12, 0.4, 62))
+    labels = []
+
+    def spy(A, B, label, stats=None):
+        labels.append(getattr(label, "node", label))
+        return checked_matmul(A, B, label, stats)
+
+    with mock.patch.object(edge_matrix, "checked_matmul", spy):
+        full_census(space)
+    assert labels.count(("mm", "A", "A")) == 1
+    walks = space._get("walks", space._walk_blocks)
+    assert walks.P[2] is space.atom("P2") and walks.P[3] is space.atom("P3")
 
 
 def test_run_yields_a_refusal_and_goes_on():
