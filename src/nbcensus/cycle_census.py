@@ -71,8 +71,8 @@ def _wedge_form(v, w):
 
 # The diagonals d3..d6 of B^3..B^6, terms of the census like any other.
 # d3 and d4 are row sums of the step matrices; d5 and d6 are masked powers
-# at the identity, 2m-long gathers from vertex space, so no power of B
-# above B^2 is ever built.
+# at the identity, 2m-long gathers from vertex space, so no power B^k,
+# k >= 2, is ever built.
 DIAGONALS = {
     3: ("rowsum", "tri"),
     4: ("rowsum", "square"),
@@ -86,6 +86,10 @@ D3, D4, D5, D6 = (DIAGONALS[k] for k in range(3, 7))
 # is taken after its mask, which is exact because the masks square,
 # colrev(square) and (B^2)^T are 0/1, as B^2 of a simple graph is.
 _SQTT = ("bpow", ("colrev", "square"), 3)
+# the masks (B^2)^T = (B^T)^2 of F20 and F33 and B^2 of F32, read by blocks
+# of rows; F32 keeps of each block its rows of (B^2 o B^3) D3.
+_TB2C = ("byrows", ("bpow", ("mm", ("T", "B"), ("T", "B")), 3))
+_B2C_D3 = ("byrows", ("mm", ("bpow", ("mm", "B", "B"), 3), D3))
 # the transpose of B^2 o (B^3)^T o rowrev(B^2) o colrev(B^2), since
 # (B^k)^T = J B^k J for the reversal J and rowrev(B^2), colrev(B^2) are
 # symmetric: a total is unchanged by transposing, or reversing the rows or
@@ -126,7 +130,7 @@ CORRECTIONS: tuple[tuple[str, tuple, tuple[tuple[int, str], ...], int], ...] = (
      ((6, "F14"), (8, "F4"), (10, "F9"), (16, "F13")), 4),
     ("F18", ("total", _PNT), (), 4),
     ("F19", ("total", ("bpow", _PNT, 2)), (), 4),
-    ("F20", ("total", ("binom", ("bpow", ("T", "B2"), 3), 2)), (), 2),
+    ("F20", ("total", ("binom", _TB2C, 2)), (), 2),
     ("F21", _inner(_QLOOP, ("rowsum", _SQR)),
      ((8, "F2"), (4, "F9"), (24, "F5")), 4),
     ("F22", _inner(_QLOOP, ("rowsum", _SQL)),
@@ -162,10 +166,10 @@ CORRECTIONS: tuple[tuple[str, tuple, tuple[tuple[int, str], ...], int], ...] = (
     ("F31", _inner(("binom", D4, 2), D3),
      ((12, "F5"), (24, "F7"), (2, "F9"), (8, "F18"), (10, "F19"),
       (2, "F23"), (2, "F24"), (6, "F25")), 2),
-    ("F32", _form(D3, ("bpow", "B2", 3), D3),
+    ("F32", _inner(D3, _B2C_D3),
      ((4, "F2"), (12, "F5"), (72, "F7"), (14, "F9"), (24, "F19"),
       (8, "F21"), (8, "F22"), (24, "F25")), 8),
-    ("F33", ("total", ("binom", ("bpow", ("T", "B2"), 3), 3)), (), 2),
+    ("F33", ("total", ("binom", _TB2C, 3)), (), 2),
     ("F34", _form(D3, "B", D6),
      ((6, "F1"), (36, "F2"), (48, "F3"), (36, "F5"), (144, "F7"),
       (44, "F9"), (8, "F14"), (48, "F19"), (48, "F21"), (16, "F22"),
@@ -240,10 +244,10 @@ def full_census(space: EdgeSpace) -> CensusReport:
 
     The traces come first, so the n x n blocks behind them, P_4 the
     largest, are freed before the correction evaluator's memo is resident.
-    The mains build no power of B above B^2: B^3..B^6 are read only at
-    masks, as masked powers gathered from the blocks P_0..P_3, of which
-    the space keeps the atoms P_2 and P_3 from the traces
-    (``EdgeSpace.bpow``).
+    The mains build no power of B: the masks B^2 and (B^2)^T are read by
+    blocks of rows ("byrows"), and B^3..B^6 only at masks, as masked
+    powers gathered from the blocks P_0..P_3, of which the space keeps the
+    atoms P_2 and P_3 from the traces (``EdgeSpace.bpow``).
     """
     traces = {k: space.trace(k) for k in range(3, 10)}
     f = eval_walk_corrections(space)

@@ -30,9 +30,8 @@ of the first three is one ``Evaluator.run`` over a sequence:
       is itself a definition in this language, which ``EdgeSpace.atom``
       evaluates once and caches; it is the one accessor of a named matrix.
       The step matrices "tri" and "square" are B^2 at a mask, built by
-      blocks of rows ("hadrows"), and "twin" and "texit" products of "tri"
-      with B, so no catalog entry reads a B^2-sized matrix; of the counts,
-      only the census masks read "B2".
+      blocks of rows ("byrows"), and "twin" and "texit" products of "tri"
+      with B: no count builds B^2, which "B3" and "wedge" alone read.
   ("T", X)            matrix transpose
   ("rowrev", X)       index reversal on rows (vectors: the whole index)
   ("colrev", X)       index reversal on columns
@@ -55,17 +54,18 @@ of the first three is one ``Evaluator.run`` over a sequence:
                       ("bpow", "I", k) is the diagonal of B^k and
                       ("bpow", ("colrev", "I"), k) the entries
                       B^k[e, rev e]: 2m-long gathers.
-  ("hadtotal", X, Y)  ("total", ("had", X, Y)) for X a product or a sum or
-                      difference of two products, summed over blocks of
-                      rows: each product is its left factor's rows times
-                      its right factor, so X is never held whole
-  ("hadrows", X, Y)   ("had", X, Y) built one block of rows at a time: an
-                      operand that is a product is its left factor's rows
-                      times its right factor, any other is sliced, so no
-                      product is held whole. The operands' rows in a block
-                      hold at most BLOCK_CELLS stored entries in all, by
-                      the bound rownnz(L R) <= |L| rownnz(R) for a
-                      product, unless one row alone has more
+  ("byrows", X)       X one block of rows at a time, the blocks' values
+                      summed (a total), concatenated (a vector) or stacked.
+                      A block computes by rows each row-local node that X
+                      reads once: entrywise, "binom", "sshift", "scale",
+                      "div", "rowsum", "bpow" at its mask's rows, "mm" as
+                      its left factor's rows times its right factor, or X's
+                      own "total". It slices every other operand from its
+                      whole value: an atom, a transpose or reversal, or a
+                      node X reads twice (H_9's P_4, held for H_7 and H_8).
+                      A block holds at most BLOCK_CELLS stored entries of
+                      the sliced operands and of the products of a sliced
+                      left factor, unless one row alone has more
   ("hadnot", X, M)    zero out entries of X wherever M is nonzero
   ("add", X, Y), ("sub", X, Y)
   ("sshift", X, c)    subtract the integer c from every vector entry
@@ -97,9 +97,9 @@ import scipy.sparse as sp
 from .graphs import DirectedEdgeIndex, Graph
 
 INT64_GUARD = 2 ** 62
-# cells of one dense int64 block (4 MB): the row blocks of bpow's gathers and
-# of hadtotal hold at most this many, with as many rows as that allows, and
-# those of hadrows at most this many stored entries of their operands
+# cells of one dense int64 block (4 MB): the row blocks of bpow's gathers
+# hold at most this many, with as many rows as that allows, and those of
+# byrows at most this many stored entries of their operands
 BLOCK_CELLS = 2 ** 19
 
 
@@ -313,21 +313,22 @@ ATOMS = {
     # the walk blocks P_2 and P_3 of WALKS, read by TRACE_TERMS and bpow
     "P2": (("walk", 2), ("add", ("mm", "A", "A"), "C")),
     "P3": (("walk", 3), ("add", ("mm", "P2", "A"), ("mm", "A", "C"))),
-    # read by the census masks, B3 and wedge alone
+    # read by B3 and wedge alone: the counts read the rows of B^2 by blocks
     "B2": (("pow", 2), ("mm", "B", "B")),
     # read by chordless3 alone: the counts read B^3 as masked powers
     "B3": (("pow", 3), ("mm", "B2", "B")),
     # tri and square are B^2 at the stored entries of B^T and (B^2)^T, built
-    # one block of rows at a time ("hadrows"): rows lo:hi of B^2 are
+    # one block of rows at a time ("byrows"): rows lo:hi of B^2 are
     # B[lo:hi] B and those of (B^2)^T = (B^T)^2 are B^T[lo:hi] B^T; twin and
     # texit follow from tri. So no step matrix builds a B^2-sized matrix.
     # two-steps closed into a triangle by the reverse single step
-    "tri": ("triangle_step", ("hadrows", ("mm", "B", "B"), ("T", "B"))),
+    "tri": ("triangle_step",
+            ("byrows", ("had", ("mm", "B", "B"), ("T", "B")))),
     # two-steps whose endpoints do not bound a triangle
     "wedge": ("wedge_step", ("sub", "B2", "tri")),
     # two-steps matched by a reverse two-step: opposite sides of a square
-    "square": ("square_step", ("hadrows", ("mm", "B", "B"),
-                               ("mm", ("T", "B"), ("T", "B")))),
+    "square": ("square_step", ("byrows", ("had", ("mm", "B", "B"),
+                                          ("mm", ("T", "B"), ("T", "B"))))),
     # square steps whose reversed exit also closes a square (K4 marker)
     "crossed": ("crossed_square_step",
                 ("had", "square", ("colrev", "square"))),
@@ -374,23 +375,20 @@ ATOMS = {
 # tr(B~^k), k = 3..9. Listed by h, the readers of each pairing H_h (and of
 # H_h c) are consecutive, so it is dropped after them. P_5 is read only by
 # the total of H_9, which is summed over row blocks of P_5 = P_4 A + P_3 C
-# ("hadtotal"), so P_5 is never held whole.
+# ("byrows"), so P_5 is never held whole.
 _P4 = ("add", ("mm", "P3", "A"), ("mm", "P2", "C"))
 WALKS = ("V", "A", "P2", "P3", _P4,
          ("add", ("mm", _P4, "A"), ("mm", "P3", "C")))
 
 
 def _trace_terms() -> tuple:
-    P = WALKS
     terms = []
     for h in range(10):
-        pair = (P[h - h // 2], P[h // 2])
-        if h == 9:
-            terms.append((h, ("hadtotal", *pair)))
-            continue
+        pair = (WALKS[h - h // 2], WALKS[h // 2])
         H = ("had", *pair)
         Hc = ("mm", H, "c")
-        for k, term in ((h, ("total", H)),
+        for k, term in ((h, ("byrows", ("total", H)) if h == 9
+                         else ("total", H)),
                         (h + 2, ("scale", ("total", Hc), 2, 1)),
                         (h + 4, ("total", ("had", "c", Hc)))):
             if 3 <= k <= 9:
@@ -434,11 +432,12 @@ class EdgeSpace:
 
     # -- masked powers of B, from vertex space -----------------------------
 
-    def bpow(self, M, k: int, label) -> sp.csr_matrix:
+    def bpow(self, M, k: int, label, lo: int = 0) -> sp.csr_matrix:
         """M times B^k entrywise, k = 1..6, read only at the stored entries
-        of M, as four gathers from Q blocks (module docstring, "bpow").
+        of M, as four gathers from Q blocks (module docstring, "bpow"); M
+        may be the block of a mask's rows from row ``lo`` on.
 
-        The rows of M are grouped by head vertex for the two [b, .] terms
+        M's own rows are grouped by head vertex for the two [b, .] terms
         and by tail vertex for the two [a, .] terms, and each block of
         vertices (``_blocks``: at most BLOCK_CELLS cells of rows of Q, and
         BLOCK_CELLS entries of M unless one vertex has more) reads a dense
@@ -454,27 +453,32 @@ class EdgeSpace:
                            if j >= 0) + 1, label, "power value")
         M = M.tocsr()
         n, head, tail = self.graph.n, self.index.head, self.index.tail
+        rows = slice(lo, lo + M.shape[0])
         buf = np.zeros(min(n, max(1, BLOCK_CELLS // max(n, 1))) * n,
                        dtype=np.int64)
         vals = np.zeros(M.nnz, dtype=np.int64)
-        for by_tail, (ends, (order, ptr), terms) in enumerate((
-                (head, walks.by_head, ((k - 1, tail, 1), (k - 2, head, -1))),
-                (tail, walks.by_tail, ((k - 2, tail, -1), (k - 3, head, 1))))):
+        for by_tail, (ends, terms) in enumerate((
+                (head[rows], ((k - 1, tail, 1), (k - 2, head, -1))),
+                (tail[rows], ((k - 2, tail, -1), (k - 3, head, 1))))):
+            # by vertex, and in row order within one (for locality)
+            order = np.argsort(ends * ends.size + np.arange(ends.size))
+            ptr = np.zeros(n + 1, dtype=np.int64)
+            np.cumsum(np.bincount(ends, minlength=n), out=ptr[1:])
             # each vertex weighs the stored entries of its edges' rows
             weights = np.bincount(ends, weights=np.diff(M.indptr),
                                   minlength=n)
-            for lo, hi in _blocks(n, n, weights):
-                pos, e = _row_entries(M.indptr, order[ptr[lo]:ptr[hi]])
+            for vlo, vhi in _blocks(n, n, weights):
+                pos, e = _row_entries(M.indptr, order[ptr[vlo]:ptr[vhi]])
                 f, x = M.indices[pos], ends[e]
                 acc = np.zeros(pos.size, dtype=np.int64)
                 if not by_tail:  # the I or J term, once per entry
                     if k % 2:
-                        acc -= f == self.rev[e]
+                        acc -= f == self.rev[e + lo]
                     else:
-                        acc += f == e
+                        acc += f == e + lo
                 for j, other, sign in terms:
                     if j >= 0 and pos.size:
-                        acc += sign * self._gather(walks, j, lo, hi, x,
+                        acc += sign * self._gather(walks, j, vlo, vhi, x,
                                                    other[f], buf)
                 vals[pos] += acc
         out = sp.csr_matrix((checked_hadamard(M.data, vals, label),
@@ -512,9 +516,8 @@ class EdgeSpace:
         WALKS (CSR), the row-dot factors of P_4 = P_2 P_2 + A C A and
         P_5 = P_3 P_2 + P_2 C A (P_(i+j) = P_i P_j + P_(i-1) C P_(j-1);
         each P_j is symmetric, so <X[x], Y[y]> is (X Y')[x, y]), the bound
-        on max|Q_j| for j = 0..5, and the directed edges grouped by head
-        and by tail vertex (order, offsets). P_2 and P_3 are the ATOMS, sums
-        and so free of duplicate entries: the gathers scatter each once."""
+        on max|Q_j| for j = 0..5. P_2 and P_3 are the ATOMS, sums and so
+        free of duplicate entries: the gathers scatter each once."""
         P = [self.atom(x) for x in WALKS[:4]]
         A, P2, P3 = P[1], P[2], P[3]
         AC = checked_matmul(A, self.atom("C"), "A C")
@@ -525,16 +528,7 @@ class EdgeSpace:
                         sum(_dot_bound(X, Y) for X, Y in dots[j]))
             if j >= 2:
                 qmax[j] += qmax[j - 2]
-        n = self.graph.n
-
-        def grouped(ends):
-            ptr = np.zeros(n + 1, dtype=np.int64)
-            np.cumsum(np.bincount(ends, minlength=n), out=ptr[1:])
-            return np.argsort(ends, kind="stable"), ptr
-
-        return SimpleNamespace(P=P, dots=dots, qmax=qmax,
-                               by_head=grouped(self.index.head),
-                               by_tail=grouped(self.index.tail))
+        return SimpleNamespace(P=P, dots=dots, qmax=qmax)
 
     # -- atoms -----------------------------------------------------------
 
@@ -640,36 +634,42 @@ class _Label:
         return repr(self.node)[:80] + self.note
 
 
-def _products(x) -> tuple:
-    """The products an operand's rows are computed from: the operand
-    itself, or the two terms of a sum or difference of products."""
-    return (x,) if x[0] == "mm" else x[1:]
+# the row-local ops ("byrows"), each with how many first operands it reads
+# by rows: a product its left factor, a masked power its mask
+_ROW_ARGS = {**dict.fromkeys(("had", "hadnot", "add", "sub"), 2),
+             **dict.fromkeys(("mm", "bpow", "sshift", "scale", "binom", "div",
+                              "rowsum", "total"), 1)}
 
 
-def _row_operands(node) -> tuple:
-    """The operands of a node built by blocks of rows ("hadtotal" or
-    "hadrows"), each with whether its rows are computed from its products
-    (``_products``) rather than sliced from its value: the X of ("hadtotal",
-    X, Y) is a product or a sum or difference of two, and its Y is sliced;
-    each operand of ("hadrows", X, Y) is a product, or else sliced."""
-    op, x, y = node
-    if op == "hadtotal":
-        return (x, True), (y, False)
-    return tuple((z, isinstance(z, tuple) and z[0] == "mm") for z in (x, y))
+def _row_plan(x) -> tuple[dict, list]:
+    """For ("byrows", X), by the module docstring's rule: the nodes of X a
+    block computes by rows, from X down, and the operands it reads whole."""
+    counts, todo = {}, [x]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, tuple):
+            counts[node] = counts.get(node, 0) + 1
+            todo.extend(node[1:])
+    local, whole, todo = {}, [], [x]
+    while todo:
+        node = todo.pop()
+        if (isinstance(node, tuple) and counts[node] == 1 and node[0] in
+                _ROW_ARGS and (node is x or node[0] != "total")):
+            local[node] = None
+            todo.extend(reversed(node[1:1 + _ROW_ARGS[node[0]]]))
+            whole.extend(node[2:3] if node[0] == "mm" else ())
+        else:
+            whole.append(node)
+    return local, whole
 
 
 def _reads(node) -> list:
     """The memoized nodes that computing ``node`` reads: its tuple operands,
-    or for a node built by blocks of rows the factors of its operands'
-    products and its sliced operands. A "sel" leaf reads nothing; its tuples
-    are root pairs."""
+    or for a "byrows" node those its blocks read whole (``_row_plan``). A
+    "sel" leaf reads nothing; its tuples are root pairs."""
     if node[0] == "sel":
         return []
-    kids = node[1:]
-    if node[0] in ("hadtotal", "hadrows"):
-        kids = [f for x, computed in _row_operands(node)
-                for f in ([f for p in _products(x) for f in p[1:]]
-                          if computed else [x])]
+    kids = _row_plan(node[1])[1] if node[0] == "byrows" else node[1:]
     return [x for x in kids if isinstance(x, tuple)]
 
 
@@ -743,42 +743,39 @@ class Evaluator:
         elif left:
             self._readers[node] = left - 1
 
-    def _rows(self, x, lo: int, hi: int):
-        """Rows lo:hi of an operand computed by rows (``_row_operands``):
-        each product is its left factor's rows times its right factor."""
-        rows = [checked_matmul(self._eval(p[1])[lo:hi], self._eval(p[2]),
-                               _Label(p), self.space.stats)
-                for p in _products(x)]
-        if x[0] == "mm":
-            return rows[0]
-        return checked_add(*rows, _Label(x), 1 if x[0] == "add" else -1)
-
-    def _row_block(self, operands, lo: int, hi: int, label):
-        """Rows lo:hi of the entrywise product of ``operands``
-        (``_row_operands``)."""
-        return checked_hadamard(*(
-            self._rows(x, lo, hi) if computed else self._eval(x)[lo:hi]
-            for x, computed in operands), label)
-
-    def _row_weights(self, operands) -> np.ndarray:
-        """Per row, a bound on the stored entries of the operands' rows: a
-        sliced operand's own, and for a product the stored entries of the
-        right factor's rows that the left factor's row reaches."""
+    def _row_blocks(self, local: dict) -> list:
+        """The blocks of rows (``_blocks``) of a "byrows" tree, weighing per
+        row the stored entries of its sliced operands and, for a product
+        with a sliced left factor L and right factor R, at most R's width
+        and rownnz(L R) <= |L| rownnz(R); other nodes hold no more than
+        their operands, as entrywise ops, masked powers and row sums do."""
         weights = 0
-        for x, computed in operands:
-            if not computed:
-                weights = weights + np.diff(self._eval(x).indptr)
-                continue
-            for p in _products(x):
-                left, right = self._eval(p[1]), self._eval(p[2])
-                weights = weights + _row_sums(
-                    left.indptr, np.diff(right.indptr)[left.indices])
-        return weights
+        for node in local:
+            right = self._eval(node[2]) if node[0] == "mm" else None
+            for Y in [self._eval(y) for y in node[1:1 + _ROW_ARGS[node[0]]]
+                      if y not in local]:
+                if sp.issparse(right):
+                    weights = weights + np.minimum(_row_sums(
+                        Y.indptr, np.diff(right.indptr)[Y.indices]),
+                        right.shape[1])
+                else:
+                    weights = weights + np.diff(Y.indptr)
+        return list(_blocks(weights.size, 1, weights)) or [(0, 0)]
 
-    def _apply(self, expr):
+    def _apply(self, expr, block=None):
+        """The value of ``expr``, or with ``block`` = (lo, hi, local) its
+        rows lo:hi, for a node of a "byrows" tree in ``local``."""
         op = expr[0]
         s = self.space
         label = _Label(expr)
+
+        def arg(y):  # an operand, or in a block its rows: computed or sliced
+            if block is None:
+                return self._eval(y)
+            lo, hi, local = block
+            if y in local:
+                return self._apply(y, block)
+            return self._eval(y)[lo:hi]
         if op == "adj":
             return s.adj
         if op == "sel":
@@ -794,53 +791,52 @@ class Evaluator:
         if op == "colrev":
             return s.colrev(self._eval(expr[1])).tocsr()
         if op == "mm":
-            return checked_matmul(self._eval(expr[1]), self._eval(expr[2]),
-                                  label, s.stats)
+            return checked_matmul(arg(expr[1]), self._eval(expr[2]), label,
+                                  s.stats)
         if op == "had":
-            return checked_hadamard(self._eval(expr[1]), self._eval(expr[2]),
-                                    label)
+            return checked_hadamard(arg(expr[1]), arg(expr[2]), label)
         if op == "bpow":
-            return s.bpow(self._eval(expr[1]), expr[2], label)
-        if op == "hadrows":
-            operands = _row_operands(expr)
-            weights = self._row_weights(operands)
-            blocks = list(_blocks(weights.size, 1, weights)) or [(0, 0)]
-            return sp.vstack([self._row_block(operands, lo, hi, label)
-                              for lo, hi in blocks], format="csr")
-        if op == "hadtotal":
-            operands = _row_operands(expr)
+            return s.bpow(arg(expr[1]), expr[2], label,
+                          block[0] if block else 0)
+        if op == "byrows":
+            local = _row_plan(expr[1])[0]
+            # a total's block is dropped once its total is taken
+            parts = [self._apply(expr[1], (lo, hi, local))
+                     for lo, hi in self._row_blocks(local)]
+            if sp.issparse(parts[0]):
+                return sp.vstack(parts, format="csr")
+            if isinstance(parts[0], np.ndarray):
+                return np.concatenate(parts)
             total = 0
-            for lo, hi in _blocks(*self._eval(expr[2]).shape):
-                # no block outlives its total
-                total = checked_add(total, checked_total(self._row_block(
-                    operands, lo, hi, label), label), label, 1)
+            for part in parts:
+                total = checked_add(total, part, label, 1)
             return int(total)
         if op == "hadnot":
-            a, m = self._eval(expr[1]), self._eval(expr[2])
+            a, m = arg(expr[1]), arg(expr[2])
             drop = a.multiply(m != 0)
             out = (a - drop).tocsr()
             out.eliminate_zeros()
             return out
         if op in ("add", "sub"):
-            return checked_add(self._eval(expr[1]), self._eval(expr[2]), label,
+            return checked_add(arg(expr[1]), arg(expr[2]), label,
                                1 if op == "add" else -1)
         if op == "sshift":
-            return checked_add(self._eval(expr[1]), int(expr[2]), label, -1)
+            return checked_add(arg(expr[1]), int(expr[2]), label, -1)
         if op == "scale":
             _, x, num, den = expr
-            out = checked_scale(self._eval(x), num, label)
+            out = checked_scale(arg(x), num, label)
             if den == 1:
                 return out
             return exact_div(out, den, _Label(
                 expr, f": rescale by 1/{den} is not exact"))
         if op == "binom":
-            return checked_binom(self._eval(expr[1]), int(expr[2]), label)
+            return checked_binom(arg(expr[1]), int(expr[2]), label)
         if op == "rowsum":
-            return checked_total(self._eval(expr[1]), label, axis=1)
+            return checked_total(arg(expr[1]), label, axis=1)
         if op == "colsum":
             return checked_total(self._eval(expr[1]), label, axis=0)
         if op == "total":
-            return checked_total(self._eval(expr[1]), label)
+            return checked_total(arg(expr[1]), label)
         if op == "div":
-            return exact_div(self._eval(expr[1]), int(expr[2]), label)
+            return exact_div(arg(expr[1]), int(expr[2]), label)
         raise ValueError(f"unknown op {op!r}")

@@ -413,6 +413,57 @@ def trace_blocks() -> list:
     return P
 
 
+# The trees that "byrows" computes by blocks of rows, each with its whole
+# definition as the parent tree wrote it: tri, square, the total of H_9,
+# the masked power of F20 and F33, and the main of F32.
+_P = trace_blocks()
+_MAINS = {name: main for name, main, _, _ in CORRECTIONS}
+BY_ROWS = [
+    ("tri", ("had", "B2", ("T", "B"))),
+    ("square", ("had", "B2", ("T", "B2"))),
+    (("byrows", ("total", ("had", _P[5], _P[4]))),
+     ("total", ("had", _P[5], _P[4]))),
+    (_MAINS["F20"][1][1], ("bpow", ("T", "B2"), 3)),
+    (_MAINS["F32"], ("total", ("had", DIAGONALS[3], ("mm", (
+        "bpow", "B2", 3), DIAGONALS[3])))),
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(differential_hosts())
+@example(petersen_graph())
+@example(er_graph(9, 0.6, 96))
+def test_row_blocked_trees_match_their_whole_definitions(g):
+    """With blocks of a few cells, so many blocks of rows, each "byrows"
+    tree equals its whole definition, and a masked power at a block of a
+    mask's rows (an empty one, one of odd length) equals those rows of the
+    masked power at the whole mask."""
+    assert _MAINS["F33"][1][1] == _MAINS["F20"][1][1]
+    with mock.patch.object(edge_matrix, "BLOCK_CELLS", 7):
+        space = EdgeSpace(g)
+        for tree, whole in BY_ROWS:
+            got = Evaluator(space).eval(tree)
+            want = Evaluator(space).eval(whole)
+            if sp.issparse(want):
+                assert got.dtype == np.int64, tree
+                assert got.shape == want.shape, tree
+                assert (got != want).nnz == 0, tree
+            else:
+                assert got == want, tree
+        size, ev = space.size, Evaluator(space)
+        third = size // 3
+        blocks = [(0, 0), (size, size), (0, size)] + [
+            (third, size - (size - third + 1) % 2)] * (size > 0)
+        for m in MASKS:
+            M = ev.eval(m)
+            for k in (1, 3, 4):  # Q_-1..Q_3, and the J and I terms
+                whole = ev.eval(("bpow", m, k))
+                for lo, hi in blocks:
+                    got = space.bpow(M[lo:hi], k, "block", lo)
+                    assert got.shape == (hi - lo, size), (m, k, lo, hi)
+                    assert (got != whole[lo:hi]).nnz == 0, (m, k, lo, hi)
+
+
 def test_trace_on_k200_is_exact_or_refused():
     """tr(B^7) on K_200 is 1.19e16 and exact; tr(B^9) is 4.77e20, beyond
     int64, so the guard must refuse it rather than wrap. The refusal names
@@ -615,8 +666,9 @@ def test_run_changes_no_value(g):
 
 def test_run_drops_each_node_after_its_last_reader():
     """While the trace terms run, P_5 and its products P_4 A and P_3 C are
-    never held whole: the row blocks of H_9 = P_5 o P_4 read P_4, by then
-    the last node left but the pairings' totals; P_2 and P_3 are atoms,
+    never held whole: the row blocks of the "byrows" total of H_9 =
+    P_5 o P_4 slice P_4, which that tree reads twice, by then the last node
+    left but the pairings' totals; P_2 and P_3 are atoms,
     which the space keeps and the run never holds; the memo is empty
     after."""
     P = trace_blocks()
@@ -628,14 +680,16 @@ def test_run_drops_each_node_after_its_last_reader():
             held.update(self._memo)
             return val
 
-        def _rows(self, x, lo, hi):
-            at_blocks.update(self._memo)
-            return super()._rows(x, lo, hi)
+        def _apply(self, expr, block=None):
+            if block is not None:
+                at_blocks.update(self._memo)
+            return super()._apply(expr, block)
 
     space = EdgeSpace(er_graph(12, 0.4, 62))
     ev = Spy(space)
     list(ev.run(term for _, term in TRACE_TERMS))
-    assert ("hadtotal", P[5], P[4]) in {term for _, term in TRACE_TERMS}
+    h9 = ("byrows", ("total", ("had", P[5], P[4])))
+    assert h9 in {term for _, term in TRACE_TERMS}
     for never in (P[5], ("mm", P[4], "A"), ("mm", P[3], "C")):
         assert never not in held, never
     assert P[4] in at_blocks

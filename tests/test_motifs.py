@@ -402,10 +402,11 @@ def test_catalog_builds_no_cube_on_a_hub_graph():
 
 
 def test_catalog_and_k6_read_no_b2():
-    """No order 3..5 entry and not k6 reads B^2, through the ATOMS too: tri
-    and square are built by blocks of rows, and twin and texit from tri.
-    Of the census mains, only the masks of F20, F32 and F33 read it; F19
-    reads B^2 only at the entries of its mask, as a masked power."""
+    """No order 3..5 entry, not k6 and no census main reads B^2, through
+    the ATOMS too: tri and square are built by blocks of rows, and twin and
+    texit from tri; F20, F32 and F33 read their masks, (B^2)^T and B^2, by
+    blocks of rows, and F19 reads B^2 only at the entries of its mask, as a
+    masked power."""
     for order in (3, 4, 5):
         entries = {**catalog.entries_for_order(order)[0],
                    **catalog.entries_for_order(order)[1]}
@@ -413,7 +414,7 @@ def test_catalog_and_k6_read_no_b2():
             assert "B2" not in set(atoms_read(compiled(entries, mid))), mid
     assert "B2" not in set(atoms_read(K6))
     assert {name for name, main, _, _ in CORRECTIONS
-            if "B2" in set(atoms_read(main))} == {"F20", "F32", "F33"}
+            if "B2" in set(atoms_read(main))} == set()
 
 
 # The step matrices as they were built from the whole of B^2 and a whole
