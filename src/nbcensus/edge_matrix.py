@@ -21,14 +21,15 @@ of the first three is one ``Evaluator.run`` over a sequence:
   atoms (strings): "B" (the non-backtracking matrix), "I" (the identity
       over directed edges), "H" (the head incidence, directed edges by
       vertices: H[e, v] = 1 iff e ends at v; the catalog's gamma links read
-      it), the vertex atoms of the walk blocks, n x n: "A" (adjacency),
-      "C" (I - D, D the degrees), "c" (its diagonal 1 - d, a vector) and
-      "V" (the identity over vertices), and every name of the ATOMS table,
-      the matrices several counts share: the powers "B2".."B3", the walk
-      blocks "P2" and "P3" and the step matrices "tri", "wedge", "square",
-      "crossed", "twin", "texit", "chordless3", "join". Each ATOMS entry
-      is itself a definition in this language, which ``EdgeSpace.atom``
-      evaluates once and caches; it is the one accessor of a named matrix.
+      it), the vertex atoms of the walk blocks, n x n: "C" (I - D, D the
+      degrees), "c" (its diagonal 1 - d, a vector) and "V" (the identity
+      over vertices), and every name of the ATOMS table, the matrices
+      several counts share: the powers "B2".."B3", the walk blocks "A"
+      (the adjacency), "P2" and "P3", the row-dot factor "AC" (A C) and the
+      step matrices "tri", "wedge", "square", "crossed", "twin", "texit",
+      "chordless3", "join". Each ATOMS entry is itself a definition in
+      this language, which ``EdgeSpace.atom`` evaluates once and caches; it
+      is the one accessor of a named matrix.
       The step matrices "tri" and "square" are B^2 at a mask, built by
       blocks of rows ("byrows"), and "twin" and "texit" products of "tri"
       with B: no count builds B^2, which "B3" and "wedge" alone read.
@@ -48,9 +49,11 @@ of the first three is one ``Evaluator.run`` over a sequence:
                       so the value at e = (a->b), f = (c->d) is M[e, f] times
                       Q_(k-1)[b,c] - Q_(k-2)[a,c] - Q_(k-2)[b,d]
                       + Q_(k-3)[a,d] + [f = e] (even k) or - [f = rev e]
-                      (odd k). Q_0..Q_3 are read as dense blocks of rows of
-                      at most BLOCK_CELLS cells, Q_4 and Q_5 as row dot
-                      products; no Q_j is held whole (``EdgeSpace.bpow``).
+                      (odd k). B^k reads only the atoms of Q_(k-3)..Q_(k-1),
+                      built on first read: A, and P2, P3, AC from k = 3, 4, 5.
+                      ``EdgeSpace.bpow`` reads Q_0..Q_3 by dense blocks of
+                      rows, Q_4 and Q_5 as guarded row dot products (DOTS),
+                      and sums them under a bound on the values gathered.
                       ("bpow", "I", k) is the diagonal of B^k and
                       ("bpow", ("colrev", "I"), k) the entries
                       B^k[e, rev e]: 2m-long gathers.
@@ -89,7 +92,6 @@ move or drop entries.
 from __future__ import annotations
 
 import time
-from types import SimpleNamespace
 
 import numpy as np
 import scipy.sparse as sp
@@ -265,11 +267,6 @@ def _blocks(size: int, width: int, weights=None):
         lo = hi
 
 
-def _dot_bound(X, Y) -> float:
-    """A bound on |<X[x], Y[y]>| over every pair of rows (x, y)."""
-    return min(_max_abs(X) * _abs_sums(Y, 1), _max_abs(Y) * _abs_sums(X, 1))
-
-
 def _row_entries(indptr: np.ndarray, rows: np.ndarray):
     """The positions of the stored entries of ``rows`` in a CSR matrix with
     ``indptr``, and the row of each."""
@@ -305,14 +302,19 @@ MEETS = ("add", ("add", ("add", ("T", "B"), ("colrev", "B")), ("rowrev", "B")),
          "I")
 
 # The named atoms of the expression language beyond "B", the identity "I"
-# over directed edges, the head incidence "H" and the vertex atoms "A",
-# "C", "c" and "V": the matrices several counts share, name -> (EdgeSpace
+# over directed edges, the head incidence "H" and the vertex atoms "C",
+# "c" and "V": the matrices several counts share, name -> (EdgeSpace
 # cache key, definition over those and earlier atoms). EdgeSpace.atom
 # builds each one on first use and keeps it.
 ATOMS = {
-    # the walk blocks P_2 and P_3 of WALKS, read by TRACE_TERMS and bpow
+    # the walk blocks P_1 = A, P_2 and P_3 of WALKS, read by TRACE_TERMS and
+    # bpow. A counts the directed edges x -> y, rowrev(H)^T H; it is symmetric,
+    # and taken as a transpose its rows come out sorted, for faster gathers
+    "A": (("walk", 1), ("T", ("mm", ("T", ("rowrev", "H")), "H"))),
     "P2": (("walk", 2), ("add", ("mm", "A", "A"), "C")),
     "P3": (("walk", 3), ("add", ("mm", "P2", "A"), ("mm", "A", "C"))),
+    # A C, the right factor of two row dot products of DOTS
+    "AC": ("adjacency_c", ("mm", "A", "C")),
     # read by B3 and wedge alone: the counts read the rows of B^2 by blocks
     "B2": (("pow", 2), ("mm", "B", "B")),
     # read by chordless3 alone: the counts read B^3 as masked powers
@@ -369,8 +371,11 @@ ATOMS = {
 # (entrywise; H_(-1) = 0) and the vector c = 1 - d,
 # tr(B~^k) = 1'H_k 1 + 2 c'H_(k-2) 1 + c'H_(k-4) c.
 #
-# WALKS: the blocks P_0..P_5 over the vertex atoms, P_2 and P_3 the ATOMS
+# WALKS: the blocks P_0..P_5 over the vertex atoms, P_0..P_3 the atoms
 # that the masked powers read too.
+# DOTS: the factors X, Y of the row dot products <X[x], Y[y]> that the
+# masked powers read P_4 and P_5 as: P_4 = P_2 P_2 + A C A and P_5 =
+# P_3 P_2 + P_2 C A, and each P_j is symmetric, so (X Y')[x, y] is P_j's.
 # TRACE_TERMS: (k, term) pairs over the same atoms whose terms sum to
 # tr(B~^k), k = 3..9. Listed by h, the readers of each pairing H_h (and of
 # H_h c) are consecutive, so it is dropped after them. P_5 is read only by
@@ -379,6 +384,7 @@ ATOMS = {
 _P4 = ("add", ("mm", "P3", "A"), ("mm", "P2", "C"))
 WALKS = ("V", "A", "P2", "P3", _P4,
          ("add", ("mm", _P4, "A"), ("mm", "P3", "C")))
+DOTS = {4: (("P2", "P2"), ("A", "AC")), 5: (("P3", "P2"), ("P2", "AC"))}
 
 
 def _trace_terms() -> tuple:
@@ -400,10 +406,10 @@ TRACE_TERMS = _trace_terms()
 
 
 class EdgeSpace:
-    """Shared home of B and the ATOMS built from it, plus the traces and
-    the vertex-space blocks that the masked powers read.
+    """Shared home of B, the ATOMS built from it (the walk blocks that the
+    masked powers read among them), the vertex identity V and the traces.
 
-    Everything is computed lazily and cached; the caller usually keeps one
+    All but V is computed lazily and cached; the caller usually keeps one
     EdgeSpace per graph and lets the formulas pull what they need.
     """
 
@@ -414,6 +420,7 @@ class EdgeSpace:
         self.rev = self.index.rev
         self.stats: dict = {"peak_product_nnz": 0}
         self._cache: dict = {}
+        self.V = sp.identity(graph.n, dtype=np.int64, format="csr")
 
     @property
     def size(self) -> int:
@@ -442,24 +449,23 @@ class EdgeSpace:
         vertices (``_blocks``: at most BLOCK_CELLS cells of rows of Q, and
         BLOCK_CELLS entries of M unless one vertex has more) reads a dense
         block of rows of each Q_j it needs (``_gather``), so neither Q_j nor
-        the whole of M's row and endpoint arrays is ever held. The four
-        max|Q_j| plus 1 bound every value, and are checked before any
-        gather: each gather, and their sum, is then exact in int64.
+        the whole of M's row and endpoint arrays is ever held. Each sum is
+        checked against a running bound: 1 (the I or J term), or in the
+        second pass the first pass's largest, which bounds what it left,
+        plus each max|Q_j| gathered.
         """
         if not 1 <= k <= 6:
             raise ValueError("bpow takes k in 1..6")
-        walks = self._get("walks", self._walk_blocks)
-        _refuse_beyond(sum(walks.qmax[j] for j in (k - 1, k - 2, k - 2, k - 3)
-                           if j >= 0) + 1, label, "power value")
         M = M.tocsr()
         n, head, tail = self.graph.n, self.index.head, self.index.tail
         rows = slice(lo, lo + M.shape[0])
         buf = np.zeros(min(n, max(1, BLOCK_CELLS // max(n, 1))) * n,
                        dtype=np.int64)
         vals = np.zeros(M.nnz, dtype=np.int64)
+        carried, add, sub = 1, np.add, np.subtract
         for by_tail, (ends, terms) in enumerate((
-                (head[rows], ((k - 1, tail, 1), (k - 2, head, -1))),
-                (tail[rows], ((k - 2, tail, -1), (k - 3, head, 1))))):
+                (head[rows], ((k - 1, tail, add), (k - 2, head, sub))),
+                (tail[rows], ((k - 2, tail, sub), (k - 3, head, add))))):
             # by vertex, and in row order within one (for locality)
             order = np.argsort(ends * ends.size + np.arange(ends.size))
             ptr = np.zeros(n + 1, dtype=np.int64)
@@ -467,68 +473,64 @@ class EdgeSpace:
             # each vertex weighs the stored entries of its edges' rows
             weights = np.bincount(ends, weights=np.diff(M.indptr),
                                   minlength=n)
+            largest = carried
             for vlo, vhi in _blocks(n, n, weights):
                 pos, e = _row_entries(M.indptr, order[ptr[vlo]:ptr[vhi]])
-                f, x = M.indices[pos], ends[e]
+                # at: where each entry's row starts in dense rows vlo:vhi
+                f, at = M.indices[pos], (ends[e] - vlo) * n
                 acc = np.zeros(pos.size, dtype=np.int64)
                 if not by_tail:  # the I or J term, once per entry
                     if k % 2:
                         acc -= f == self.rev[e + lo]
                     else:
                         acc += f == e + lo
-                for j, other, sign in terms:
+                bound = carried
+                for j, end, op in terms:
                     if j >= 0 and pos.size:
-                        acc += sign * self._gather(walks, j, vlo, vhi, x,
-                                                   other[f], buf)
+                        q = self._gather(j, vlo, vhi, at + end[f], buf, label)
+                        bound += _max_abs(q)
+                        _refuse_beyond(bound, label, "sum")
+                        op(acc, q, out=acc)
+                largest = max(largest, bound)
                 vals[pos] += acc
+            carried = largest
         out = sp.csr_matrix((checked_hadamard(M.data, vals, label),
                              M.indices.copy(), M.indptr.copy()), shape=M.shape)
         out.eliminate_zeros()
         return out
 
-    def _gather(self, walks, j: int, lo: int, hi: int, xs, ys,
-                buf) -> np.ndarray:
-        """Q_j[xs, ys] for vertices xs in lo:hi. The blocks P_i, i <= 3, of
-        Q_j are added into ``buf`` (zero, and zeroed again after) as dense
-        rows lo:hi; the P_4 of Q_4 = P_4 + Q_2 and the P_5 of Q_5 = P_5 +
-        Q_3 are row dot products (``walks.dots``)."""
+    def _gather(self, j: int, lo: int, hi: int, at, buf,
+                label) -> np.ndarray:
+        """Q_j[x, y] for vertices x in lo:hi, at the cells at = (x - lo) n + y
+        of dense rows lo:hi: the blocks P_i, i <= 3, of Q_j (WALKS) are added
+        into ``buf`` (zero, and zeroed again after); the P_4 of Q_4 = P_4 +
+        Q_2 and the P_5 of Q_5 = P_5 + Q_3 are guarded row dot products of
+        the DOTS atoms (entrywise products and row totals)."""
         n = self.graph.n
         written = []
+        # at most two blocks, P_i and P_(i-2): guarded values, so each is
+        # below 2^62 in magnitude and their sum below 2^63, within int64.
+        # Each is the identity, a sum or a (transposed) product, free of
+        # duplicate entries, so the scatter adds each entry once.
         for i in range(j % 2, min(j, 3) + 1, 2):
-            P = walks.P[i]
+            P = self.atom(WALKS[i])
             s, t = P.indptr[lo], P.indptr[hi]
             flat = (np.repeat(np.arange(hi - lo, dtype=np.int64) * n,
                               np.diff(P.indptr[lo:hi + 1])) + P.indices[s:t])
             buf[flat] += P.data[s:t]
             written.append(flat)
-        out = buf[(xs - lo) * n + ys]
+        out = buf[at]
         for flat in written:
             buf[flat] = 0
         if j >= 4:
+            dots = [(self.atom(x), self.atom(y)) for x, y in DOTS[j]]
+            xs, ys = np.divmod(at + lo * n, n)
             for blo, bhi in _blocks(xs.size, n):
-                for X, Y in walks.dots[j]:
-                    out[blo:bhi] += np.asarray(X[xs[blo:bhi]].multiply(
-                        Y[ys[blo:bhi]]).sum(axis=1), dtype=np.int64).ravel()
+                for X, Y in dots:
+                    dot = checked_total(checked_hadamard(
+                        X[xs[blo:bhi]], Y[ys[blo:bhi]], label), label, axis=1)
+                    out[blo:bhi] = checked_add(out[blo:bhi], dot, label, 1)
         return out
-
-    def _walk_blocks(self) -> SimpleNamespace:
-        """What ``bpow`` reads of vertex space: the blocks P_0..P_3 of
-        WALKS (CSR), the row-dot factors of P_4 = P_2 P_2 + A C A and
-        P_5 = P_3 P_2 + P_2 C A (P_(i+j) = P_i P_j + P_(i-1) C P_(j-1);
-        each P_j is symmetric, so <X[x], Y[y]> is (X Y')[x, y]), the bound
-        on max|Q_j| for j = 0..5. P_2 and P_3 are the ATOMS, sums and so
-        free of duplicate entries: the gathers scatter each once."""
-        P = [self.atom(x) for x in WALKS[:4]]
-        A, P2, P3 = P[1], P[2], P[3]
-        AC = checked_matmul(A, self.atom("C"), "A C")
-        dots = {4: ((P2, P2), (A, AC)), 5: ((P3, P2), (P2, AC))}
-        qmax = []
-        for j in range(6):
-            qmax.append(_max_abs(P[j]) if j < 4 else
-                        sum(_dot_bound(X, Y) for X, Y in dots[j]))
-            if j >= 2:
-                qmax[j] += qmax[j - 2]
-        return SimpleNamespace(P=P, dots=dots, qmax=qmax)
 
     # -- atoms -----------------------------------------------------------
 
@@ -545,24 +547,21 @@ class EdgeSpace:
             self.index.tail, self.index.head, self.graph.n))
 
     def atom(self, name: str):
-        """B; the uncached identity I, head incidence H and vertex atoms A,
-        C, c and V; or an ATOMS entry evaluated from its definition (each
-        by its own Evaluator, so the intermediates die with the build) and
-        cached under the entry's key."""
+        """B; the vertex identity V, held as every gather of an even Q_j
+        reads it; the uncached identity I, head incidence H and vertex atoms
+        C and c; or an ATOMS entry evaluated from its definition (each by its
+        own Evaluator, so the intermediates die with the build) and cached."""
         n = self.graph.n
         if name == "B":
             return self.B
-        if name in ("I", "V"):
-            return sp.identity(self.size if name == "I" else n,
-                               dtype=np.int64, format="csr")
+        if name == "V":
+            return self.V
+        if name == "I":
+            return sp.identity(self.size, dtype=np.int64, format="csr")
         if name == "H":
             return sp.csr_matrix(
                 (np.ones(self.size, dtype=np.int64), self.index.head,
                  np.arange(self.size + 1)), shape=(self.size, n))
-        if name == "A":
-            return sp.csr_matrix((np.ones(self.size, dtype=np.int64),
-                                  (self.index.tail, self.index.head)),
-                                 shape=(n, n))
         if name in ("C", "c"):
             c = 1 - np.bincount(self.index.tail, minlength=n).astype(np.int64)
             return c if name == "c" else sp.diags(c, format="csr",

@@ -131,9 +131,10 @@ def dense_vertex_atoms(g: Graph) -> tuple[np.ndarray, np.ndarray]:
 
 
 def dense_atoms(g: Graph) -> dict[str, np.ndarray]:
-    """Every ATOMS entry on dense arrays, from brute_B, the walk blocks P_2
-    and P_3 from the walk recurrence P_k = P_(k-1) A + P_(k-2) (I - D) and,
-    for chordless3, from walk enumeration."""
+    """Every ATOMS entry on dense arrays, from brute_B, the adjacency A of
+    the edge list, the walk blocks P_2 and P_3 from the walk recurrence
+    P_k = P_(k-1) A + P_(k-2) (I - D) and, for chordless3, from walk
+    enumeration."""
     B = brute_B(g)
     rev = np.arange(B.shape[0]) ^ 1
     B2 = B @ B
@@ -142,7 +143,8 @@ def dense_atoms(g: Graph) -> dict[str, np.ndarray]:
     A, C = dense_vertex_atoms(g)
     P2 = A @ A + C
     return {
-        "B2": B2, "B3": B3, "P2": P2, "P3": P2 @ A + A @ C,
+        "B2": B2, "B3": B3, "A": A, "P2": P2, "P3": P2 @ A + A @ C,
+        "AC": A @ C,
         "tri": tri, "wedge": B2 - tri, "square": square,
         "crossed": square * square[:, rev], "twin": B2 * B2[:, rev],
         "texit": texit, "chordless3": five_vertex_three_steps(g),
@@ -197,16 +199,6 @@ def dense_powers(g: Graph) -> list[np.ndarray]:
     return powers
 
 
-def dense_q(g: Graph) -> list[np.ndarray]:
-    """Q_j = P_j + P_(j-2) + ..., j = 0..5, on dense arrays from the walk
-    recurrence P_k = P_(k-1) A + P_(k-2) (I - D)."""
-    A, C = dense_vertex_atoms(g)
-    P = [np.eye(g.n, dtype=np.int64), A]
-    for k in range(2, 6):
-        P.append(P[k - 1] @ A + P[k - 2] @ C)
-    return [sum(P[j::-2]) for j in range(6)]
-
-
 @settings(max_examples=60, deadline=None)
 @given(differential_hosts())
 @example(Graph(0, []))
@@ -217,7 +209,7 @@ def dense_q(g: Graph) -> list[np.ndarray]:
 def test_masked_product_matches_dense_product(g):
     """("bpow", M, k) is M * B^k entrywise, k = 1..6, int64 and stored
     without zeros, on hosts without vertices or edges and with isolated
-    vertices too; the bounds it checks hold every Q_j."""
+    vertices too."""
     space = EdgeSpace(g)
     ev = Evaluator(space)
     powers = dense_powers(g)
@@ -228,9 +220,6 @@ def test_masked_product_matches_dense_product(g):
             assert got.dtype == np.int64 and got.shape == M.shape, (m, k)
             assert np.all(got.data != 0), (m, k)
             assert np.array_equal(got.toarray(), M * powers[k]), (m, k)
-    qmax = space._get("walks", space._walk_blocks).qmax
-    for j, Q in enumerate(dense_q(g)):
-        assert np.abs(Q).max(initial=0) <= qmax[j], j
 
 
 def big(m):
@@ -294,27 +283,26 @@ def test_masked_product_computes_wherever_the_full_product_does():
 
 
 class WideQSpace(EdgeSpace):
-    """An EdgeSpace whose bounds on max|Q_j|, j >= 2, reach the guard, and
-    which counts the gathers of its masked powers."""
+    """An EdgeSpace whose P_2 atom is scaled by ``scale`` once P_3 has been
+    built from the true one: the masked powers read the scaled P_2, still
+    a guarded value, as Q_2 and Q_4 and in the dot products of P_4 and
+    P_5."""
 
-    gathers = 0
-
-    def _walk_blocks(self):
-        walks = super()._walk_blocks()
-        walks.qmax[2:] = [INT64_GUARD] * 4
-        return walks
-
-    def _gather(self, *args):
-        self.gathers += 1
-        return super()._gather(*args)
+    def __init__(self, graph: Graph, scale: int):
+        super().__init__(graph)
+        self.atom("P3")
+        key = ATOMS["P2"][0]
+        self._cache[key] = checked_scale(self.atom("P2"), scale, "wide")
 
 
 def test_masked_product_refusal_names_the_node():
-    """Where a Q_j bound reaches 2**62, the masked power refuses before any
-    gather and names its node: every k >= 3 reads Q_2 or above, while
-    k <= 2 reads Q_1 and Q_0 alone and computes."""
-    g = complete_graph(4)
-    space = WideQSpace(g)
+    """On a triangle, P_2 is 1 everywhere; scaled to 2**62 - 1, it makes
+    every k >= 3 gather a value of Q_2 or Q_4 at or beyond the guard, or a
+    dot product of P_4 or P_5 beyond it, and the masked power refuses and
+    names its node, while k <= 2 reads Q_1 and Q_0 alone and computes."""
+    g = complete_graph(3)
+    space = WideQSpace(g, INT64_GUARD - 1)
+    assert edge_matrix._max_abs(space.atom("P2")) == INT64_GUARD - 1
     powers = dense_powers(g)
     for k in range(1, 7):
         node = ("bpow", "B", k)
@@ -322,11 +310,27 @@ def test_masked_product_refusal_names_the_node():
             got = Evaluator(space).eval(node)
             assert np.array_equal(got.toarray(), powers[1] * powers[k])
             continue
-        before = space.gathers
-        with pytest.raises(IntegrityError, match=re.escape(
-                f"{node!r}: power value bound")):
+        with pytest.raises(IntegrityError) as refused:
             Evaluator(space).eval(node)
-        assert space.gathers == before, k
+        assert str(refused.value).startswith(repr(node)[:80]), k
+
+
+def test_masked_product_guards_its_dot_products():
+    """On K4, P_2 scaled by 2**32 stays below 2**33, but its row dot
+    products, which P_4 and so B^5 read, reach 2**66: unguarded they would
+    wrap int64 to a wrong value. ("bpow", "I", 5) refuses and names its
+    node; ("bpow", "I", 3) reads Q_2 = P_2 + I alone and is 2**32 times the
+    diagonal of B^3."""
+    g = complete_graph(4)
+    space = WideQSpace(g, 2 ** 32)
+    assert edge_matrix._max_abs(space.atom("P2")) < 2 ** 62
+    node = ("bpow", "I", 5)
+    with pytest.raises(IntegrityError) as refused:
+        Evaluator(space).eval(node)
+    assert str(refused.value).startswith(repr(node)[:80])
+    got = Evaluator(space).eval(("bpow", "I", 3))
+    assert np.array_equal(got.toarray(), 2 ** 32 * np.diag(np.diag(
+        dense_powers(g)[3])))
 
 
 def assert_traces_match_dense_power(g: Graph) -> None:
@@ -712,8 +716,7 @@ def test_each_walk_block_is_formed_once_per_census():
     with mock.patch.object(edge_matrix, "checked_matmul", spy):
         full_census(space)
     assert labels.count(("mm", "A", "A")) == 1
-    walks = space._get("walks", space._walk_blocks)
-    assert walks.P[2] is space.atom("P2") and walks.P[3] is space.atom("P3")
+    assert {ATOMS[p][0] for p in ("A", "P2", "P3")} <= set(space._cache)
 
 
 def test_run_yields_a_refusal_and_goes_on():

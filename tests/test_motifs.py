@@ -401,6 +401,23 @@ def test_catalog_builds_no_cube_on_a_hub_graph():
     assert "chordless_three_step" not in space._cache
 
 
+def test_masked_powers_build_only_the_walk_blocks_they_read():
+    """B^k at a mask reads the atoms of Q_(k-3)..Q_(k-1) alone: the order 3
+    and 4 catalogs take masked powers with k <= 2, which read A, so P_2,
+    P_3 and A C are first built by order 5; a lone masked square builds A
+    and nothing else."""
+    walks = {ATOMS[name][0] for name in ("P2", "P3", "AC")}
+    space = EdgeSpace(hub_graph())
+    for order in (3, 4):
+        order_values(space, order)
+    assert not walks & set(space._cache)
+    order_values(space, 5)
+    assert walks <= set(space._cache)
+    space = EdgeSpace(hub_graph())
+    space.bpow(space.B, 2, "B^2 at B")
+    assert set(space._cache) == {"B", ATOMS["A"][0]}
+
+
 def test_catalog_and_k6_read_no_b2():
     """No order 3..5 entry, not k6 and no census main reads B^2, through
     the ATOMS too: tri and square are built by blocks of rows, and twin and
