@@ -54,6 +54,8 @@ of the first three is one ``Evaluator.run`` over a sequence:
                       ``EdgeSpace.bpow`` reads Q_0..Q_3 by dense blocks of
                       rows, Q_4 and Q_5 as guarded row dot products (DOTS),
                       and sums them under a bound on the values gathered.
+                      By the rule of ``_blocks``, a vertex weighs its dense
+                      row (n cells) and mask entries, a dot its rows' entries.
                       ("bpow", "I", k) is the diagonal of B^k and
                       ("bpow", ("colrev", "I"), k) the entries
                       B^k[e, rev e]: 2m-long gathers.
@@ -66,9 +68,9 @@ of the first three is one ``Evaluator.run`` over a sequence:
                       own "total". It slices every other operand from its
                       whole value: an atom, a transpose or reversal, or a
                       node X reads twice (H_9's P_4, held for H_7 and H_8).
-                      A block holds at most BLOCK_CELLS stored entries of
-                      the sliced operands and of the products of a sliced
-                      left factor, unless one row alone has more
+                      By the rule of ``_blocks``, a row weighs the stored
+                      entries it brings of the sliced operands and of the
+                      products of a sliced left factor
   ("hadnot", X, M)    zero out entries of X wherever M is nonzero
   ("add", X, Y), ("sub", X, Y)
   ("sshift", X, c)    subtract the integer c from every vector entry
@@ -99,9 +101,9 @@ import scipy.sparse as sp
 from .graphs import DirectedEdgeIndex, Graph
 
 INT64_GUARD = 2 ** 62
-# cells of one dense int64 block (4 MB): the row blocks of bpow's gathers
-# hold at most this many, with as many rows as that allows, and those of
-# byrows at most this many stored entries of their operands
+# the most one block weighs (``_blocks``), in dense int64 cells plus stored
+# entries (4 MB of cells): a vertex block of bpow, a block of its row dot
+# products and a block of rows of byrows
 BLOCK_CELLS = 2 ** 19
 
 
@@ -249,20 +251,16 @@ def exact_div(x, d: int, label: str):
     return x // d
 
 
-def _blocks(size: int, width: int, weights=None):
-    """The ranges (lo, hi) covering range(size), each of at most
-    BLOCK_CELLS // width items, so that a block of rows of a width-column
-    matrix holds at most BLOCK_CELLS cells; given a weight per item, each
-    also weighs at most BLOCK_CELLS in all, unless one item alone does."""
-    step = max(1, BLOCK_CELLS // max(width, 1))
-    if weights is not None:
-        cum = np.concatenate(([0], np.cumsum(weights)))
+def _blocks(weights):
+    """The one block rule: the ranges (lo, hi) covering range(len(weights))
+    in order, each the longest that weighs at most BLOCK_CELLS, or one item
+    that alone weighs more. An item weighs the dense int64 cells plus the
+    stored entries it brings into its block."""
+    cum = np.concatenate(([0], np.cumsum(weights)))
     lo = 0
-    while lo < size:
-        hi = min(lo + step, size)
-        if weights is not None:
-            fits = int(np.searchsorted(cum, cum[lo] + BLOCK_CELLS, "right"))
-            hi = max(lo + 1, min(hi, fits - 1))
+    while lo < len(weights):
+        fits = int(np.searchsorted(cum, cum[lo] + BLOCK_CELLS, "right"))
+        hi = max(lo + 1, fits - 1)
         yield lo, hi
         lo = hi
 
@@ -409,8 +407,8 @@ class EdgeSpace:
     """Shared home of B, the ATOMS built from it (the walk blocks that the
     masked powers read among them), the vertex identity V and the traces.
 
-    All but V is computed lazily and cached; the caller usually keeps one
-    EdgeSpace per graph and lets the formulas pull what they need.
+    B and the ATOMS are built on first read and cached, V with the space,
+    and I, H, C and c on every read; keep one EdgeSpace per graph.
     """
 
     def __init__(self, graph: Graph):
@@ -446,8 +444,8 @@ class EdgeSpace:
 
         M's own rows are grouped by head vertex for the two [b, .] terms
         and by tail vertex for the two [a, .] terms, and each block of
-        vertices (``_blocks``: at most BLOCK_CELLS cells of rows of Q, and
-        BLOCK_CELLS entries of M unless one vertex has more) reads a dense
+        vertices (``_blocks``, a vertex weighing its n cells of ``buf`` and
+        the stored entries of its edges' rows of M) reads a dense
         block of rows of each Q_j it needs (``_gather``), so neither Q_j nor
         the whole of M's row and endpoint arrays is ever held. Each sum is
         checked against a running bound: 1 (the I or J term), or in the
@@ -470,11 +468,11 @@ class EdgeSpace:
             order = np.argsort(ends * ends.size + np.arange(ends.size))
             ptr = np.zeros(n + 1, dtype=np.int64)
             np.cumsum(np.bincount(ends, minlength=n), out=ptr[1:])
-            # each vertex weighs the stored entries of its edges' rows
-            weights = np.bincount(ends, weights=np.diff(M.indptr),
-                                  minlength=n)
+            # a vertex weighs its dense row of buf and its edges' mask rows
+            weights = n + np.bincount(ends, weights=np.diff(M.indptr),
+                                      minlength=n)
             largest = carried
-            for vlo, vhi in _blocks(n, n, weights):
+            for vlo, vhi in _blocks(weights):
                 pos, e = _row_entries(M.indptr, order[ptr[vlo]:ptr[vhi]])
                 # at: where each entry's row starts in dense rows vlo:vhi
                 f, at = M.indices[pos], (ends[e] - vlo) * n
@@ -505,7 +503,7 @@ class EdgeSpace:
         of dense rows lo:hi: the blocks P_i, i <= 3, of Q_j (WALKS) are added
         into ``buf`` (zero, and zeroed again after); the P_4 of Q_4 = P_4 +
         Q_2 and the P_5 of Q_5 = P_5 + Q_3 are guarded row dot products of
-        the DOTS atoms (entrywise products and row totals)."""
+        the DOTS atoms, in ``_blocks`` where a dot weighs its rows' entries."""
         n = self.graph.n
         written = []
         # at most two blocks, P_i and P_(i-2): guarded values, so each is
@@ -525,7 +523,9 @@ class EdgeSpace:
         if j >= 4:
             dots = [(self.atom(x), self.atom(y)) for x, y in DOTS[j]]
             xs, ys = np.divmod(at + lo * n, n)
-            for blo, bhi in _blocks(xs.size, n):
+            for blo, bhi in _blocks(sum(X.indptr[xs + 1] - X.indptr[xs]
+                                        + Y.indptr[ys + 1] - Y.indptr[ys]
+                                        for X, Y in dots)):
                 for X, Y in dots:
                     dot = checked_total(checked_hadamard(
                         X[xs[blo:bhi]], Y[ys[blo:bhi]], label), label, axis=1)
@@ -759,7 +759,7 @@ class Evaluator:
                         right.shape[1])
                 else:
                     weights = weights + np.diff(Y.indptr)
-        return list(_blocks(weights.size, 1, weights)) or [(0, 0)]
+        return list(_blocks(weights)) or [(0, 0)]
 
     def _apply(self, expr, block=None):
         """The value of ``expr``, or with ``block`` = (lo, hi, local) its

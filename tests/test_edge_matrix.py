@@ -19,11 +19,11 @@ from conftest import (complete_graph, cycle_graph, differential_hosts,
                       er_graph, petersen_graph)
 from nbcensus import catalog, edge_matrix
 from nbcensus.cycle_census import CORRECTIONS, DIAGONALS, full_census
-from nbcensus.edge_matrix import (ATOMS, INT64_GUARD, MEETS, TRACE_TERMS,
-                                  EdgeSpace, Evaluator, IntegrityError,
-                                  checked_binom, checked_hadamard,
-                                  checked_matmul, checked_scale, checked_total,
-                                  exact_div)
+from nbcensus.edge_matrix import (ATOMS, DOTS, INT64_GUARD, MEETS,
+                                  TRACE_TERMS, EdgeSpace, Evaluator,
+                                  IntegrityError, checked_binom,
+                                  checked_hadamard, checked_matmul,
+                                  checked_scale, checked_total, exact_div)
 from nbcensus.graphs import DirectedEdgeIndex, Graph, path2_count
 from nbcensus.motifs import compiled
 
@@ -331,6 +331,56 @@ def test_masked_product_guards_its_dot_products():
     got = Evaluator(space).eval(("bpow", "I", 3))
     assert np.array_equal(got.toarray(), 2 ** 32 * np.diag(np.diag(
         dense_powers(g)[3])))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 12), max_size=30), st.integers(1, 20))
+def test_blocks_are_the_longest_ranges_within_the_weight(weights, cells):
+    """The one block rule: the ranges cover range(len(weights)),
+    contiguous and in order; each weighs at most BLOCK_CELLS unless it
+    holds a single item; and every range but the last would weigh more
+    than BLOCK_CELLS with its next item added."""
+    with mock.patch.object(edge_matrix, "BLOCK_CELLS", cells):
+        ranges = list(edge_matrix._blocks(weights))
+    assert [i for lo, hi in ranges for i in range(lo, hi)] == list(
+        range(len(weights)))
+    for i, (lo, hi) in enumerate(ranges):
+        assert lo < hi
+        assert hi - lo == 1 or sum(weights[lo:hi]) <= cells, (lo, hi)
+        if i + 1 < len(ranges):
+            assert sum(weights[lo:hi + 1]) > cells, (lo, hi)
+
+
+def test_row_dot_products_are_blocked_by_stored_entries():
+    """On 1024 disjoint K4s (n = 4096) the diagonal of B^6 is 8 at every
+    directed edge, as on one K4 computed densely. A block of Q_4 or Q_5
+    dots is bounded by the stored entries of the rows they slice, a few
+    per dot here, not by BLOCK_CELLS // n dots, so each gather of Q_4 or
+    Q_5 takes one entrywise product per DOTS pair."""
+    k4 = complete_graph(4)
+    assert set(np.diag(np.linalg.matrix_power(brute_B(k4), 6))) == {8}
+    g = Graph(4096, [(4 * c + u, 4 * c + v) for c in range(1024)
+                     for u, v in k4.edges])
+    gather, hadamard = EdgeSpace._gather, edge_matrix.checked_hadamard
+    products, per_gather = [], []  # one entry per entrywise product
+
+    def spy_gather(self, j, *args):
+        before = len(products)
+        out = gather(self, j, *args)
+        if j >= 4:
+            per_gather.append((j, len(products) - before))
+        return out
+
+    def spy_hadamard(*args):
+        products.append(args[-1])
+        return hadamard(*args)
+
+    with mock.patch.object(EdgeSpace, "_gather", spy_gather), \
+            mock.patch.object(edge_matrix, "checked_hadamard", spy_hadamard):
+        got = Evaluator(EdgeSpace(g)).eval(("rowsum", ("bpow", "I", 6)))
+    assert np.array_equal(got, np.full(2 * g.m, 8))
+    assert per_gather
+    assert all(count == len(DOTS[j]) for j, count in per_gather), per_gather
 
 
 def assert_traces_match_dense_power(g: Graph) -> None:
