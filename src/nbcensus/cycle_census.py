@@ -242,8 +242,9 @@ def eval_cycles(traces: dict[int, int],
 def full_census(space: EdgeSpace) -> CensusReport:
     """Corrections and cycle totals for one graph, sharing the power cache.
 
-    The traces come first, so the n x n blocks behind them, P_4 the
-    largest, are freed before the correction evaluator's memo is resident.
+    The traces come first, so their pairings of the n x n blocks are
+    freed before the correction evaluator's memo is resident; P_4 and P_5
+    are only ever formed by blocks of rows (``TRACE_TERMS``).
     The mains build no power of B: the masks B^2 and (B^2)^T are read by
     blocks of rows ("byrows"), and B^3..B^6 only at masks, as masked
     powers gathered from the blocks P_0..P_3, of which the space keeps the

@@ -60,17 +60,25 @@ of the first three is one ``Evaluator.run`` over a sequence:
                       ("bpow", ("colrev", "I"), k) the entries
                       B^k[e, rev e]: 2m-long gathers.
   ("byrows", X)       X one block of rows at a time, the blocks' values
-                      summed (a total), concatenated (a vector) or stacked.
-                      A block computes by rows each row-local node that X
-                      reads once: entrywise, "binom", "sshift", "scale",
-                      "div", "rowsum", "bpow" at its mask's rows, "mm" as
-                      its left factor's rows times its right factor, or X's
-                      own "total". It slices every other operand from its
-                      whole value: an atom, a transpose or reversal, or a
-                      node X reads twice (H_9's P_4, held for H_7 and H_8).
-                      By the rule of ``_blocks``, a row weighs the stored
-                      entries it brings of the sliced operands and of the
-                      products of a sliced left factor
+                      summed (a total, each of "totals" alone), concatenated
+                      (a vector) or stacked. A node is row-local when it is
+                      entrywise, "binom", "sshift", "scale", "div",
+                      "rowsum", "bpow" at its mask's rows, "mm" as its left
+                      factor's rows times its right factor, or a total that
+                      is X or that only X, a "totals", reads, and every read
+                      of it inside X is a row read by a row-local node. A
+                      block computes the rows of each once, keeping them
+                      until its last read in the block (P_4 of the trace
+                      pass, read by H_7, H_8, H_9 and P_5), and slices
+                      every other operand from its whole value: an atom, a
+                      transpose or reversal, or a node read whole, as a
+                      right factor is. By the rule of
+                      ``_blocks``, a row weighs the stored entries (dense:
+                      the width) of the sliced operands and, for a product,
+                      at most its right factor's width
+  ("totals", X, ...)  in "byrows" only: the tuple of the totals X, ...; a
+                      refused one is its IntegrityError and leaves the others
+  ("part", X, i)      item i of the tuple X, raised if it is a refusal
   ("hadnot", X, M)    zero out entries of X wherever M is nonzero
   ("add", X, Y), ("sub", X, Y)
   ("sshift", X, c)    subtract the integer c from every vector entry
@@ -376,9 +384,11 @@ ATOMS = {
 # P_3 P_2 + P_2 C A, and each P_j is symmetric, so (X Y')[x, y] is P_j's.
 # TRACE_TERMS: (k, term) pairs over the same atoms whose terms sum to
 # tr(B~^k), k = 3..9. Listed by h, the readers of each pairing H_h (and of
-# H_h c) are consecutive, so it is dropped after them. P_5 is read only by
-# the total of H_9, which is summed over row blocks of P_5 = P_4 A + P_3 C
-# ("byrows"), so P_5 is never held whole.
+# H_h c) are consecutive, so it is dropped after them. The totals that read
+# P_4, 1'H_7 1, c'H_7 1, 1'H_8 1 and 1'H_9 1, are the parts of one "byrows"
+# pass: each block forms its rows of P_4 = P_3 A + P_2 C once, and of
+# P_5 = P_4 A + P_3 C, and sums every pairing over them, so no walk block
+# above the atoms P_2 and P_3 is ever held whole.
 _P4 = ("add", ("mm", "P3", "A"), ("mm", "P2", "C"))
 WALKS = ("V", "A", "P2", "P3", _P4,
          ("add", ("mm", _P4, "A"), ("mm", "P3", "C")))
@@ -386,18 +396,24 @@ DOTS = {4: (("P2", "P2"), ("A", "AC")), 5: (("P3", "P2"), ("P2", "AC"))}
 
 
 def _trace_terms() -> tuple:
-    terms = []
+    terms = []  # (h, k, total, factor): tr(B~^k) takes factor times total
     for h in range(10):
-        pair = (WALKS[h - h // 2], WALKS[h // 2])
-        H = ("had", *pair)
+        H = ("had", WALKS[h - h // 2], WALKS[h // 2])
         Hc = ("mm", H, "c")
-        for k, term in ((h, ("byrows", ("total", H)) if h == 9
-                         else ("total", H)),
-                        (h + 2, ("scale", ("total", Hc), 2, 1)),
-                        (h + 4, ("total", ("had", "c", Hc)))):
+        for k, total, factor in ((h, ("total", H), 1),
+                                 (h + 2, ("total", Hc), 2),
+                                 (h + 4, ("total", ("had", "c", Hc)), 1)):
             if 3 <= k <= 9:
-                terms.append((k, term))
-    return tuple(terms)
+                terms.append((h, k, total, factor))
+    # the totals that read P_4 (h >= 7) are the parts of one row-blocked pass
+    reads_p4 = [t for h, _, t, _ in terms if h >= 7]
+    rows = ("byrows", ("totals", *reads_p4))
+    out = []
+    for h, k, t, factor in terms:
+        if h >= 7:
+            t = ("part", rows, reads_p4.index(t))
+        out.append((k, t if factor == 1 else ("scale", t, factor, 1)))
+    return tuple(out)
 
 
 TRACE_TERMS = _trace_terms()
@@ -405,10 +421,12 @@ TRACE_TERMS = _trace_terms()
 
 class EdgeSpace:
     """Shared home of B, the ATOMS built from it (the walk blocks that the
-    masked powers read among them), the vertex identity V and the traces.
+    masked powers read among them), the vertex atoms V, C and c and the
+    traces.
 
-    B and the ATOMS are built on first read and cached, V with the space,
-    and I, H, C and c on every read; keep one EdgeSpace per graph.
+    B and the ATOMS are built on first read and cached, V, C and c (read
+    only) with the space, and I and H on every read; keep one EdgeSpace per
+    graph.
     """
 
     def __init__(self, graph: Graph):
@@ -419,6 +437,10 @@ class EdgeSpace:
         self.stats: dict = {"peak_product_nnz": 0}
         self._cache: dict = {}
         self.V = sp.identity(graph.n, dtype=np.int64, format="csr")
+        self.c = 1 - np.bincount(self.index.tail,
+                                 minlength=graph.n).astype(np.int64)
+        self.c.flags.writeable = False
+        self.C = sp.diags(self.c, format="csr", dtype=np.int64)
 
     @property
     def size(self) -> int:
@@ -547,25 +569,21 @@ class EdgeSpace:
             self.index.tail, self.index.head, self.graph.n))
 
     def atom(self, name: str):
-        """B; the vertex identity V, held as every gather of an even Q_j
-        reads it; the uncached identity I, head incidence H and vertex atoms
-        C and c; or an ATOMS entry evaluated from its definition (each by its
-        own Evaluator, so the intermediates die with the build) and cached."""
-        n = self.graph.n
+        """B; the vertex atoms V, C and c, held as every gather of an even
+        Q_j reads V and every block of the trace pass C and c; the uncached
+        identity I and head incidence H; or an ATOMS entry evaluated from its
+        definition (each by its own Evaluator, so the intermediates die with
+        the build) and cached."""
         if name == "B":
             return self.B
-        if name == "V":
-            return self.V
+        if name in ("V", "C", "c"):
+            return getattr(self, name)
         if name == "I":
             return sp.identity(self.size, dtype=np.int64, format="csr")
         if name == "H":
             return sp.csr_matrix(
                 (np.ones(self.size, dtype=np.int64), self.index.head,
-                 np.arange(self.size + 1)), shape=(self.size, n))
-        if name in ("C", "c"):
-            c = 1 - np.bincount(self.index.tail, minlength=n).astype(np.int64)
-            return c if name == "c" else sp.diags(c, format="csr",
-                                                  dtype=np.int64)
+                 np.arange(self.size + 1)), shape=(self.size, self.graph.n))
         key, definition = ATOMS[name]
         return self._get(key, lambda: Evaluator(self).eval(definition))
 
@@ -633,33 +651,58 @@ class _Label:
         return repr(self.node)[:80] + self.note
 
 
-# the row-local ops ("byrows"), each with how many first operands it reads
-# by rows: a product its left factor, a masked power its mask
-_ROW_ARGS = {**dict.fromkeys(("had", "hadnot", "add", "sub"), 2),
+# the row-local ops ("byrows"), each with the operands it reads by rows: a
+# product its left factor, a masked power its mask, "totals" every total
+_ROW_ARGS = {**dict.fromkeys(("had", "hadnot", "add", "sub"), slice(1, 3)),
              **dict.fromkeys(("mm", "bpow", "sshift", "scale", "binom", "div",
-                              "rowsum", "total"), 1)}
+                              "rowsum", "total"), slice(1, 2)),
+             "totals": slice(1, None)}
 
 
-def _row_plan(x) -> tuple[dict, list]:
+def _row_plan(x) -> dict:
     """For ("byrows", X), by the module docstring's rule: the nodes of X a
-    block computes by rows, from X down, and the operands it reads whole."""
-    counts, todo = {}, [x]
+    block computes by rows, from X down, each with its number of reads in
+    X."""
+    reads, todo = {}, [x]  # node -> its reads in X: (reader, by rows?)
     while todo:
         node = todo.pop()
-        if isinstance(node, tuple):
-            counts[node] = counts.get(node, 0) + 1
-            todo.extend(node[1:])
-    local, whole, todo = {}, [], [x]
-    while todo:
+        rows = range(len(node))[_ROW_ARGS.get(node[0], slice(0))]
+        for i, y in enumerate(node[1:], 1):
+            if isinstance(y, tuple):
+                if y not in reads:
+                    reads[y] = []
+                    todo.append(y)
+                reads[y].append((node, i in rows))
+    local, todo = {}, [x]
+    while todo:  # a node is pushed once, by the last of its readers to join
         node = todo.pop()
-        if (isinstance(node, tuple) and counts[node] == 1 and node[0] in
-                _ROW_ARGS and (node is x or node[0] != "total")):
-            local[node] = None
-            todo.extend(reversed(node[1:1 + _ROW_ARGS[node[0]]]))
-            whole.extend(node[2:3] if node[0] == "mm" else ())
-        else:
-            whole.append(node)
-    return local, whole
+        local[node] = len(reads.get(node, ()))
+        todo.extend(y for y in dict.fromkeys(node[_ROW_ARGS[node[0]]])
+                    if y in reads and y[0] in _ROW_ARGS
+                    and all(row and r in local for r, row in reads[y])
+                    # a block's total is summed over blocks by "totals" alone
+                    and (y[0] != "total" or x[0] == "totals"
+                         and all(r == x for r, _ in reads[y])))
+    return local
+
+
+def _refused_or(f, *args):
+    """f(*args), or the IntegrityError that refused it, without the
+    traceback that would keep the refusing frames' rows alive."""
+    try:
+        return f(*args)
+    except IntegrityError as exc:
+        return exc.with_traceback(None)
+
+
+def _sum(parts, label) -> int:
+    """The guarded sum of a total's blocks; a refused block refuses it."""
+    total = 0
+    for part in parts:
+        if isinstance(part, IntegrityError):
+            raise part
+        total = checked_add(total, part, label, 1)
+    return int(total)
 
 
 def _reads(node) -> list:
@@ -668,8 +711,11 @@ def _reads(node) -> list:
     "sel" leaf reads nothing; its tuples are root pairs."""
     if node[0] == "sel":
         return []
-    kids = _row_plan(node[1])[1] if node[0] == "byrows" else node[1:]
-    return [x for x in kids if isinstance(x, tuple)]
+    if node[0] == "byrows":
+        local = _row_plan(node[1])
+        return [y for x in local for y in x[1:]
+                if isinstance(y, tuple) and y not in local]
+    return [x for x in node[1:] if isinstance(x, tuple)]
 
 
 class Evaluator:
@@ -744,26 +790,33 @@ class Evaluator:
 
     def _row_blocks(self, local: dict) -> list:
         """The blocks of rows (``_blocks``) of a "byrows" tree, weighing per
-        row the stored entries of its sliced operands and, for a product
-        with a sliced left factor L and right factor R, at most R's width
-        and rownnz(L R) <= |L| rownnz(R); other nodes hold no more than
-        their operands, as entrywise ops, masked powers and row sums do."""
-        weights = 0
+        row what its nodes hold: a sliced operand its stored entries, or
+        its width if dense, and a product L R, in place of its left factor,
+        at most R's width, and rownnz(L R) <= |L| rownnz(R) when L is sliced
+        and both are sparse; other nodes hold no more than their operands,
+        as entrywise ops, masked powers and row sums do."""
+        weights = rows = 0
         for node in local:
             right = self._eval(node[2]) if node[0] == "mm" else None
-            for Y in [self._eval(y) for y in node[1:1 + _ROW_ARGS[node[0]]]
-                      if y not in local]:
-                if sp.issparse(right):
-                    weights = weights + np.minimum(_row_sums(
-                        Y.indptr, np.diff(right.indptr)[Y.indices]),
-                        right.shape[1])
-                else:
-                    weights = weights + np.diff(Y.indptr)
-        return list(_blocks(weights)) or [(0, 0)]
+            for y in node[_ROW_ARGS[node[0]]]:
+                Y = None if y in local else self._eval(y)
+                if Y is not None:
+                    rows = Y.shape[0]
+                if right is not None:
+                    width = right.shape[1] if right.ndim == 2 else 1
+                    if sp.issparse(Y) and sp.issparse(right):
+                        width = np.minimum(_row_sums(
+                            Y.indptr, np.diff(right.indptr)[Y.indices]), width)
+                    weights = weights + width
+                elif Y is not None:
+                    weights = weights + (np.diff(Y.indptr) if sp.issparse(Y)
+                                         else int(np.prod(Y.shape[1:])))
+        return list(_blocks(np.broadcast_to(weights, rows))) or [(0, 0)]
 
     def _apply(self, expr, block=None):
-        """The value of ``expr``, or with ``block`` = (lo, hi, local) its
-        rows lo:hi, for a node of a "byrows" tree in ``local``."""
+        """The value of ``expr``, or with ``block`` = (lo, hi, local, held)
+        its rows lo:hi, for a node of a "byrows" tree in ``local``; ``held``
+        keeps the block's rows of each local node until its last read."""
         op = expr[0]
         s = self.space
         label = _Label(expr)
@@ -771,10 +824,13 @@ class Evaluator:
         def arg(y):  # an operand, or in a block its rows: computed or sliced
             if block is None:
                 return self._eval(y)
-            lo, hi, local = block
-            if y in local:
-                return self._apply(y, block)
-            return self._eval(y)[lo:hi]
+            lo, hi, local, held = block
+            if y not in local:
+                return self._eval(y)[lo:hi]
+            val, left = held.pop(y, None) or (self._apply(y, block), local[y])
+            if left > 1:
+                held[y] = val, left - 1
+            return val
         if op == "adj":
             return s.adj
         if op == "sel":
@@ -798,18 +854,27 @@ class Evaluator:
             return s.bpow(arg(expr[1]), expr[2], label,
                           block[0] if block else 0)
         if op == "byrows":
-            local = _row_plan(expr[1])[0]
+            x, local = expr[1], _row_plan(expr[1])
             # a total's block is dropped once its total is taken
-            parts = [self._apply(expr[1], (lo, hi, local))
+            parts = [self._apply(x, (lo, hi, local, {}))
                      for lo, hi in self._row_blocks(local)]
             if sp.issparse(parts[0]):
                 return sp.vstack(parts, format="csr")
             if isinstance(parts[0], np.ndarray):
                 return np.concatenate(parts)
-            total = 0
-            for part in parts:
-                total = checked_add(total, part, label, 1)
-            return int(total)
+            if x[0] == "totals":
+                return tuple(_refused_or(_sum, column, _Label(y))
+                             for y, column in zip(x[1:], zip(*parts)))
+            return _sum(parts, label)
+        if op == "totals":  # one refused total leaves the others
+            if block is None:
+                raise ValueError('"totals" is evaluated by "byrows" only')
+            return tuple(_refused_or(arg, y) for y in expr[1:])
+        if op == "part":
+            val = self._eval(expr[1])[expr[2]]
+            if isinstance(val, IntegrityError):
+                raise val
+            return val
         if op == "hadnot":
             a, m = arg(expr[1]), arg(expr[2])
             drop = a.multiply(m != 0)

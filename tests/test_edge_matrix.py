@@ -6,7 +6,9 @@ are certified elsewhere against the embedding oracle.
 """
 
 import itertools
+import random
 import re
+import tracemalloc
 from math import comb
 from unittest import mock
 
@@ -467,16 +469,23 @@ def trace_blocks() -> list:
     return P
 
 
-# The trees that "byrows" computes by blocks of rows, each with its whole
-# definition as the parent tree wrote it: tri, square, the total of H_9,
-# the masked power of F20 and F33, and the main of F32.
+# The trace terms that read P_4 (H_7, 2 c'H_7 1, H_8 and H_9), as the parts
+# of the one "byrows" pass of TRACE_TERMS, and that pass.
 _P = trace_blocks()
+_READS_P4 = (("total", ("had", _P[4], _P[3])),
+             ("total", ("mm", ("had", _P[4], _P[3]), "c")),
+             ("total", ("had", _P[4], _P[4])),
+             ("total", ("had", _P[5], _P[4])))
+P4_PASS = ("byrows", ("totals", *_READS_P4))
+
+# The trees that "byrows" computes by blocks of rows, each with its whole
+# definition as the parent tree wrote it: tri, square, each total of the
+# trace pass, the masked power of F20 and F33, and the main of F32.
 _MAINS = {name: main for name, main, _, _ in CORRECTIONS}
 BY_ROWS = [
     ("tri", ("had", "B2", ("T", "B"))),
     ("square", ("had", "B2", ("T", "B2"))),
-    (("byrows", ("total", ("had", _P[5], _P[4]))),
-     ("total", ("had", _P[5], _P[4]))),
+    *[(("part", P4_PASS, i), total) for i, total in enumerate(_READS_P4)],
     (_MAINS["F20"][1][1], ("bpow", ("T", "B2"), 3)),
     (_MAINS["F32"], ("total", ("had", DIAGONALS[3], ("mm", (
         "bpow", "B2", 3), DIAGONALS[3])))),
@@ -521,18 +530,21 @@ def test_row_blocked_trees_match_their_whole_definitions(g):
 def test_trace_on_k200_is_exact_or_refused():
     """tr(B^7) on K_200 is 1.19e16 and exact; tr(B^9) is 4.77e20, beyond
     int64, so the guard must refuse it rather than wrap. The refusal names
-    B^9 and then, as every guard does, the refused node: 2 c'H_7 1."""
+    B^9 and then, as every guard does, the refused node: 2 c'H_7 1, a part
+    of the row-blocked pass whose H_9 total refuses too."""
     space = EdgeSpace(complete_graph(200))
     assert space.trace(7) == complete_graph_trace(200, 7)
     assert complete_graph_trace(200, 9) > 2 ** 63
-    P = trace_blocks()
-    term = ("scale", ("total", ("mm", ("had", P[4], P[3]), "c")), 2, 1)
+    term = ("scale", ("part", P4_PASS, 1), 2, 1)
     assert (9, term) in TRACE_TERMS
     with pytest.raises(IntegrityError, match="B\\^9") as refused:
         space.trace(9)
     assert str(refused.value) == (
         f"trace:B^9: {repr(term)[:80]}: rescaled entry bound 4.77254e+18 "
         "exceeds the int64 guard")
+    totals = Evaluator(space).eval(P4_PASS)
+    assert [isinstance(t, IntegrityError) for t in totals] == [
+        False, False, False, True]
 
 
 class IharaBassSpace(EdgeSpace):
@@ -719,14 +731,13 @@ def test_run_changes_no_value(g):
 
 
 def test_run_drops_each_node_after_its_last_reader():
-    """While the trace terms run, P_5 and its products P_4 A and P_3 C are
-    never held whole: the row blocks of the "byrows" total of H_9 =
-    P_5 o P_4 slice P_4, which that tree reads twice, by then the last node
-    left but the pairings' totals; P_2 and P_3 are atoms,
-    which the space keeps and the run never holds; the memo is empty
-    after."""
+    """While the trace terms run, no walk block above P_3 is held whole:
+    P_4, P_5 and the products P_3 A and P_4 A are row-local in the one
+    "byrows" pass of the terms that read P_4, which forms P_3[lo:hi] A once
+    per block; P_2 and P_3 are atoms, which the space keeps and the run
+    never holds; the memo is empty after."""
     P = trace_blocks()
-    held, at_blocks = set(), set()
+    held, at_blocks, blocks, products = set(), set(), [], []
 
     class Spy(Evaluator):
         def _eval(self, expr):
@@ -739,18 +750,133 @@ def test_run_drops_each_node_after_its_last_reader():
                 at_blocks.update(self._memo)
             return super()._apply(expr, block)
 
+        def _row_blocks(self, local):
+            out = super()._row_blocks(local)
+            blocks.append(out)
+            return out
+
+    def spy(A, B, label, stats=None):
+        products.append(getattr(label, "node", label))
+        return checked_matmul(A, B, label, stats)
+
     space = EdgeSpace(er_graph(12, 0.4, 62))
     ev = Spy(space)
-    list(ev.run(term for _, term in TRACE_TERMS))
-    h9 = ("byrows", ("total", ("had", P[5], P[4])))
-    assert h9 in {term for _, term in TRACE_TERMS}
-    for never in (P[5], ("mm", P[4], "A"), ("mm", P[3], "C")):
+    with mock.patch.object(edge_matrix, "BLOCK_CELLS", 60), \
+            mock.patch.object(edge_matrix, "checked_matmul", spy):
+        list(ev.run(term for _, term in TRACE_TERMS))
+    assert {term[1] for _, term in TRACE_TERMS if term[0] == "part"} == {
+        P4_PASS}
+    for never in (P[4], P[5], ("mm", P[3], "A"), ("mm", P[4], "A"),
+                  ("mm", P[2], "C"), ("mm", P[3], "C")):
         assert never not in held, never
-    assert P[4] in at_blocks
-    assert all(node[0] == "total" or node == P[4]
-               for node in at_blocks), at_blocks
+    assert not at_blocks, at_blocks
+    (pass_blocks,) = blocks
+    assert len(pass_blocks) > 1
+    assert products.count(("mm", P[3], "A")) == len(pass_blocks)
+    assert products.count(("mm", P[4], "A")) == len(pass_blocks)
     assert {ATOMS[p][0] for p in P[2:4]} <= set(space._cache)
     assert not ev._memo and not ev._readers
+
+
+def test_a_row_local_node_read_twice_is_formed_once_per_block():
+    """In ("had", X, X) with X row-local, a block forms its rows of X once
+    and reads them twice."""
+    g, X = petersen_graph(), ("mm", "B", "B")
+    products, blocks = [], []
+
+    class Spy(Evaluator):
+        def _row_blocks(self, local):
+            out = super()._row_blocks(local)
+            blocks.extend(out)
+            return out
+
+    def spy(A, B, label, stats=None):
+        products.append(getattr(label, "node", label))
+        return checked_matmul(A, B, label, stats)
+
+    with mock.patch.object(edge_matrix, "BLOCK_CELLS", 7), \
+            mock.patch.object(edge_matrix, "checked_matmul", spy):
+        got = Spy(EdgeSpace(g)).eval(("byrows", ("total", ("had", X, X))))
+    B2 = brute_B(g) @ brute_B(g)
+    assert got == int((B2 * B2).sum())
+    assert len(blocks) > 1 and products.count(X) == len(blocks)
+
+
+def test_a_row_blocked_tree_slices_dense_operands():
+    """A dense operand's row weighs its width: the total of c o c (c = 1 - d)
+    by blocks of rows is the sum of the squares of 1 - d."""
+    g = Graph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
+    ev = Evaluator(EdgeSpace(g))
+    assert ev.eval(("total", ("had", "c", "c"))) == 10
+    with mock.patch.object(edge_matrix, "BLOCK_CELLS", 1):
+        assert ev.eval(("byrows", ("total", ("had", "c", "c")))) == 10
+
+
+def test_a_product_of_a_row_local_factor_weighs_its_right_width():
+    """A product L A with L row-local weighs A's width per row: on the
+    Petersen graph (n = 10, degree 3) a row of ("mm", ("had", A, A), A)
+    weighs the 2 x 3 entries of the sliced A rows plus 10, so blocks of
+    16 cells hold one row each (without the product's weight, two)."""
+    x = ("total", ("mm", ("had", "A", "A"), "A"))
+    ev = Evaluator(EdgeSpace(petersen_graph()))
+    with mock.patch.object(edge_matrix, "BLOCK_CELLS", 16):
+        blocks = ev._row_blocks(edge_matrix._row_plan(x))
+        assert ev.eval(("byrows", x)) == ev.eval(x) == 90
+    assert blocks == [(v, v + 1) for v in range(10)]
+
+
+def test_trace_table_holds_no_p4_whole():
+    """On a uniform graph of 3000 vertices and 9000 edges the trace table,
+    atoms included, peaks (tracemalloc) below the bytes that P_4 would take
+    whole, nnz(P_4) (8 + 4): its int64 values and int32 column indices.
+    About 2 s."""
+    n, rng, edges = 3000, random.Random(5), set()
+    while len(edges) < 3 * n:
+        u, v = rng.sample(range(n), 2)
+        edges.add((min(u, v), max(u, v)))
+    g = Graph(n, sorted(edges))
+    space = EdgeSpace(g)
+    tracemalloc.start()
+    try:
+        space._trace_table()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    P4 = Evaluator(EdgeSpace(g)).eval(trace_blocks()[4])
+    assert P4.indices.dtype == np.int32
+    assert peak < P4.nnz * (8 + 4), (peak, P4.nnz)
+
+
+def test_refusing_blocks_hold_no_rows():
+    """On K_200 the total of H_9 = P_5 o P_4 is refused in each of the 50
+    blocks of the trace pass (BLOCK_CELLS patched to 4096). The refusals
+    kept until the pass ends hold no traceback, so the blocks together
+    peak (tracemalloc, from the cut of the blocks on) below the bytes of
+    P_4 whole; holding each refusing block's frames with its rows of P_4
+    and P_5 takes about 2.6 times that."""
+    space = EdgeSpace(complete_graph(200))
+    P4 = Evaluator(space).eval(trace_blocks()[4])
+
+    class Spy(Evaluator):
+        def _row_blocks(self, local):
+            out = super()._row_blocks(local)
+            blocks.extend(out)
+            tracemalloc.reset_peak()
+            return out
+
+    blocks = []
+    tracemalloc.start()
+    try:
+        with mock.patch.object(edge_matrix, "BLOCK_CELLS", 4096):
+            totals = Spy(space).eval(P4_PASS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(blocks) == 50
+    assert [isinstance(t, IntegrityError) for t in totals] == [
+        False, False, False, True]
+    assert "entry total bound" in str(totals[3])
+    assert peak < P4.nnz * (8 + 4), (peak, P4.nnz)
 
 
 def test_each_walk_block_is_formed_once_per_census():
