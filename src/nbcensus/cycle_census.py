@@ -86,10 +86,13 @@ D3, D4, D5, D6 = (DIAGONALS[k] for k in range(3, 7))
 # is taken after its mask, which is exact because the masks square,
 # colrev(square) and (B^2)^T are 0/1, as B^2 of a simple graph is.
 _SQTT = ("bpow", ("colrev", "square"), 3)
-# the masks (B^2)^T = (B^T)^2 of F20 and F33 and B^2 of F32, read by blocks
-# of rows; F32 keeps of each block its rows of (B^2 o B^3) D3.
-_TB2C = ("byrows", ("bpow", ("mm", ("T", "B"), ("T", "B")), 3))
-_B2C_D3 = ("byrows", ("mm", ("bpow", ("mm", "B", "B"), 3), D3))
+# F20, F32 and F33 are the totals of one pass by blocks of rows over their
+# masks (B^2)^T = (B^T)^2 and B^2: a block forms its rows of B^T B^T, B B
+# and the masked powers at them once, and keeps only its three totals.
+_TB2C = ("bpow", ("mm", ("T", "B"), ("T", "B")), 3)
+_MASKED = ("byrows", ("totals", ("total", ("binom", _TB2C, 2)),
+                      _form(D3, ("bpow", ("mm", "B", "B"), 3), D3),
+                      ("total", ("binom", _TB2C, 3))))
 # the transpose of B^2 o (B^3)^T o rowrev(B^2) o colrev(B^2), since
 # (B^k)^T = J B^k J for the reversal J and rowrev(B^2), colrev(B^2) are
 # symmetric: a total is unchanged by transposing, or reversing the rows or
@@ -130,7 +133,7 @@ CORRECTIONS: tuple[tuple[str, tuple, tuple[tuple[int, str], ...], int], ...] = (
      ((6, "F14"), (8, "F4"), (10, "F9"), (16, "F13")), 4),
     ("F18", ("total", _PNT), (), 4),
     ("F19", ("total", ("bpow", _PNT, 2)), (), 4),
-    ("F20", ("total", ("binom", _TB2C, 2)), (), 2),
+    ("F20", ("part", _MASKED, 0), (), 2),
     ("F21", _inner(_QLOOP, ("rowsum", _SQR)),
      ((8, "F2"), (4, "F9"), (24, "F5")), 4),
     ("F22", _inner(_QLOOP, ("rowsum", _SQL)),
@@ -166,10 +169,10 @@ CORRECTIONS: tuple[tuple[str, tuple, tuple[tuple[int, str], ...], int], ...] = (
     ("F31", _inner(("binom", D4, 2), D3),
      ((12, "F5"), (24, "F7"), (2, "F9"), (8, "F18"), (10, "F19"),
       (2, "F23"), (2, "F24"), (6, "F25")), 2),
-    ("F32", _inner(D3, _B2C_D3),
+    ("F32", ("part", _MASKED, 1),
      ((4, "F2"), (12, "F5"), (72, "F7"), (14, "F9"), (24, "F19"),
       (8, "F21"), (8, "F22"), (24, "F25")), 8),
-    ("F33", ("total", ("binom", _TB2C, 3)), (), 2),
+    ("F33", ("part", _MASKED, 2), (), 2),
     ("F34", _form(D3, "B", D6),
      ((6, "F1"), (36, "F2"), (48, "F3"), (36, "F5"), (144, "F7"),
       (44, "F9"), (8, "F14"), (48, "F19"), (48, "F21"), (16, "F22"),
@@ -245,10 +248,10 @@ def full_census(space: EdgeSpace) -> CensusReport:
     The traces come first, so their pairings of the n x n blocks are
     freed before the correction evaluator's memo is resident; P_4 and P_5
     are only ever formed by blocks of rows (``TRACE_TERMS``).
-    The mains build no power of B: the masks B^2 and (B^2)^T are read by
-    blocks of rows ("byrows"), and B^3..B^6 only at masks, as masked
-    powers gathered from the blocks P_0..P_3, of which the space keeps the
-    atoms P_2 and P_3 from the traces (``EdgeSpace.bpow``).
+    The mains build no power of B: F20, F32 and F33, which read the masks
+    B^2 and (B^2)^T, are the totals of one pass by blocks of rows, and
+    B^3..B^6 are read at masks, as masked powers gathered from P_0..P_3,
+    of which the space keeps the atoms P_2 and P_3 (``EdgeSpace.bpow``).
     """
     traces = {k: space.trace(k) for k in range(3, 10)}
     f = eval_walk_corrections(space)

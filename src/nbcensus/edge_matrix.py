@@ -51,8 +51,8 @@ of the first three is one ``Evaluator.run`` over a sequence:
                       + Q_(k-3)[a,d] + [f = e] (even k) or - [f = rev e]
                       (odd k). B^k reads only the atoms of Q_(k-3)..Q_(k-1),
                       built on first read: A, and P2, P3, AC from k = 3, 4, 5.
-                      ``EdgeSpace.bpow`` reads Q_0..Q_3 by dense blocks of
-                      rows, Q_4 and Q_5 as guarded row dot products (DOTS),
+                      ``EdgeSpace.bpow`` reads the rows of Q_0..Q_3 it needs
+                      dense, Q_4 and Q_5 as guarded row dot products (DOTS),
                       and sums them under a bound on the values gathered.
                       By the rule of ``_blocks``, a vertex weighs its dense
                       row (n cells) and mask entries, a dot its rows' entries.
@@ -60,22 +60,21 @@ of the first three is one ``Evaluator.run`` over a sequence:
                       ("bpow", ("colrev", "I"), k) the entries
                       B^k[e, rev e]: 2m-long gathers.
   ("byrows", X)       X one block of rows at a time, the blocks' values
-                      summed (a total, each of "totals" alone), concatenated
-                      (a vector) or stacked. A node is row-local when it is
+                      stacked (X a matrix) or, with X a "totals", each
+                      total summed over them. A node is row-local when it is
                       entrywise, "binom", "sshift", "scale", "div",
                       "rowsum", "bpow" at its mask's rows, "mm" as its left
                       factor's rows times its right factor, or a total that
-                      is X or that only X, a "totals", reads, and every read
-                      of it inside X is a row read by a row-local node. A
-                      block computes the rows of each once, keeping them
-                      until its last read in the block (P_4 of the trace
-                      pass, read by H_7, H_8, H_9 and P_5), and slices
-                      every other operand from its whole value: an atom, a
-                      transpose or reversal, or a node read whole, as a
-                      right factor is. By the rule of
-                      ``_blocks``, a row weighs the stored entries (dense:
-                      the width) of the sliced operands and, for a product,
-                      at most its right factor's width
+                      only X, a "totals", reads, and every read of it inside
+                      X is a row read by a row-local node. A block computes
+                      the rows of each once, keeping them until its last
+                      read in the block (P_4 of the trace pass, read by H_7,
+                      H_8, H_9 and P_5), and slices every other operand from
+                      its whole value: an atom, a transpose or reversal, or
+                      a node read whole, as a right factor is. By the rule
+                      of ``_blocks``, a row weighs the stored entries
+                      (dense: the width) of the sliced operands and, for a
+                      product, at most its right factor's width
   ("totals", X, ...)  in "byrows" only: the tuple of the totals X, ...; a
                       refused one is its IntegrityError and leaves the others
   ("part", X, i)      item i of the tuple X, raised if it is a refusal
@@ -464,15 +463,15 @@ class EdgeSpace:
         of M, as four gathers from Q blocks (module docstring, "bpow"); M
         may be the block of a mask's rows from row ``lo`` on.
 
-        M's own rows are grouped by head vertex for the two [b, .] terms
-        and by tail vertex for the two [a, .] terms, and each block of
-        vertices (``_blocks``, a vertex weighing its n cells of ``buf`` and
-        the stored entries of its edges' rows of M) reads a dense
-        block of rows of each Q_j it needs (``_gather``), so neither Q_j nor
-        the whole of M's row and endpoint arrays is ever held. Each sum is
-        checked against a running bound: 1 (the I or J term), or in the
-        second pass the first pass's largest, which bounds what it left,
-        plus each max|Q_j| gathered.
+        M's own rows are grouped by head vertex for the two [b, .] terms and by
+        tail vertex for the two [a, .] terms, and each block of vertices
+        (``_blocks``, a vertex weighing its n cells of ``buf`` and the stored
+        entries of its edges' rows of M) reads the dense rows of each Q_j it
+        needs at its vertices with mask entries (``_gather``), so neither Q_j
+        nor the whole of M's row and endpoint arrays is ever held. Each sum is
+        checked against a running bound: 1 (the I or J term), or in the second
+        pass the first pass's largest, which bounds what it left, plus each
+        max|Q_j| gathered.
         """
         if not 1 <= k <= 6:
             raise ValueError("bpow takes k in 1..6")
@@ -498,6 +497,7 @@ class EdgeSpace:
                 pos, e = _row_entries(M.indptr, order[ptr[vlo]:ptr[vhi]])
                 # at: where each entry's row starts in dense rows vlo:vhi
                 f, at = M.indices[pos], (ends[e] - vlo) * n
+                read = vlo + np.flatnonzero(weights[vlo:vhi] > n)
                 acc = np.zeros(pos.size, dtype=np.int64)
                 if not by_tail:  # the I or J term, once per entry
                     if k % 2:
@@ -507,7 +507,7 @@ class EdgeSpace:
                 bound = carried
                 for j, end, op in terms:
                     if j >= 0 and pos.size:
-                        q = self._gather(j, vlo, vhi, at + end[f], buf, label)
+                        q = self._gather(j, vlo, read, at + end[f], buf, label)
                         bound += _max_abs(q)
                         _refuse_beyond(bound, label, "sum")
                         op(acc, q, out=acc)
@@ -519,13 +519,13 @@ class EdgeSpace:
         out.eliminate_zeros()
         return out
 
-    def _gather(self, j: int, lo: int, hi: int, at, buf,
+    def _gather(self, j: int, lo: int, rows, at, buf,
                 label) -> np.ndarray:
-        """Q_j[x, y] for vertices x in lo:hi, at the cells at = (x - lo) n + y
-        of dense rows lo:hi: the blocks P_i, i <= 3, of Q_j (WALKS) are added
-        into ``buf`` (zero, and zeroed again after); the P_4 of Q_4 = P_4 +
-        Q_2 and the P_5 of Q_5 = P_5 + Q_3 are guarded row dot products of
-        the DOTS atoms, in ``_blocks`` where a dot weighs its rows' entries."""
+        """Q_j[x, y] for x in ``rows``, at the cells at = (x - lo) n + y of
+        dense rows from lo on: those rows of the blocks P_i, i <= 3, of Q_j
+        (WALKS) are added into ``buf`` (zero, and zeroed after); the P_4 of
+        Q_4 = P_4 + Q_2 and the P_5 of Q_5 = P_5 + Q_3 are guarded row dot
+        products (DOTS), ``_blocks`` weighing a dot by its rows' entries."""
         n = self.graph.n
         written = []
         # at most two blocks, P_i and P_(i-2): guarded values, so each is
@@ -534,10 +534,9 @@ class EdgeSpace:
         # duplicate entries, so the scatter adds each entry once.
         for i in range(j % 2, min(j, 3) + 1, 2):
             P = self.atom(WALKS[i])
-            s, t = P.indptr[lo], P.indptr[hi]
-            flat = (np.repeat(np.arange(hi - lo, dtype=np.int64) * n,
-                              np.diff(P.indptr[lo:hi + 1])) + P.indices[s:t])
-            buf[flat] += P.data[s:t]
+            pos, x = _row_entries(P.indptr, rows)
+            flat = (x - lo) * n + P.indices[pos]
+            buf[flat] += P.data[pos]
             written.append(flat)
         out = buf[at]
         for flat in written:
@@ -858,14 +857,12 @@ class Evaluator:
             # a total's block is dropped once its total is taken
             parts = [self._apply(x, (lo, hi, local, {}))
                      for lo, hi in self._row_blocks(local)]
-            if sp.issparse(parts[0]):
-                return sp.vstack(parts, format="csr")
-            if isinstance(parts[0], np.ndarray):
-                return np.concatenate(parts)
             if x[0] == "totals":
                 return tuple(_refused_or(_sum, column, _Label(y))
                              for y, column in zip(x[1:], zip(*parts)))
-            return _sum(parts, label)
+            if not sp.issparse(parts[0]):
+                raise ValueError(f"{label}: byrows needs a matrix or totals")
+            return sp.vstack(parts, format="csr")
         if op == "totals":  # one refused total leaves the others
             if block is None:
                 raise ValueError('"totals" is evaluated by "byrows" only')

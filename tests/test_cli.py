@@ -468,10 +468,11 @@ def test_degree_600_hub_census_fits_under_a_700_mb_cap(tmp_path):
     """Four hubs of degree 600 over the benchmark's hub background (n=1991,
     nnz(B^2) = 14.2M; B^3, which the census no longer builds, has 69.5M):
     the cycle census completes with the child's address space capped at
-    700 MB. It needs about 0.5 GB of address space (0.37 GB RSS) now that
-    no count builds B^2; while F20, F32 and F33 read B^2 whole it peaked at
-    0.8 GB RSS and failed under a 900 MB cap, and whole copies of B^3 ran
-    out of memory under 4.5 GB."""
+    700 MB. It peaks at about 0.21 GB RSS now that F20, F32 and F33 keep
+    only the totals of their blocks of rows (0.37 GB while F20 and F33
+    stacked B^3 at (B^2)^T); while they read B^2 whole it peaked at 0.8 GB
+    RSS and failed under a 900 MB cap, and whole copies of B^3 ran out of
+    memory under 4.5 GB."""
     result, edges = _hub_census(tmp_path, int(7e8))
     assert result.returncode == 0, result.stderr
     report = json.loads((tmp_path / "report.json").read_text())
@@ -485,11 +486,11 @@ def test_degree_600_hub_census_fits_under_a_700_mb_cap(tmp_path):
 
 
 def test_census_out_of_memory_is_one_error_line(tmp_path):
-    """Under a 1 GB cap the census of four degree-1000 hubs runs out of
-    memory (it peaks at about 1.75 GB RSS uncapped, while the degree-800
-    census, at about 0.86 GB, now fits): the run ends with exit 1, one
+    """Under a 1 GB cap the census of four degree-1399 hubs runs out of
+    memory (it peaks at about 1.8 GB RSS uncapped, while the degree-1000
+    census, at about 0.6 GB, now fits): the run ends with exit 1, one
     ``error: cycles:`` line and no report, not a traceback."""
-    result, _ = _hub_census(tmp_path, int(1e9), p=0.50)
+    result, _ = _hub_census(tmp_path, int(1e9), p=0.70)
     assert result.returncode == 1, result.stderr
     assert "Traceback" not in result.stderr
     errors = [line for line in result.stderr.splitlines()

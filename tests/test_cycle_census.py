@@ -5,6 +5,7 @@ certify each one independently before they are combined into cycles.
 """
 
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -225,6 +226,30 @@ def test_census_builds_no_cube_on_a_hub_graph():
     assert ("pow", 3) not in space._cache
     n, b2 = space.graph.n, space.atom("B2").nnz
     assert 0 < space.stats["peak_product_nnz"] <= max(b2, n * n)
+
+
+def test_f20_f32_f33_are_the_parts_of_one_row_blocked_pass():
+    """F20, F32 and F33 are the totals of one "byrows" pass over their
+    B^2-sized masks, and no other main reads a "byrows" node."""
+    mains = {name: main for name, main, _, _ in CORRECTIONS}
+    rows = mains["F20"][1]
+    assert rows[0] == "byrows" and rows[1][0] == "totals"
+    assert [mains[f] for f in ("F20", "F32", "F33")] == [
+        ("part", rows, i) for i in range(3)]
+    assert {node for main in mains.values() for node in nodes(main)
+            if node[0] == "byrows"} == {rows}
+
+
+def test_census_stacks_no_row_blocks():
+    """With tri and square, the two stacked "byrows" atoms, built, the
+    corrections of a hub graph stack no blocks of rows: F20, F32 and F33
+    keep only each block's totals."""
+    space = EdgeSpace(hub_graph())
+    space.atom("tri")
+    space.atom("square")
+    with mock.patch.object(sp, "vstack", wraps=sp.vstack) as vstack:
+        eval_walk_corrections(space)
+    assert vstack.call_count == 0
 
 
 def test_corrections_are_subgraph_counts():

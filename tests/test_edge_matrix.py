@@ -478,17 +478,23 @@ _READS_P4 = (("total", ("had", _P[4], _P[3])),
              ("total", ("had", _P[5], _P[4])))
 P4_PASS = ("byrows", ("totals", *_READS_P4))
 
+# F20, F32 and F33, the totals of the census's one "byrows" pass, as whole
+# definitions over B^2 (B^3 at (B^2)^T and at B^2), and that pass.
+_MASKED_WHOLE = (("total", ("binom", ("bpow", ("T", "B2"), 3), 2)),
+                 ("total", ("had", DIAGONALS[3], ("mm", (
+                     "bpow", "B2", 3), DIAGONALS[3]))),
+                 ("total", ("binom", ("bpow", ("T", "B2"), 3), 3)))
+MASKED_PASS = {name: main for name, main, _, _ in CORRECTIONS}["F20"][1]
+
 # The trees that "byrows" computes by blocks of rows, each with its whole
 # definition as the parent tree wrote it: tri, square, each total of the
-# trace pass, the masked power of F20 and F33, and the main of F32.
-_MAINS = {name: main for name, main, _, _ in CORRECTIONS}
+# trace pass and each total of the census pass.
 BY_ROWS = [
     ("tri", ("had", "B2", ("T", "B"))),
     ("square", ("had", "B2", ("T", "B2"))),
     *[(("part", P4_PASS, i), total) for i, total in enumerate(_READS_P4)],
-    (_MAINS["F20"][1][1], ("bpow", ("T", "B2"), 3)),
-    (_MAINS["F32"], ("total", ("had", DIAGONALS[3], ("mm", (
-        "bpow", "B2", 3), DIAGONALS[3])))),
+    *[(("part", MASKED_PASS, i), whole)
+      for i, whole in enumerate(_MASKED_WHOLE)],
 ]
 
 
@@ -501,7 +507,6 @@ def test_row_blocked_trees_match_their_whole_definitions(g):
     tree equals its whole definition, and a masked power at a block of a
     mask's rows (an empty one, one of odd length) equals those rows of the
     masked power at the whole mask."""
-    assert _MAINS["F33"][1][1] == _MAINS["F20"][1][1]
     with mock.patch.object(edge_matrix, "BLOCK_CELLS", 7):
         space = EdgeSpace(g)
         for tree, whole in BY_ROWS:
@@ -525,6 +530,25 @@ def test_row_blocked_trees_match_their_whole_definitions(g):
                     got = space.bpow(M[lo:hi], k, "block", lo)
                     assert got.shape == (hi - lo, size), (m, k, lo, hi)
                     assert (got != whole[lo:hi]).nnz == 0, (m, k, lo, hi)
+
+
+def test_a_masked_power_fills_only_the_walk_rows_it_reads():
+    """A masked power at two mask rows, one edge both ways, fills of each
+    walk block only the rows at that edge's ends, not every row of the
+    block of vertices they fall in."""
+    space = EdgeSpace(petersen_graph())
+    walks = {id(space.atom(name).indptr) for name in edge_matrix.WALKS[:4]}
+    filled, row_entries = set(), edge_matrix._row_entries
+
+    def spy(indptr, rows):
+        if id(indptr) in walks:
+            filled.update(rows.tolist())
+        return row_entries(indptr, rows)
+
+    with mock.patch.object(edge_matrix, "_row_entries", spy):
+        space.bpow(space.B[4:6], 3, "two rows", 4)
+    ends = {int(space.index.head[4]), int(space.index.tail[4])}
+    assert filled and filled <= ends
 
 
 def test_trace_on_k200_is_exact_or_refused():
@@ -796,7 +820,8 @@ def test_a_row_local_node_read_twice_is_formed_once_per_block():
 
     with mock.patch.object(edge_matrix, "BLOCK_CELLS", 7), \
             mock.patch.object(edge_matrix, "checked_matmul", spy):
-        got = Spy(EdgeSpace(g)).eval(("byrows", ("total", ("had", X, X))))
+        got = Spy(EdgeSpace(g)).eval(
+            ("part", ("byrows", ("totals", ("total", ("had", X, X)))), 0))
     B2 = brute_B(g) @ brute_B(g)
     assert got == int((B2 * B2).sum())
     assert len(blocks) > 1 and products.count(X) == len(blocks)
@@ -809,7 +834,16 @@ def test_a_row_blocked_tree_slices_dense_operands():
     ev = Evaluator(EdgeSpace(g))
     assert ev.eval(("total", ("had", "c", "c"))) == 10
     with mock.patch.object(edge_matrix, "BLOCK_CELLS", 1):
-        assert ev.eval(("byrows", ("total", ("had", "c", "c")))) == 10
+        assert ev.eval(("part", ("byrows", ("totals", (
+            "total", ("had", "c", "c")))), 0)) == 10
+
+
+def test_row_blocks_of_a_vector_are_refused():
+    """"byrows" stacks a matrix or sums "totals": a vector X, such as the
+    row sums of tri, is a ValueError that names the node."""
+    node = ("byrows", ("rowsum", "tri"))
+    with pytest.raises(ValueError, match=re.escape(repr(node))):
+        Evaluator(EdgeSpace(petersen_graph())).eval(node)
 
 
 def test_a_product_of_a_row_local_factor_weighs_its_right_width():
@@ -820,8 +854,9 @@ def test_a_product_of_a_row_local_factor_weighs_its_right_width():
     x = ("total", ("mm", ("had", "A", "A"), "A"))
     ev = Evaluator(EdgeSpace(petersen_graph()))
     with mock.patch.object(edge_matrix, "BLOCK_CELLS", 16):
-        blocks = ev._row_blocks(edge_matrix._row_plan(x))
-        assert ev.eval(("byrows", x)) == ev.eval(x) == 90
+        blocks = ev._row_blocks(edge_matrix._row_plan(("totals", x)))
+        assert ev.eval(("part", ("byrows", ("totals", x)), 0)) == ev.eval(
+            x) == 90
     assert blocks == [(v, v + 1) for v in range(10)]
 
 
