@@ -30,9 +30,9 @@ of the first three is one ``Evaluator.run`` over a sequence:
       "chordless3", "join". Each ATOMS entry is itself a definition in
       this language, which ``EdgeSpace.atom`` evaluates once and caches; it
       is the one accessor of a named matrix.
-      The step matrices "tri" and "square" are B^2 at a mask, built by
-      blocks of rows ("byrows"), and "twin" and "texit" products of "tri"
-      with B: no count builds B^2, which "B3" and "wedge" alone read.
+      "tri" is B^2 at the mask B^T, a masked power; "square" is B^2 at the
+      B^2-sized mask (B^T)^2, built by blocks of rows ("byrows"); "twin"
+      and "texit" products of "tri" with B. Only "B3" and "wedge" read B^2.
   ("T", X)            matrix transpose
   ("rowrev", X)       index reversal on rows (vectors: the whole index)
   ("colrev", X)       index reversal on columns
@@ -55,16 +55,15 @@ of the first three is one ``Evaluator.run`` over a sequence:
                       dense, Q_4 and Q_5 as guarded row dot products (DOTS),
                       and sums them under a bound on the values gathered.
                       By the rule of ``_blocks``, a vertex weighs its dense
-                      row (n cells) and mask entries, a dot its rows' entries.
-                      ("bpow", "I", k) is the diagonal of B^k and
-                      ("bpow", ("colrev", "I"), k) the entries
+                      row (n cells) and 8 int64 words per mask entry, a dot
+                      its rows' entries. ("bpow", "I", k) is the diagonal of
+                      B^k and ("bpow", ("colrev", "I"), k) the entries
                       B^k[e, rev e]: 2m-long gathers.
   ("byrows", X)       X one block of rows at a time, the blocks' values
                       stacked (X a matrix) or, with X a "totals", each
                       total summed over them. A node is row-local when it is
-                      entrywise, "binom", "sshift", "scale", "div",
-                      "rowsum", "bpow" at its mask's rows, "mm" as its left
-                      factor's rows times its right factor, or a total that
+                      "had", "add", "binom", "bpow" at its mask's rows, "mm" as
+                      its left factor's rows times the right, or a total that
                       only X, a "totals", reads, and every read of it inside
                       X is a row read by a row-local node. A block computes
                       the rows of each once, keeping them until its last
@@ -108,9 +107,8 @@ import scipy.sparse as sp
 from .graphs import DirectedEdgeIndex, Graph
 
 INT64_GUARD = 2 ** 62
-# the most one block weighs (``_blocks``), in dense int64 cells plus stored
-# entries (4 MB of cells): a vertex block of bpow, a block of its row dot
-# products and a block of rows of byrows
+# the most one block weighs (``_blocks``), in int64 words (4 MB): its dense
+# cells and stored entries, or for bpow's vertices the words per mask entry
 BLOCK_CELLS = 2 ** 19
 
 
@@ -261,8 +259,8 @@ def exact_div(x, d: int, label: str):
 def _blocks(weights):
     """The one block rule: the ranges (lo, hi) covering range(len(weights))
     in order, each the longest that weighs at most BLOCK_CELLS, or one item
-    that alone weighs more. An item weighs the dense int64 cells plus the
-    stored entries it brings into its block."""
+    that alone weighs more. An item weighs what it holds: the dense int64
+    cells and stored entries (``bpow``: int64 words) it brings into a block."""
     cum = np.concatenate(([0], np.cumsum(weights)))
     lo = 0
     while lo < len(weights):
@@ -324,13 +322,11 @@ ATOMS = {
     "B2": (("pow", 2), ("mm", "B", "B")),
     # read by chordless3 alone: the counts read B^3 as masked powers
     "B3": (("pow", 3), ("mm", "B2", "B")),
-    # tri and square are B^2 at the stored entries of B^T and (B^2)^T, built
-    # one block of rows at a time ("byrows"): rows lo:hi of B^2 are
-    # B[lo:hi] B and those of (B^2)^T = (B^T)^2 are B^T[lo:hi] B^T; twin and
-    # texit follow from tri. So no step matrix builds a B^2-sized matrix.
+    # tri is B^2 at the entries of B^T, a masked power; square, B^2 at the
+    # B^2-sized mask (B^T)^2, takes blocks of rows ("byrows") B[lo:hi] B and
+    # B^T[lo:hi] B^T. No step matrix (twin, texit are from tri) builds B^2.
     # two-steps closed into a triangle by the reverse single step
-    "tri": ("triangle_step",
-            ("byrows", ("had", ("mm", "B", "B"), ("T", "B")))),
+    "tri": ("triangle_step", ("bpow", ("T", "B"), 2)),
     # two-steps whose endpoints do not bound a triangle
     "wedge": ("wedge_step", ("sub", "B2", "tri")),
     # two-steps matched by a reverse two-step: opposite sides of a square
@@ -465,13 +461,13 @@ class EdgeSpace:
 
         M's own rows are grouped by head vertex for the two [b, .] terms and by
         tail vertex for the two [a, .] terms, and each block of vertices
-        (``_blocks``, a vertex weighing its n cells of ``buf`` and the stored
-        entries of its edges' rows of M) reads the dense rows of each Q_j it
-        needs at its vertices with mask entries (``_gather``), so neither Q_j
-        nor the whole of M's row and endpoint arrays is ever held. Each sum is
-        checked against a running bound: 1 (the I or J term), or in the second
-        pass the first pass's largest, which bounds what it left, plus each
-        max|Q_j| gathered.
+        (``_blocks``, a vertex weighing its n cells of ``buf`` and 8 int64
+        words per stored entry of its edges' rows of M) reads the dense rows of
+        each Q_j it needs at its vertices with mask entries (``_gather``), so
+        neither Q_j nor the whole of M's row and endpoint arrays is ever held.
+        Each sum is checked against a running bound: 1 (the I or J term), or in
+        the second pass the first pass's largest, which bounds what it left,
+        plus each max|Q_j| gathered.
         """
         if not 1 <= k <= 6:
             raise ValueError("bpow takes k in 1..6")
@@ -489,9 +485,11 @@ class EdgeSpace:
             order = np.argsort(ends * ends.size + np.arange(ends.size))
             ptr = np.zeros(n + 1, dtype=np.int64)
             np.cumsum(np.bincount(ends, minlength=n), out=ptr[1:])
-            # a vertex weighs its dense row of buf and its edges' mask rows
-            weights = n + np.bincount(ends, weights=np.diff(M.indptr),
-                                      minlength=n)
+            # a vertex weighs its dense row of buf and, per entry of its edges'
+            # mask rows, the 8 int64 words a block keeps for it: pos, e, f, at,
+            # acc, the gathered q and its index at + end[f] with end[f]
+            weights = n + 8 * np.bincount(ends, weights=np.diff(M.indptr),
+                                          minlength=n)
             largest = carried
             for vlo, vhi in _blocks(weights):
                 pos, e = _row_entries(M.indptr, order[ptr[vlo]:ptr[vhi]])
@@ -652,16 +650,18 @@ class _Label:
 
 # the row-local ops ("byrows"), each with the operands it reads by rows: a
 # product its left factor, a masked power its mask, "totals" every total
-_ROW_ARGS = {**dict.fromkeys(("had", "hadnot", "add", "sub"), slice(1, 3)),
-             **dict.fromkeys(("mm", "bpow", "sshift", "scale", "binom", "div",
-                              "rowsum", "total"), slice(1, 2)),
+_ROW_ARGS = {**dict.fromkeys(("had", "add"), slice(1, 3)),
+             **dict.fromkeys(("mm", "bpow", "binom", "total"), slice(1, 2)),
              "totals": slice(1, None)}
 
 
 def _row_plan(x) -> dict:
     """For ("byrows", X), by the module docstring's rule: the nodes of X a
     block computes by rows, from X down, each with its number of reads in
-    X."""
+    X; an X that is not row-local is refused."""
+    if x[0] not in _ROW_ARGS:
+        raise ValueError(
+            f"{_Label(('byrows', x))}: byrows needs a matrix or totals")
     reads, todo = {}, [x]  # node -> its reads in X: (reader, by rows?)
     while todo:
         node = todo.pop()

@@ -241,7 +241,7 @@ def test_f20_f32_f33_are_the_parts_of_one_row_blocked_pass():
 
 
 def test_census_stacks_no_row_blocks():
-    """With tri and square, the two stacked "byrows" atoms, built, the
+    """With tri and square, the stacked "byrows" atom, built, the
     corrections of a hub graph stack no blocks of rows: F20, F32 and F33
     keep only each block's totals."""
     space = EdgeSpace(hub_graph())

@@ -486,9 +486,9 @@ _MASKED_WHOLE = (("total", ("binom", ("bpow", ("T", "B2"), 3), 2)),
                  ("total", ("binom", ("bpow", ("T", "B2"), 3), 3)))
 MASKED_PASS = {name: main for name, main, _, _ in CORRECTIONS}["F20"][1]
 
-# The trees that "byrows" computes by blocks of rows, each with its whole
-# definition as the parent tree wrote it: tri, square, each total of the
-# trace pass and each total of the census pass.
+# The trees that are computed by blocks, each with its whole definition as
+# the parent tree wrote it: tri (by bpow's vertex blocks), and by "byrows"
+# square, each total of the trace pass and each total of the census pass.
 BY_ROWS = [
     ("tri", ("had", "B2", ("T", "B"))),
     ("square", ("had", "B2", ("T", "B2"))),

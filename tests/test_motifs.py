@@ -1,5 +1,6 @@
 """Catalog evaluation: rooted motif counts from edge-step matrices."""
 
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -11,7 +12,7 @@ from conftest import (complete_graph, cycle_graph, differential_hosts,
 from nbcensus import catalog, connection, edge_matrix
 from nbcensus.catalog import _B1, _SQL, _SQR, _TRI1, _WEDGE1
 from nbcensus.connection import RootedGraph, ScaleGuardError, kappa_direct
-from nbcensus.cycle_census import CORRECTIONS, DIAGONALS
+from nbcensus.cycle_census import CORRECTIONS, DIAGONALS, full_census
 from nbcensus.edge_matrix import ATOMS, MEETS, EdgeSpace, Evaluator
 from nbcensus.graphs import Graph
 from nbcensus.motifs import (K6, compiled, eval_k6_edge, eval_order6_edge,
@@ -418,12 +419,86 @@ def test_masked_powers_build_only_the_walk_blocks_they_read():
     assert set(space._cache) == {"B", ATOMS["A"][0]}
 
 
+def test_a_masked_powers_vertex_blocks_weigh_what_they_hold():
+    """Each vertex block that bpow hands to a gather weighs at most
+    BLOCK_CELLS: n cells of the gather buffer per vertex and 8 int64 words
+    per mask entry of its edges' rows (pos, e, f, at, acc, q and two index
+    arrays), unless it holds one vertex alone. Seen from a gather, a block
+    starts at lo and reaches at least the last vertex whose rows it reads,
+    and it holds the entries of ``at``."""
+    g, cells, seen = hub_graph(), 1200, []
+    gather = EdgeSpace._gather
+
+    def spy(self, j, lo, rows, at, buf, label):
+        seen.append((lo, int(rows.max()) - lo + 1, at.size))
+        return gather(self, j, lo, rows, at, buf, label)
+
+    with mock.patch.object(edge_matrix, "BLOCK_CELLS", cells), \
+            mock.patch.object(EdgeSpace, "_gather", spy):
+        space = EdgeSpace(g)
+        for mask in ("B", ("T", "B"), "square", "I"):
+            for k in (2, 5):
+                Evaluator(space).eval(("bpow", mask, k))
+    assert len(seen) > 20
+    for lo, span, entries in seen:
+        assert span == 1 or span * g.n + 8 * entries <= cells, (
+            lo, span, entries)
+
+
+def test_only_square_and_the_census_pass_form_rows_of_b_b():
+    """tri, B^2 at B^T, is a masked power: building it forms no product
+    B B. In a full census and the order 3..5 catalog on a hub graph, the
+    products B B and B^T B^T are formed only by the blocks of rows of
+    square and of the census's one pass over F20, F32 and F33, each once
+    per block."""
+    squares = (("mm", "B", "B"), ("mm", ("T", "B"), ("T", "B")))
+    passes = {ATOMS["square"][1],
+              {name: main for name, main, _, _ in CORRECTIONS}["F20"][1]}
+    products, blocks, within = [], [], []  # within: the byrows nodes open
+    apply, row_blocks = Evaluator._apply, Evaluator._row_blocks
+    matmul = edge_matrix.checked_matmul
+
+    def spy_apply(self, expr, block=None):
+        if block is not None or expr[0] != "byrows":
+            return apply(self, expr, block)
+        within.append(expr)
+        try:
+            return apply(self, expr, block)
+        finally:
+            within.pop()
+
+    def spy_row_blocks(self, local):
+        out = row_blocks(self, local)
+        blocks.extend([within[-1]] * len(out))
+        return out
+
+    def spy_matmul(A, B, label, stats=None):
+        node = getattr(label, "node", label)
+        if node in squares:
+            products.append((node, within[-1] if within else None))
+        return matmul(A, B, label, stats)
+
+    with mock.patch.object(edge_matrix, "checked_matmul", spy_matmul):
+        EdgeSpace(hub_graph()).atom("tri")
+        assert products == []
+        with mock.patch.object(Evaluator, "_apply", spy_apply), \
+                mock.patch.object(Evaluator, "_row_blocks", spy_row_blocks):
+            space = EdgeSpace(hub_graph())
+            full_census(space)
+            for order in (3, 4, 5):
+                order_values(space, order)
+    assert passes <= set(blocks)
+    for node in squares:
+        assert Counter(w for x, w in products if x == node) == Counter(
+            b for b in blocks if b in passes), node
+
+
 def test_catalog_and_k6_read_no_b2():
     """No order 3..5 entry, not k6 and no census main reads B^2, through
-    the ATOMS too: tri and square are built by blocks of rows, and twin and
-    texit from tri; F20, F32 and F33 read their masks, (B^2)^T and B^2, by
-    blocks of rows, and F19 reads B^2 only at the entries of its mask, as a
-    masked power."""
+    the ATOMS too: tri is a masked power, square is built by blocks of
+    rows, and twin and texit from tri; F20, F32 and F33 read their masks,
+    (B^2)^T and B^2, by blocks of rows, and F19 reads B^2 only at the
+    entries of its mask, as a masked power."""
     for order in (3, 4, 5):
         entries = {**catalog.entries_for_order(order)[0],
                    **catalog.entries_for_order(order)[1]}
@@ -435,8 +510,8 @@ def test_catalog_and_k6_read_no_b2():
 
 
 # The step matrices as they were built from the whole of B^2 and a whole
-# transpose or reversal of it, before tri and square were built by blocks
-# of rows and twin and texit from tri.
+# transpose or reversal of it, before tri became a masked power, square
+# was built by blocks of rows and twin and texit from tri.
 WHOLE_STEPS = {
     "tri": ("had", "B2", ("T", "B")),
     "square": ("had", "B2", ("T", "B2")),
