@@ -20,8 +20,10 @@ frozen in data/motif_patterns.json.
 
 Sums come before products and masks replace copies: a row or column sum is
 pushed through the products and differences it sums (rowsum(X Y) =
-X rowsum(Y), colsum(X Y) = Y^T colsum(X)), and a B^2-sized matrix read only
-at a sparse mask is a masked power at that mask.
+X rowsum(Y), colsum(X Y) = Y^T colsum(X)), a B^2-sized matrix read only
+at a sparse mask is a masked power at that mask, and a matrix read only
+through its sums is read by rows: the five sums over texit B are the parts
+of one "byrows" pass, which forms each block's rows of texit B once.
 """
 
 from __future__ import annotations
@@ -49,6 +51,18 @@ _PAIRED = ("had", ("mm", "tri", ("rowrev", "tri")), ("T", "B"))
 # B^3 is read only through masks, so the entries read it as masked powers
 _B3T = ("bpow", ("T", "B"), 3)                       # B^3 masked by B^T
 _X11 = ("rowsum", "square")
+# texit B is read only through sums (X081, X082, X124, X201, X207): they are
+# the parts of one row-blocked pass, so it is never held whole
+_TEXIT_B = ("mm", "texit", "B")
+_TEXIT_B_FREE = ("hadnot", ("hadnot", ("hadnot", ("hadnot", _TEXIT_B, "B"),
+                                       ("rowrev", "B")), ("colrev", "B")),
+                 ("T", "B"))
+_TEXIT_B_SUMS = ("byrows", ("totals",
+                            ("rowsum", ("had", "crossed", _TEXIT_B)),
+                            ("colsum", ("had", "crossed", _TEXIT_B)),
+                            ("colsum", ("had", "square", _TEXIT_B)),
+                            ("colsum", _TEXIT_B_FREE),
+                            ("rowsum", _TEXIT_B_FREE)))
 
 
 def _expr(tree):
@@ -172,8 +186,8 @@ EDGE_ORDER5 = {
     # 07
     "X071": _expr(("div", ("rowsum", ("had", "crossed", "join")), 6)),
     # 08
-    "X081": _expr(("div", ("rowsum", ("had", "crossed", ("mm", "texit", "B"))), 2)),
-    "X082": _expr(("div", ("colsum", ("had", "crossed", ("mm", "texit", "B"))), 2)),
+    "X081": _expr(("div", ("part", _TEXIT_B_SUMS, 0), 2)),
+    "X082": _expr(("div", ("part", _TEXIT_B_SUMS, 1), 2)),
     "X083": _rev("X082"),
     # 09
     "X091": _expr(("div", ("sub", ("mm", "crossed", _TRI1),
@@ -202,7 +216,7 @@ EDGE_ORDER5 = {
     "X121": _expr(("sub", ("colsum", ("bpow", _PAIRED, 3)), ("colsum", _PAIRED))),
     "X122": _rev("X121"),
     "X123": _expr(("div", ("colsum", ("bpow", ("mm", "square", "tri"), 2)), 2)),
-    "X124": _expr(("div", ("colsum", ("had", "square", ("mm", "texit", "B"))), 2)),
+    "X124": _expr(("div", ("part", _TEXIT_B_SUMS, 2), 2)),
     "X125": _rev("X124"),
     # 13
     "X131": _expr(("rowsum", ("had", ("mm", "square", "square"), ("T", "B")))),
@@ -265,9 +279,7 @@ EDGE_ORDER5 = {
     "X191": _expr(("colsum", ("binom", _B3T, 2))),
     "X192": _rev("X191"),
     # 20
-    "X201": _expr(("div", ("colsum",
-                   ("hadnot", ("hadnot", ("hadnot", ("hadnot", ("mm", "texit", "B"),
-                    "B"), ("rowrev", "B")), ("colrev", "B")), ("T", "B"))), 2)),
+    "X201": _expr(("div", ("part", _TEXIT_B_SUMS, 3), 2)),
     "X202": _rev("X201"),
     "X203": _expr(("div", ("sub", ("had", ("colsum", "texit"), _B1),
                            ("scale", ("rowsum", _SQL), 2, 1)), 2)),
@@ -277,9 +289,7 @@ EDGE_ORDER5 = {
     "X205": _expr(("sub", ("had", _TRI1, _WEDGE1),
                    ("add", ("rowsum", "texit"), ("rowsum", _SQR)))),
     "X206": _rev("X205"),
-    "X207": _expr(("rowsum",
-                   ("hadnot", ("hadnot", ("hadnot", ("hadnot", ("mm", "texit", "B"),
-                    "B"), ("rowrev", "B")), ("colrev", "B")), ("T", "B")))),
+    "X207": _expr(("part", _TEXIT_B_SUMS, 4)),
 }
 
 VERTEX_ORDER5 = {

@@ -19,10 +19,14 @@ and ``generic:<pattern-file>`` (the constructive engine on an arbitrary
 rooted pattern). A pattern file is an ordinary edge list plus header
 lines ``r: ...`` and ``s: ...`` naming the root vertices.
 
+With ``--output`` the report is written to the file as it is formed, a
+block at a time, so the whole report text is never held.
+
 Exit status: 0 on success, 1 on input problems, a report file that
 cannot be written or a run out of memory (one ``error:`` line on the
-error stream and no report), 2 on any integrity failure (inexact
-division, overflow guard, oracle mismatch).
+error stream and no report: a partly written report file is removed),
+2 on any integrity failure (inexact division, overflow guard, oracle
+mismatch).
 """
 
 from __future__ import annotations
@@ -31,11 +35,13 @@ import csv
 import io
 import json
 import os
+import stat
 import sys
 import time
 from dataclasses import dataclass
 from itertools import combinations, repeat
 from json.encoder import encode_basestring_ascii
+from typing import TextIO
 
 import click
 import numpy as np
@@ -44,7 +50,7 @@ from . import catalog
 from .connection import (RootedGraph, ScaleGuardError, build_formula,
                          eval_formula, kappa_direct, tuple_coords)
 from .cycle_census import full_census
-from .edge_matrix import EdgeSpace, IntegrityError
+from .edge_matrix import EdgeSpace, IntegrityError, _blocks
 from .graphs import (DirectedEdgeIndex, Graph, GraphError, load_graph,
                      utf8_text)
 from .motifs import eval_k6_edge, evaluate_catalog
@@ -264,18 +270,18 @@ def _check_generic(counter, result, g) -> dict:
 # serialization
 # ---------------------------------------------------------------------------
 
-def _to_json(report: dict) -> str:
-    """``json.dumps(report, indent=2, sort_keys=True) + "\\n"``, byte for
-    byte, with each ``PerLocation`` written straight from its vector."""
-    out: list[str] = []
-    _write_json(report, "", out, {})
-    out.append("\n")
-    return "".join(out)
+def _to_json(report: dict, out: TextIO) -> None:
+    """Write ``json.dumps(report, indent=2, sort_keys=True) + "\\n"``, byte
+    for byte, to the text stream ``out`` as it is formed: the skeleton piece
+    by piece, and each ``PerLocation`` in one write, straight from its
+    vector."""
+    _write_json(report, "", out.write, {})
+    out.write("\n")
 
 
-def _write_json(obj, pad: str, out: list[str], layouts: dict) -> None:
+def _write_json(obj, pad: str, write, layouts: dict) -> None:
     if isinstance(obj, PerLocation):
-        out.append(_per_location_json(obj, pad, layouts))
+        write(_per_location_json(obj, pad, layouts))
     elif isinstance(obj, (dict, list)) and obj:
         inner = pad + "  "
         if isinstance(obj, dict):
@@ -287,12 +293,12 @@ def _write_json(obj, pad: str, out: list[str], layouts: dict) -> None:
             items = [("", item) for item in obj]
         sep = opening + "\n"
         for key, value in items:
-            out.append(sep + inner + key)
-            _write_json(value, inner, out, layouts)
+            write(sep + inner + key)
+            _write_json(value, inner, write, layouts)
             sep = ",\n"
-        out.append("\n" + pad + closing)
+        write("\n" + pad + closing)
     else:
-        out.append(json.dumps(obj))
+        write(json.dumps(obj))
 
 
 def _per_location_json(block: PerLocation, pad: str, layouts: dict) -> str:
@@ -316,7 +322,11 @@ def _per_location_json(block: PerLocation, pad: str, layouts: dict) -> str:
     return template % tuple(block.values[order].tolist())
 
 
-def _to_csv(report: dict, config: RunConfig, index: DirectedEdgeIndex) -> str:
+def _to_csv(report: dict, config: RunConfig, index: DirectedEdgeIndex,
+            out: TextIO) -> None:
+    """Write the CSV report to the text stream ``out`` as it is formed: the
+    header, each block of rows (``_blocks``, a row weighing its cells), and
+    the totals row."""
     columns: list[tuple[str, PerLocation | None, PerLocation | None, int]] = []
     counters = report["counters"]
     refused = report.get("errors", {})
@@ -343,15 +353,14 @@ def _to_csv(report: dict, config: RunConfig, index: DirectedEdgeIndex) -> str:
             block = counters[counter]
             columns.append((counter, None, None, block["total"]))
 
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["location"] + [c[0] for c in columns])
     for labels, side in ((index.labels, 1), (index.graph.labels, 2)):
-        writer.writerows(zip(labels, *[
-            repeat("") if c[side] is None else c[side].values.tolist()
-            for c in columns]))
+        for lo, hi in _blocks(np.full(len(labels), 1 + len(columns))):
+            writer.writerows(zip(labels[lo:hi], *[
+                repeat("") if c[side] is None
+                else c[side].values[lo:hi].tolist() for c in columns]))
     writer.writerow(["__total__"] + [c[3] for c in columns])
-    return buf.getvalue()
 
 
 # ---------------------------------------------------------------------------
@@ -365,6 +374,29 @@ def _stage_error(stage: str, exc: Exception) -> tuple[int, str]:
     return 1, ""
 
 
+def _write_report(path: str | None, write) -> str:
+    """The report that ``write(stream)`` forms: with no ``path``, its text;
+    else "", once it is written to the file ``path`` as it is formed. A
+    failure removes the partly written file if it is a regular file (not a
+    device such as /dev/null), and is raised again."""
+    if path is None:
+        buf = io.StringIO()
+        write(buf)
+        return buf.getvalue()
+    fh = open(path, "w", encoding="utf-8")
+    try:
+        with fh:
+            write(fh)
+    except BaseException:
+        try:
+            if stat.S_ISREG(os.stat(path).st_mode):
+                os.remove(path)
+        except OSError:  # the failure that got here is the one to report
+            pass
+        raise
+    return ""
+
+
 def _stage(timings: list, name: str, fn):
     start = time.perf_counter()
     out = fn()
@@ -373,7 +405,8 @@ def _stage(timings: list, name: str, fn):
 
 
 def run(config: RunConfig) -> tuple[int, str]:
-    """Execute one configured run; returns (exit status, serialized report)."""
+    """Execute one configured run; returns (exit status, report text), the
+    text "" once the report is written to ``config.output``."""
     timings: list[tuple[str, int]] = []
     try:
         g = _stage(timings, "parse", lambda: load_graph(config.input_path))
@@ -441,8 +474,12 @@ def run(config: RunConfig) -> tuple[int, str]:
         report["errors"] = errors
 
     try:
-        text = (_to_json(report) if config.fmt == "json"
-                else _to_csv(report, config, index))
+        text = _write_report(config.output, (
+            (lambda out: _to_json(report, out)) if config.fmt == "json"
+            else lambda out: _to_csv(report, config, index, out)))
+    except OSError as exc:
+        print(f"error: cannot write report: {exc}", file=sys.stderr)
+        return 1, ""
     except MemoryError as exc:
         return _stage_error("report", exc)
     if config.fmt == "csv":
@@ -488,15 +525,7 @@ def main(input_path, counts, fmt, oracle_check, max_oracle_n, output):
         raise click.UsageError(str(exc))
     status, text = run(config)
     if text:
-        if config.output:
-            try:
-                with open(config.output, "w", encoding="utf-8") as fh:
-                    fh.write(text)
-            except OSError as exc:
-                print(f"error: cannot write report: {exc}", file=sys.stderr)
-                sys.exit(1)
-        else:
-            click.echo(text, nl=False)
+        click.echo(text, nl=False)
     sys.exit(status)
 
 

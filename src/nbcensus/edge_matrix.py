@@ -61,21 +61,25 @@ of the first three is one ``Evaluator.run`` over a sequence:
                       B^k[e, rev e]: 2m-long gathers.
   ("byrows", X)       X one block of rows at a time, the blocks' values
                       stacked (X a matrix) or, with X a "totals", each
-                      total summed over them. A node is row-local when it is
-                      "had", "add", "binom", "bpow" at its mask's rows, "mm" as
-                      its left factor's rows times the right, or a total that
-                      only X, a "totals", reads, and every read of it inside
-                      X is a row read by a row-local node. A block computes
-                      the rows of each once, keeping them until its last
-                      read in the block (P_4 of the trace pass, read by H_7,
-                      H_8, H_9 and P_5), and slices every other operand from
-                      its whole value: an atom, a transpose or reversal, or
-                      a node read whole, as a right factor is. By the rule
-                      of ``_blocks``, a row weighs the stored entries
-                      (dense: the width) of the sliced operands and, for a
-                      product, at most its right factor's width
-  ("totals", X, ...)  in "byrows" only: the tuple of the totals X, ...; a
-                      refused one is its IntegrityError and leaves the others
+                      total taken over them. A node is row-local when it is
+                      "had", "hadnot" (both operands), "add", "binom", "bpow"
+                      at its mask's rows, "mm" as its left factor's rows
+                      times the right, or a "total", "rowsum" or "colsum"
+                      that only X, a "totals", reads, and every read of it
+                      inside X is a row read by a row-local node. A block
+                      computes the rows of each once, keeping them until
+                      its last read in the block (P_4 of the trace pass,
+                      read by H_7, H_8, H_9 and P_5), and slices every other
+                      operand from its whole value: an atom, a transpose or
+                      reversal, or a node read whole, as a right factor is.
+                      By the rule of ``_blocks``, a row weighs the stored
+                      entries (dense: the width) of the sliced operands and,
+                      for a product, at most its right factor's width
+  ("totals", X, ...)  in "byrows" only: the tuple of the totals X, ..., each
+                      a "total", "rowsum" or "colsum": the blocks' row sums
+                      are concatenated, their totals and column sums added
+                      under the guard; a refused one is its IntegrityError
+                      and leaves the others
   ("part", X, i)      item i of the tuple X, raised if it is a refusal
   ("hadnot", X, M)    zero out entries of X wherever M is nonzero
   ("add", X, Y), ("sub", X, Y)
@@ -650,16 +654,19 @@ class _Label:
 
 # the row-local ops ("byrows"), each with the operands it reads by rows: a
 # product its left factor, a masked power its mask, "totals" every total
-_ROW_ARGS = {**dict.fromkeys(("had", "add"), slice(1, 3)),
-             **dict.fromkeys(("mm", "bpow", "binom", "total"), slice(1, 2)),
+_ROW_ARGS = {**dict.fromkeys(("had", "hadnot", "add"), slice(1, 3)),
+             **dict.fromkeys(("mm", "bpow", "binom", "total", "rowsum",
+                              "colsum"), slice(1, 2)),
              "totals": slice(1, None)}
+# the totals a "totals" takes, each summed over the blocks by "byrows" alone
+_SUMS = ("total", "rowsum", "colsum")
 
 
 def _row_plan(x) -> dict:
     """For ("byrows", X), by the module docstring's rule: the nodes of X a
     block computes by rows, from X down, each with its number of reads in
     X; an X that is not row-local is refused."""
-    if x[0] not in _ROW_ARGS:
+    if x[0] not in _ROW_ARGS or x[0] in _SUMS:
         raise ValueError(
             f"{_Label(('byrows', x))}: byrows needs a matrix or totals")
     reads, todo = {}, [x]  # node -> its reads in X: (reader, by rows?)
@@ -680,7 +687,7 @@ def _row_plan(x) -> dict:
                     if y in reads and y[0] in _ROW_ARGS
                     and all(row and r in local for r, row in reads[y])
                     # a block's total is summed over blocks by "totals" alone
-                    and (y[0] != "total" or x[0] == "totals"
+                    and (y[0] not in _SUMS or x[0] == "totals"
                          and all(r == x for r, _ in reads[y])))
     return local
 
@@ -694,14 +701,26 @@ def _refused_or(f, *args):
         return exc.with_traceback(None)
 
 
-def _sum(parts, label) -> int:
-    """The guarded sum of a total's blocks; a refused block refuses it."""
-    total = 0
-    for part in parts:
-        if isinstance(part, IntegrityError):
-            raise part
-        total = checked_add(total, part, label, 1)
-    return int(total)
+def _combine(totals, blocks) -> tuple:
+    """The values of the totals of a "totals" over all rows, from their
+    values per block of rows (a tuple per block): a "rowsum"'s blocks are
+    concatenated, a "total"'s or "colsum"'s summed with the guard. A refused
+    block refuses its total and leaves the others."""
+    sums = [[] if y[0] == "rowsum" else 0 for y in totals]
+    for parts in blocks:
+        for i, (y, part) in enumerate(zip(totals, parts)):
+            if isinstance(sums[i], IntegrityError):
+                continue
+            if isinstance(part, IntegrityError):
+                sums[i] = part
+            elif y[0] == "rowsum":
+                sums[i].append(part)
+            else:
+                sums[i] = _refused_or(checked_add, sums[i], part, _Label(y), 1)
+    return tuple(s if isinstance(s, IntegrityError)
+                 else np.concatenate(s) if y[0] == "rowsum"
+                 else int(s) if y[0] == "total" else s
+                 for y, s in zip(totals, sums))
 
 
 def _reads(node) -> list:
@@ -854,12 +873,12 @@ class Evaluator:
                           block[0] if block else 0)
         if op == "byrows":
             x, local = expr[1], _row_plan(expr[1])
-            # a total's block is dropped once its total is taken
-            parts = [self._apply(x, (lo, hi, local, {}))
-                     for lo, hi in self._row_blocks(local)]
+            # a block of totals is dropped once they are added to the sums
+            parts = (self._apply(x, (lo, hi, local, {}))
+                     for lo, hi in self._row_blocks(local))
             if x[0] == "totals":
-                return tuple(_refused_or(_sum, column, _Label(y))
-                             for y, column in zip(x[1:], zip(*parts)))
+                return _combine(x[1:], parts)
+            parts = list(parts)
             if not sp.issparse(parts[0]):
                 raise ValueError(f"{label}: byrows needs a matrix or totals")
             return sp.vstack(parts, format="csr")
@@ -895,7 +914,7 @@ class Evaluator:
         if op == "rowsum":
             return checked_total(arg(expr[1]), label, axis=1)
         if op == "colsum":
-            return checked_total(self._eval(expr[1]), label, axis=0)
+            return checked_total(arg(expr[1]), label, axis=0)
         if op == "total":
             return checked_total(arg(expr[1]), label)
         if op == "div":

@@ -5,16 +5,18 @@ import json
 import os
 import random
 import resource
+import stat
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from click.testing import CliRunner
 
-from nbcensus import cli
+from nbcensus import cli, edge_matrix
 from nbcensus.cli import RunConfig, load_pattern, main, run
 from nbcensus.edge_matrix import IntegrityError
 from nbcensus.graphs import GraphError
@@ -147,6 +149,94 @@ def test_out_of_memory_after_the_counters_is_one_error_line(
     assert errors == [f"error: {stage}: out of memory"]
     assert "Traceback" not in result.stderr
     assert not result.stdout and not report.exists()
+
+
+# vertex tokens that JSON escapes, CSV quotes or a %-template must double
+ODD_LABELS_TEXT = ('é "q"\n"q" a,b\na,b %\n% é\n% 漢\n漢 x%d\né a,b\n'
+                   '100% "q"\n')
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_output_file_holds_the_stdout_bytes(runner, tmp_path, fmt):
+    """The report written to ``--output`` as it is formed, its CSV rows in
+    blocks of a few cells, is byte for byte the report on stdout."""
+    host = tmp_path / "host.txt"
+    host.write_text(ODD_LABELS_TEXT, encoding="utf-8")
+    args = ["--input", str(host), "--counts", "order3,order4,k6,cycles",
+            "--format", fmt]
+    shown = runner.invoke(main, args)
+    assert shown.exit_code == 0, shown.stderr
+    out = tmp_path / "report"
+    with mock.patch.object(edge_matrix, "BLOCK_CELLS", 3):
+        written = runner.invoke(main, args + ["--output", str(out)])
+    assert written.exit_code == 0, written.stderr
+    assert written.stdout_bytes == b""
+    assert out.read_bytes() == shown.stdout_bytes
+    assert "%" in shown.stdout
+    assert ("\\u6f22" if fmt == "json" else "漢") in shown.stdout
+
+
+class _FailingStream:
+    """A text stream that takes its first write and raises ``exc`` on each
+    one after."""
+
+    def __init__(self, out, exc):
+        self.out, self.exc, self.writes = out, exc, 0
+
+    def write(self, text):
+        if self.writes:
+            raise self.exc
+        self.writes += 1
+        return self.out.write(text)
+
+
+@pytest.mark.parametrize("fmt, writer", [("json", "_to_json"),
+                                         ("csv", "_to_csv")])
+@pytest.mark.parametrize("exc, line", [
+    (MemoryError(), "error: report: out of memory"),
+    (OSError(28, "No space left on device"),
+     "error: cannot write report: [Errno 28] No space left on device"),
+])
+def test_a_report_that_fails_after_its_first_block_leaves_no_file(
+        runner, triangle_file, tmp_path, monkeypatch, fmt, writer, exc, line):
+    """A writer that runs out of memory, or a stream that fails, after the
+    report's first block ends the run with exit 1, one ``error:`` line and
+    no report file: the part already written is removed."""
+    real, streams = getattr(cli, writer), []
+
+    def failing(*args):
+        streams.append(_FailingStream(args[-1], exc))
+        return real(*args[:-1], streams[-1])
+    monkeypatch.setattr(cli, writer, failing)
+    report = tmp_path / "report"
+    result = runner.invoke(main, ["--input", triangle_file, "--counts",
+                                  "order3,cycles", "--format", fmt,
+                                  "--output", str(report)])
+    assert result.exit_code == 1, result.stderr
+    assert [s.writes for s in streams] == [1]
+    errors = [row for row in result.stderr.splitlines()
+              if row.startswith("error:")]
+    assert errors == [line]
+    assert "Traceback" not in result.stderr
+    assert not result.stdout and not report.exists()
+
+
+def test_a_failed_report_keeps_a_target_that_is_no_regular_file(tmp_path):
+    """Only a regular report file is removed after a failed write: a FIFO
+    (as /dev/null, a device, would be) stays."""
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+
+    def write(out):
+        out.write("{")
+        raise OSError(28, "No space left on device")
+    try:
+        with pytest.raises(OSError):
+            cli._write_report(str(fifo), write)
+    finally:
+        os.close(reader)
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
 
 
 def test_oracle_check_reuses_the_computed_counts(runner, k4_file,

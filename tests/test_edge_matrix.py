@@ -532,6 +532,53 @@ def test_row_blocked_trees_match_their_whole_definitions(g):
                     assert (got != whole[lo:hi]).nnz == 0, (m, k, lo, hi)
 
 
+# A row-local matrix (hadnot reads both operands by rows) and the three
+# reductions a "totals" takes of it, whole and as the parts of one pass.
+_ROW_LOCAL = ("hadnot", ("mm", "tri", "B"), ("rowrev", "B"))
+_REDUCTIONS = (("rowsum", _ROW_LOCAL), ("colsum", _ROW_LOCAL),
+               ("total", _ROW_LOCAL))
+SUMS_PASS = ("byrows", ("totals", *_REDUCTIONS))
+
+
+@settings(max_examples=40, deadline=None)
+@given(differential_hosts())
+@example(petersen_graph())
+@example(er_graph(9, 0.6, 96))
+def test_a_pass_takes_row_and_column_sums_by_blocks(g):
+    """With blocks of a few cells, the row sums, column sums and total of
+    a row-local matrix, taken as the parts of one pass (row sums
+    concatenated over the blocks, column sums and totals added), equal
+    the same reductions of the whole matrix."""
+    with mock.patch.object(edge_matrix, "BLOCK_CELLS", 7):
+        space = EdgeSpace(g)
+        got = Evaluator(space).eval(SUMS_PASS)
+        for part, whole in zip(got, _REDUCTIONS):
+            want = Evaluator(space).eval(whole)
+            if whole[0] == "total":
+                assert part == want and type(part) is int, whole
+            else:
+                assert part.dtype == np.int64, whole
+                assert np.array_equal(part, want), whole
+
+
+def test_a_refused_part_leaves_the_other_parts():
+    """On K4 with P_2 scaled by 2**40 (WideQSpace), the entrywise square of
+    P_2 would reach 2**82: its row sums are refused in every block, while
+    the column sums and the total beside them in the same pass compute."""
+    g = complete_graph(4)
+    space = WideQSpace(g, 2 ** 40)
+    refused = ("rowsum", ("had", "P2", "P2"))
+    parts = (("colsum", ("had", "A", "P3")), ("total", ("had", "A", "A")))
+    with mock.patch.object(edge_matrix, "BLOCK_CELLS", 8):
+        assert len(Evaluator(space)._row_blocks(edge_matrix._row_plan(
+            ("totals", refused, *parts)))) > 1
+        got = Evaluator(space).eval(("byrows", ("totals", refused, *parts)))
+    assert isinstance(got[0], IntegrityError)
+    assert str(got[0]).startswith(repr(refused[1])[:80])
+    assert np.array_equal(got[1], Evaluator(space).eval(parts[0]))
+    assert got[2] == Evaluator(space).eval(parts[1]) == 12
+
+
 def test_a_masked_power_fills_only_the_walk_rows_it_reads():
     """A masked power at two mask rows, one edge both ways, fills of each
     walk block only the rows at that edge's ends, not every row of the

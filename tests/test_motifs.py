@@ -535,3 +535,74 @@ def test_step_matrices_match_their_whole_definitions(g):
             got = space.atom(name)
             assert got.dtype == np.int64, name
             assert (got != Evaluator(space).eval(whole)).nnz == 0, name
+
+
+# The five entries that sum texit B, as they read it whole before their sums
+# became the parts of one row-blocked pass.
+_WHOLE_TEXIT_B = ("mm", "texit", "B")
+_WHOLE_TEXIT_B_FREE = ("hadnot", ("hadnot", ("hadnot", ("hadnot", (
+    _WHOLE_TEXIT_B), "B"), ("rowrev", "B")), ("colrev", "B")), ("T", "B"))
+WHOLE_TEXIT_B_SUMS = {
+    "X081": ("div", ("rowsum", ("had", "crossed", _WHOLE_TEXIT_B)), 2),
+    "X082": ("div", ("colsum", ("had", "crossed", _WHOLE_TEXIT_B)), 2),
+    "X124": ("div", ("colsum", ("had", "square", _WHOLE_TEXIT_B)), 2),
+    "X201": ("div", ("colsum", _WHOLE_TEXIT_B_FREE), 2),
+    "X207": ("rowsum", _WHOLE_TEXIT_B_FREE),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(differential_hosts())
+@example(Graph(0, []))
+@example(wheel_graph(6))
+@example(er_graph(9, 0.6, 96))
+@example(hub_graph())
+def test_texit_b_sums_match_their_whole_trees(g):
+    """With blocks of a few cells, so many blocks of rows, the five sums
+    over texit B that one "byrows" pass takes equal their whole trees."""
+    with mock.patch.object(edge_matrix, "BLOCK_CELLS", 7):
+        ev = Evaluator(EdgeSpace(g))
+        for mid, whole in WHOLE_TEXIT_B_SUMS.items():
+            got = ev.eval(catalog.EDGE_ORDER5[mid]["expr"])
+            want = ev.eval(whole)
+            assert got.dtype == want.dtype == np.int64, mid
+            assert np.array_equal(got, want), mid
+
+
+def test_texit_b_is_formed_only_by_the_blocks_of_its_sums():
+    """In the order-5 catalog on a hub graph, texit B is formed only by the
+    blocks of rows of the one pass over its five sums, once per block."""
+    product = ("mm", "texit", "B")
+    passes, blocks = [], []  # passes: the byrows nodes open
+    apply, row_blocks = Evaluator._apply, Evaluator._row_blocks
+    matmul = edge_matrix.checked_matmul
+
+    def spy_apply(self, expr, block=None):
+        if block is not None or expr[0] != "byrows":
+            return apply(self, expr, block)
+        passes.append(expr)
+        try:
+            return apply(self, expr, block)
+        finally:
+            passes.pop()
+
+    def spy_row_blocks(self, local):
+        out = row_blocks(self, local)
+        blocks.extend([passes[-1]] * len(out))
+        return out
+
+    formed = []
+
+    def spy_matmul(A, B, label, stats=None):
+        if getattr(label, "node", label) == product:
+            formed.append(passes[-1] if passes else None)
+        return matmul(A, B, label, stats)
+
+    with mock.patch.object(edge_matrix, "BLOCK_CELLS", 2000), \
+            mock.patch.object(edge_matrix, "checked_matmul", spy_matmul), \
+            mock.patch.object(Evaluator, "_apply", spy_apply), \
+            mock.patch.object(Evaluator, "_row_blocks", spy_row_blocks):
+        order_values(EdgeSpace(hub_graph()), 5)
+    (sums,) = {node for node in formed}
+    assert sums is not None and sums[1][0] == "totals"
+    assert len(formed) == blocks.count(sums) > 1

@@ -219,7 +219,7 @@ def test_json_writer_matches_json_dumps(patterns, host):
                             "_to_json")
     if got is None:
         return
-    status, text, (report,) = got
+    status, text, (report, _) = got
     assert text == json.dumps(as_dicts(report), indent=2,
                               sort_keys=True) + "\n"
     if "paw" in host[2]:
@@ -234,7 +234,7 @@ def test_csv_writer_matches_per_cell_writer(patterns, host):
                             "_to_csv")
     if got is None:
         return
-    _, text, (report, config, index) = got
+    _, text, (report, config, index, _) = got
     assert text == csv_reference(as_dicts(report), config, index)
 
 
